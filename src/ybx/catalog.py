@@ -19,7 +19,7 @@ from itertools import permutations
 from multiprocessing import Pool
 
 from .core import YBObject, make_ybo
-from .errors import ConstraintViolated, DivisionByZero, UnknownId, UnsupportedRank
+from .errors import ConstraintViolated, DivisionByZero, UnknownId, UnsupportedRank, YbxError
 from .expressions import ParamBinding, eval_expr, sample_binding
 from .scalars import Backend
 from .spectral import jordan_structure, rational_sqrt
@@ -428,6 +428,9 @@ def enumerate_permutation_solutions(N: int, jobs: int = 1) -> PermEnumeration:
     if N not in (2, 3):
         raise UnsupportedRank("permutation enumeration supports N = 2 and 3")
     n2 = N * N
+    # the search is split into n2 tasks, so more workers than that never help
+    if not 1 <= jobs <= n2:
+        raise YbxError(f"jobs must be between 1 and {n2} for N = {N}, got {jobs}")
     tasks = [(N, first) for first in range(n2)]
     if jobs > 1:
         with Pool(processes=jobs) as pool:

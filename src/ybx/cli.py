@@ -30,10 +30,10 @@ from .catalog import (
     sample_entry_binding,
 )
 from .config import DEFAULT_TOL
-from .core import YBObject, is_ybe, rho
+from .core import YBObject, is_ybe, make_ybo, rho
 from .constructions import boxplus, cable, ds_transform, lash
 from .equivalence import local_invariants, p_equivalent, x_symmetry_check
-from .errors import YbxError
+from .errors import ConstraintViolated, YbxError
 from .expressions import ParamBinding, eval_expr, sample_binding
 from .scalars import Backend, format_scalar, to_complex
 from .structure import (
@@ -64,9 +64,30 @@ def _parse_binding(text: str | None) -> ParamBinding:
     return ParamBinding(values)
 
 
-def _load_json(path: str) -> dict:
+def _load_doc(path: str, kind: str) -> dict:
+    """Read a JSON document of the given kind and check its shape: a non-empty
+    rectangular list of expression strings, string params and constraints,
+    and for objects integer N and level."""
     with open(path) as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise YbxError(f"{path}: expected a JSON object of kind {kind!r}")
+    entries = doc.get("entries")
+    if (not isinstance(entries, list) or not entries
+            or any(not isinstance(row, list) or len(row) != len(entries[0]) for row in entries)
+            or any(not isinstance(e, str) for row in entries for e in row)):
+        raise YbxError(f"{path}: 'entries' must be a rectangular list of rows of "
+                       "expression strings")
+    for key in ("params", "constraints"):
+        values = doc.get(key, [])
+        if not isinstance(values, list) or any(not isinstance(v, str) for v in values):
+            raise YbxError(f"{path}: {key!r} must be a list of strings")
+    if kind == "ybo":
+        for key, default in (("N", None), ("level", 1)):
+            value = doc.get(key, default)
+            if type(value) is not int or value < 1:
+                raise YbxError(f"{path}: {key!r} must be a positive integer")
+    return doc
 
 
 def _entries_to_matrix(doc: dict, binding: ParamBinding) -> Matrix:
@@ -81,33 +102,40 @@ def _doc_params(doc: dict) -> list:
     return list(doc.get("params", []))
 
 
+def _ybo(doc: dict, binding: ParamBinding) -> YBObject:
+    """The document's object at a binding; R must be invertible there.  The
+    Yang-Baxter equation is not checked."""
+    return make_ybo(doc["N"], _entries_to_matrix(doc, binding), level=doc.get("level", 1),
+                    verify=False)
+
+
 def _load_ybo(path: str, binding: ParamBinding) -> YBObject:
-    doc = _load_json(path)
-    if doc.get("kind") != "ybo":
-        raise YbxError(f"{path}: expected kind 'ybo'")
-    R = _entries_to_matrix(doc, binding)
-    return YBObject(int(doc["N"]), int(doc.get("level", 1)), R)
+    return _ybo(_load_doc(path, "ybo"), binding)
 
 
 def _load_matrix(path: str, binding: ParamBinding) -> Matrix:
-    doc = _load_json(path)
-    if doc.get("kind") != "matrix":
-        raise YbxError(f"{path}: expected kind 'matrix'")
-    return _entries_to_matrix(doc, binding)
+    return _entries_to_matrix(_load_doc(path, "matrix"), binding)
 
 
 def _sampled_bindings(doc: dict, given: ParamBinding, samples: int, seed: int):
+    """Points of the document's family: the given binding, completed by
+    `samples` seeded draws when parameters are missing.  Each must keep every
+    constraint of the document nonzero."""
     params = _doc_params(doc)
     missing = [p for p in params if p not in given]
-    if not missing:
-        return [given]
     constraints = list(doc.get("constraints", []))
-    out = []
-    for k in range(samples):
-        sampled = sample_binding(missing, constraints, seed + k)
-        merged = dict(given.values)
-        merged.update(sampled.values)
-        out.append(ParamBinding(merged, seed + k))
+    out = [given]
+    if missing:
+        out = []
+        for k in range(samples):
+            sampled = sample_binding(missing, constraints, seed + k)
+            merged = dict(given.values)
+            merged.update(sampled.values)
+            out.append(ParamBinding(merged, seed + k))
+    for binding in out:
+        for cons in constraints:
+            if not eval_expr(cons, binding):
+                raise ConstraintViolated(f"constraint {cons!r} vanishes at the binding")
     return out
 
 
@@ -135,15 +163,16 @@ def _emit(args, code: int, report: dict) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc = _load_json(args.file)
+    if args.samples < 1:
+        raise YbxError(f"--samples must be at least 1, got {args.samples}")
+    doc = _load_doc(args.file, "ybo")
     given = _parse_binding(args.bind)
     bindings = _sampled_bindings(doc, given, args.samples, args.seed)
     results = []
     worst = 0.0
     all_hold = True
     for binding in bindings:
-        obj = _load_ybo(args.file, binding)
-        report = is_ybe(obj, tol=args.tol)
+        report = is_ybe(_ybo(doc, binding), tol=args.tol)
         results.append({"binding": _binding_json(binding), "holds": report.holds,
                         "residual": report.residual})
         worst = max(worst, report.residual)
@@ -158,9 +187,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    doc = _load_json(args.file)
+    doc = _load_doc(args.file, "ybo")
     bindings = _sampled_bindings(doc, _parse_binding(args.bind), 1, args.seed)
-    obj = _load_ybo(args.file, bindings[0])
+    obj = _ybo(doc, bindings[0])
     word = parse_word(args.word, args.strands)
     M = rho(obj, word)
     report = {"command": "rep", "file": args.file, "strands": args.strands,
@@ -178,8 +207,9 @@ def _cmd_rep(args) -> int:
 
 
 def _cmd_cable(args) -> int:
-    bindings = _sampled_bindings(_load_json(args.file), _parse_binding(args.bind), 1, args.seed)
-    obj = _load_ybo(args.file, bindings[0])
+    doc = _load_doc(args.file, "ybo")
+    bindings = _sampled_bindings(doc, _parse_binding(args.bind), 1, args.seed)
+    obj = _ybo(doc, bindings[0])
     out = cable(obj, args.k, tol=args.tol)
     report = {"command": "cable", "k": args.k, "N": out.N, "level": out.level,
               "matrix": _matrix_json(out.R), "binding": _binding_json(bindings[0]),

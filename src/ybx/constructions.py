@@ -6,7 +6,8 @@ flip).  Every construction returns a YBE-verified object when given one.
 from __future__ import annotations
 
 from .braid import cabled_crossing_word
-from .core import YBObject, make_ybo, rho, verified
+from .config import DEFAULT_TOL
+from .core import YBObject, check_dim, make_ybo, rho, verified
 from .errors import (
     DimensionMismatch,
     LevelMismatch,
@@ -28,6 +29,7 @@ def cable(obj: YBObject, k: int, tol: float | None = None,
     """
     if k == 1:
         return verified(obj, tol) if verify else obj
+    check_dim(obj.slot_dim ** (3 * k if verify else 2 * k), f"{k}-cable")
     word = cabled_crossing_word(k)
     R = rho(obj, word)
     if not verify:
@@ -46,6 +48,7 @@ def lash(A: YBObject, B: YBObject, tol: float | None = None,
     """
     if A.level != 1 or B.level != 1:
         raise LevelMismatch("lashing is defined for level-1 objects")
+    check_dim((A.N * B.N) ** (3 if verify else 2), "lashing product")
     backend = join_backend(A.backend, B.backend)
     Ra = A.R.promote_to(backend)
     Rb = B.R.promote_to(backend)
@@ -105,7 +108,7 @@ def is_automorphism(obj: YBObject, Q: Matrix, tol: float | None = None) -> bool:
     if Q.backend.is_exact:
         if not Q.det():
             return False
-    elif Q.rank(tol=1e-9) < Q.rows:
+    elif Q.rank(tol=DEFAULT_TOL if tol is None else tol) < Q.rows:
         return False
     QQ = kron(Q, Q)
     return QQ.mul(obj.R).eq(obj.R.mul(QQ), tol)

@@ -19,6 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .core import (
     YBObject,
+    _letter_rows,
     generator_image,
     is_additive_cc,
     is_charge_conserving,
@@ -612,40 +613,22 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
                            method=method, certificates=certs)
 
 
-def _gen_entries(obj: YBObject, n: int, i: int):
-    """Nonzero entries (row, col, value) of the i-th generator image, without
-    materialising the full matrix."""
-    N = obj.slot_dim
-    R = obj.R
-    left = N ** (i - 1)
-    right = N ** (n - i - 1)
-    for rr in range(N * N):
-        row = R.data[rr]
-        for cc in range(N * N):
-            v = row[cc]
-            if not v:
-                continue
-            for lo in range(left):
-                for hi in range(right):
-                    base_r = lo + left * (rr % N) + left * N * ((rr // N) + N * hi)
-                    base_c = lo + left * (cc % N) + left * N * ((cc // N) + N * hi)
-                    yield base_r, base_c, v
-
-
 def _solve_diagonal_intertwiner(obj: YBObject, S: YBObject, n: int):
     """Diagonal d with d_r R_i[r][c] = S_i[r][c] d_c for all generators, or None."""
     size = obj.slot_dim ** n
     d = [None] * size
     adj: dict[int, list] = {}
     for i in range(1, n):
-        S_entries = {(r, c): v for r, c, v in _gen_entries(S, n, i)}
-        for r, c, v in _gen_entries(obj, n, i):
-            w = S_entries.get((r, c))
-            if w is None:
-                return None  # transition pattern changed; no diagonal works
-            ratio = w / v  # d_r = ratio * d_c
-            adj.setdefault(c, []).append((r, ratio))
-            adj.setdefault(r, []).append((c, 1 / ratio))
+        S_rows = _letter_rows(S.R, S.slot_dim, n, i)
+        for r, row in enumerate(_letter_rows(obj.R, obj.slot_dim, n, i)):
+            S_row = dict(S_rows[r])
+            for c, v in row:
+                w = S_row.get(c)
+                if w is None:
+                    return None  # transition pattern changed; no diagonal works
+                ratio = w / v  # d_r = ratio * d_c
+                adj.setdefault(c, []).append((r, ratio))
+                adj.setdefault(r, []).append((c, 1 / ratio))
     o = one(obj.R.backend)
     for start in range(size):
         if d[start] is not None:
@@ -667,21 +650,21 @@ def _solve_diagonal_intertwiner(obj: YBObject, S: YBObject, n: int):
 def _diag_intertwines(obj: YBObject, S: YBObject, n: int, diag, tol) -> bool:
     """Check d_r R_i[r][c] = S_i[r][c] d_c entrywise for every generator."""
     for i in range(1, n):
-        S_entries = {(r, c): v for r, c, v in _gen_entries(S, n, i)}
-        count = 0
-        for r, c, v in _gen_entries(obj, n, i):
-            w = S_entries.get((r, c))
-            if w is None:
+        S_rows = _letter_rows(S.R, S.slot_dim, n, i)
+        for r, row in enumerate(_letter_rows(obj.R, obj.slot_dim, n, i)):
+            S_row = dict(S_rows[r])
+            if len(S_row) != len(row):
                 return False
-            count += 1
-            lhs = diag[r] * v
-            rhs = w * diag[c]
-            if obj.R.backend.is_exact:
-                if lhs != rhs:
+            for c, v in row:
+                w = S_row.get(c)
+                if w is None:
                     return False
-            elif scalar_abs(lhs - rhs) > (DEFAULT_TOL if tol is None else tol) * max(
-                    1.0, scalar_abs(lhs)):
-                return False
-        if count != len(S_entries):
-            return False
+                lhs = diag[r] * v
+                rhs = w * diag[c]
+                if obj.R.backend.is_exact:
+                    if lhs != rhs:
+                        return False
+                elif scalar_abs(lhs - rhs) > (DEFAULT_TOL if tol is None else tol) * max(
+                        1.0, scalar_abs(lhs)):
+                    return False
     return True

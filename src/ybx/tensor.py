@@ -11,6 +11,12 @@ Conventions, fixed once here and relied on everywhere else:
   order: ``index(w) = sum_k (w_k - 1) N^(k-1)``, hence ``|w> (x) |v> = |wv>``
   (concatenation).
 
+Storage stays dense: ``Matrix.data`` is the public list of row lists.  The
+two exact hot loops work on sparse rows instead, one ``{col: value}`` dict
+per row holding only the nonzero entries: the elimination kernel here
+(behind rref, rank, nullspace, solve, inverse and det) and the braid word
+product in ``ybx.core``.  ``sparse_rows`` and ``dense_rows`` convert.
+
 All decision procedures (rank, nullspace, solve, inverse, det) require an
 exact backend; the complex-float backend only supports them with an explicit
 tolerance where stated.
@@ -299,14 +305,13 @@ class Matrix:
             sv = np.linalg.svd(arr, compute_uv=False)
             cutoff = tol * max(1.0, float(sv[0]) if len(sv) else 1.0)
             return int(np.sum(sv > cutoff))
-        rows = self.copy_data()
-        return len(_rref_in_place(rows, self.cols))
+        return len(_eliminate(sparse_rows(self.data), self.cols)[0])
 
     def nullspace(self) -> list:
         """Exact basis of the right nullspace, as a list of column Matrices."""
         self._require_exact("nullspace")
-        rows = self.copy_data()
-        pivots = _rref_in_place(rows, self.cols)
+        rows = sparse_rows(self.data)
+        pivots = _eliminate(rows, self.cols)[0]
         pivot_set = set(pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
@@ -315,7 +320,7 @@ class Matrix:
             vec = [z] * self.cols
             vec[fc] = o
             for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r][fc]
+                vec[pc] = -rows[r].get(fc, z)
             basis.append(Matrix(self.cols, 1, self.backend, [[v] for v in vec]))
         return basis
 
@@ -325,19 +330,20 @@ class Matrix:
         if rhs.rows != self.rows:
             raise DimensionMismatch("solve: rhs row count mismatch")
         A, B, backend = self._join(rhs)
-        aug = [list(ra) + list(rb) for ra, rb in zip(A.data, B.data)]
-        pivots = _rref_in_place(aug, self.cols + rhs.cols, stop_col=self.cols)
+        aug = sparse_rows([list(ra) + list(rb) for ra, rb in zip(A.data, B.data)])
+        pivots = _eliminate(aug, self.cols)[0]
         rank = len(pivots)
-        for r in range(rank, self.rows):
-            if any(aug[r][c] for c in range(self.cols, self.cols + rhs.cols)):
-                raise SingularMatrix("solve: inconsistent system")
+        # rows below the rank have no entries left in the first self.cols columns
+        if any(aug[r] for r in range(rank, self.rows)):
+            raise SingularMatrix("solve: inconsistent system")
         if rank < self.cols:
             raise SingularMatrix("solve: underdetermined system")
         z = zero(backend)
         out = [[z] * rhs.cols for _ in range(self.cols)]
         for r, pc in enumerate(pivots):
-            for c in range(rhs.cols):
-                out[pc][c] = aug[r][self.cols + c]
+            for c, v in aug[r].items():
+                if c >= self.cols:
+                    out[pc][c - self.cols] = v
         return Matrix(self.cols, rhs.cols, backend, out)
 
     def inverse(self) -> "Matrix":
@@ -356,28 +362,19 @@ class Matrix:
             raise SingularMatrix("inverse of singular matrix")
 
     def det(self):
+        """Determinant: the product of the elimination pivots, negated for an
+        odd number of row swaps (exact), or numpy's (complex-f)."""
         if not self.is_square():
             raise DimensionMismatch("det of non-square matrix")
         if not self.backend.is_exact:
             return complex(np.linalg.det(self.to_numpy()))
-        rows = self.copy_data()
-        n = self.rows
-        sign = 1
+        pivots, values, swaps = _eliminate(sparse_rows(self.data), self.cols)
+        if len(pivots) < self.rows:
+            return zero(self.backend)
         detval = one(self.backend)
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot_row is None:
-                return zero(self.backend)
-            if pivot_row != col:
-                rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-                sign = -sign
-            pivot = rows[col][col]
-            detval = detval * pivot
-            for r in range(col + 1, n):
-                factor = rows[r][col] / pivot
-                if factor:
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-        return detval if sign == 1 else -detval
+        for v in values:
+            detval = detval * v
+        return -detval if swaps % 2 else detval
 
     def is_invertible(self) -> bool:
         if not self.is_square():
@@ -393,8 +390,7 @@ class Matrix:
         nonzero entry, a deterministic representative of the column space.
         """
         self._require_exact("column_space_basis")
-        rows = self.copy_data()
-        pivots = _rref_in_place(rows, self.cols)
+        pivots = _eliminate(sparse_rows(self.data), self.cols)[0]
         cols = []
         for c in pivots:
             col = [self.data[r][c] for r in range(self.rows)]
@@ -404,30 +400,80 @@ class Matrix:
         return Matrix(self.rows, len(pivots), self.backend, data), pivots
 
 
-def _rref_in_place(rows, ncols: int, stop_col: int | None = None) -> list:
-    """Gauss-Jordan over an exact field; returns pivot column indices."""
-    if stop_col is None:
-        stop_col = ncols
+# -- sparse rows and the elimination kernel -------------------------------------
+
+
+def sparse_rows(data) -> list:
+    """One ``{col: value}`` dict of the nonzero entries per dense row."""
+    return [{c: v for c, v in enumerate(row) if v} for row in data]
+
+
+def dense_rows(rows, ncols: int, z) -> list:
+    """Dense row lists of width ncols from sparse rows, filled with z."""
+    out = []
+    for row in rows:
+        dense = [z] * ncols
+        for c, v in row.items():
+            dense[c] = v
+        out.append(dense)
+    return out
+
+
+def _eliminate(rows, stop_col: int):
+    """Gauss-Jordan on sparse rows over an exact field, in place.
+
+    Columns 0..stop_col-1 are eliminated; the pivot of column c is the first
+    row at or below the current one with an entry in c.  Each pivot row is
+    scaled to a leading 1 and subtracted from every other row holding an
+    entry in its column, touching only the pivot row's nonzeros.  Returns
+    (pivot columns, pivot values before scaling, number of row swaps).
+    """
     nrows = len(rows)
-    pivots = []
+    pivots, values, swaps = [], [], 0
     r = 0
     for c in range(stop_col):
-        pivot_row = next((k for k in range(r, nrows) if rows[k][c]), None)
+        pivot_row = next((k for k in range(r, nrows) if c in rows[k]), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
+            swaps += 1
+        prow = rows[r]
+        pivot = prow[c]
         if pivot != 1:
-            rows[r] = [v / pivot for v in rows[r]]
+            prow = rows[r] = {j: v / pivot for j, v in prow.items()}
         for k in range(nrows):
-            if k != r and rows[k][c]:
-                factor = rows[k][c]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
+            row = rows[k]
+            if k == r or c not in row:
+                continue
+            factor = row[c]
+            for j, b in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = -(factor * b)
+                else:
+                    x = x - factor * b
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
         pivots.append(c)
+        values.append(pivot)
         r += 1
         if r == nrows:
             break
+    return pivots, values, swaps
+
+
+def _rref_in_place(rows, ncols: int, stop_col: int | None = None) -> list:
+    """Gauss-Jordan over an exact field on dense rows, in place; returns pivot
+    column indices.  The work is done on sparse rows by ``_eliminate``."""
+    if not rows or not ncols:
+        return []
+    z = rows[0][0] - rows[0][0]
+    sparse = sparse_rows(rows)
+    pivots = _eliminate(sparse, ncols if stop_col is None else stop_col)[0]
+    rows[:] = dense_rows(sparse, ncols, z)
     return pivots
 
 

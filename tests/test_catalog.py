@@ -18,7 +18,7 @@ from ybx.catalog import (
 )
 from ybx.constructions import ds_transform, is_automorphism
 from ybx.core import is_charge_conserving, is_unitary, is_ybe
-from ybx.errors import ConstraintViolated, UnknownId, UnsupportedRank
+from ybx.errors import ConstraintViolated, UnknownId, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
 from ybx.structure import duality_verify
 from ybx.tensor import Matrix, swap_matrix
@@ -177,3 +177,15 @@ def test_enumeration_rank2_golden():
 def test_enumeration_rejects_large_rank():
     with pytest.raises(UnsupportedRank):
         enumerate_permutation_solutions(4)
+
+
+def test_enumeration_bounds_jobs_before_any_pool(monkeypatch):
+    import ybx.catalog
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(ybx.catalog, "Pool", no_pool)
+    for jobs in (0, -1, 10 ** 6):
+        with pytest.raises(YbxError, match="jobs"):
+            enumerate_permutation_solutions(2, jobs=jobs)

@@ -203,3 +203,52 @@ def test_shipped_files_round_trip():
         rebuilt = Matrix.from_rows(
             [[eval_expr(e, binding) for e in row] for row in redumped["entries"]])
         assert original.eq(rebuilt)
+
+
+def assert_input_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_top_level_list_exits_3(tmp_path, capsys):
+    path = write_json(tmp_path, "list.json", [
+        {"kind": "ybo", "N": 2, "level": 1,
+         "entries": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                     ["0", "1", "0", "0"], ["0", "0", "0", "1"]]}])
+    assert_input_error(capsys, "check", path)
+
+
+def test_non_string_entries_exit_3(tmp_path, capsys):
+    path = write_json(tmp_path, "numbers.json", {
+        "kind": "ybo", "N": 2, "level": 1,
+        "entries": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]})
+    assert "entries" in assert_input_error(capsys, "check", path)
+
+
+def test_binding_zeroing_a_constraint_exits_3(capsys):
+    err = assert_input_error(capsys, "check", str(DATA / "hietarinta-slash.json"),
+                             "--bind", "k=0,q=1,p=1,s=1")
+    assert "constraint" in err
+
+
+def test_binding_making_r_singular_exits_3(tmp_path, capsys):
+    # no constraints listed, so only the invertibility check can catch k = 0
+    path = write_json(tmp_path, "scaled-flip.json", {
+        "kind": "ybo", "N": 2, "level": 1, "params": ["k"],
+        "entries": [["k", "0", "0", "0"], ["0", "0", "k", "0"],
+                    ["0", "k", "0", "0"], ["0", "0", "0", "k"]]})
+    code, _, _ = run(capsys, "check", path, "--bind", "k=2")
+    assert code == 0
+    assert "invertible" in assert_input_error(capsys, "check", path, "--bind", "k=0")
+
+
+def test_negative_samples_exit_3(capsys):
+    assert "samples" in assert_input_error(
+        capsys, "check", str(DATA / "hietarinta-slash.json"), "--samples", "-3")
+
+
+def test_rep_beyond_size_ceiling_exits_3(capsys):
+    assert "ceiling" in assert_input_error(
+        capsys, "rep", str(DATA / "hietarinta-ising.json"), "--strands", "40", "--word", "1")

@@ -20,7 +20,7 @@ from ybx.constructions import (
     transpose_obj,
 )
 from ybx.core import YBObject, is_group_type, make_ybo, rho
-from ybx.errors import NotAnAutomorphism, ZeroMu
+from ybx.errors import NotAnAutomorphism, SizeCeiling, ZeroMu
 from ybx.expressions import ParamBinding
 from ybx.spectral import eig_to_complex, spectrum
 from ybx.structure import segre_eigenvectors
@@ -65,6 +65,19 @@ def test_cable_spectrum_template():
         expected = {Fraction(1): 5, -xval * xval: 3, -xval: 4,
                     -xval ** 3: 1, xval: 3}
         assert spec == expected
+
+
+def test_size_ceiling_before_allocation():
+    obj = sampled_catalog_object("hietarinta:a", 1)
+    with pytest.raises(SizeCeiling):
+        cable(obj, 6, verify=False)              # 2^12 rows
+    assert cable(obj, 3, verify=False).R.rows == 64
+    with pytest.raises(SizeCeiling):
+        cable(obj, 4)                            # verifying needs 2^12 rows
+    big = YBObject(6, 1, Matrix.identity(36))
+    assert lash(big, obj, verify=False).N == 12
+    with pytest.raises(SizeCeiling):
+        lash(big, obj)                           # verifying needs 12^3 rows
 
 
 def test_lash_unit():
@@ -170,6 +183,15 @@ def test_ds_transform_diagonal_on_fslash(rng):
     assert is_automorphism(obj, Q)
     out = ds_transform(obj, Q)
     assert out.verified
+
+
+def test_is_automorphism_honours_tol():
+    # Q (x) Q commutes with the flip for every Q; only the rank test decides
+    flip = YBObject(2, 1, swap_matrix(2, 2))
+    Q = Matrix.from_numpy([[1.0, 0.0], [0.0, 1e-7j]])
+    assert is_automorphism(flip, Q)
+    assert is_automorphism(flip, Q, tol=1e-9)
+    assert not is_automorphism(flip, Q, tol=1e-6)
 
 
 def test_ds_transform_requires_automorphism():
