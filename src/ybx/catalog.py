@@ -3,10 +3,12 @@ classification counters.
 
 The ten 4x4 families are transcribed in the row-fastest Kronecker convention
 with revlex pair basis (11, 21, 12, 22); each carries its non-vanishing
-constraints and the expected Jordan template.  One transcription correction
-is applied to the a-glue family: the printed middle pair is transposed so
-the matrix actually satisfies the equation at generic parameters (verified
-against the Jordan form, the glue taxonomy, and the k = 0 degeneration).
+constraints and the expected Jordan template, and where the template holds
+only off a subvariety, the expression that must not vanish.  One
+transcription correction is applied to the a-glue family: the printed middle
+pair is transposed so the matrix actually satisfies the equation at generic
+parameters (verified against the Jordan form, the glue taxonomy, and the
+k = 0 degeneration).
 """
 
 from __future__ import annotations
@@ -38,16 +40,18 @@ class CatalogEntry:
     tableau: str | None = None
     notes: str = ""
     unitary_scale: str | None = None  # divide by this (complex) factor to unitarise
+    jordan_generic: str | None = None  # the template holds where this is nonzero
 
 
 def _entry(id, family, N, params, entries, constraints, jordan, tableau=None,
-           notes="", unitary_scale=None):
+           notes="", unitary_scale=None, jordan_generic=None):
     return CatalogEntry(
         id=id, family=family, N=N, params=tuple(params),
         entries=tuple(tuple(row) for row in entries),
         constraints=tuple(constraints),
         jordan_template=tuple((dict(spec), tuple(blocks)) for spec, blocks in jordan),
         tableau=tableau, notes=notes, unitary_scale=unitary_scale,
+        jordan_generic=jordan_generic,
     )
 
 
@@ -93,6 +97,7 @@ _CATALOG = [
         ["k"],
         [({"value": "k"}, [3]), ({"value": "-k"}, [1])],
         notes="non-diagonalisable; a full upper border of glue",
+        jordan_generic="k*(p+q)^2",
     ),
     _entry(
         "hietarinta:slash-glue-3", "SlashGlue3", 2, ["k", "p", "q"],
@@ -254,8 +259,15 @@ def sample_entry_binding(entry_id: str, seed: int) -> ParamBinding:
 
 
 def jordan_template_eval(entry_id: str, binding: ParamBinding) -> list:
-    """Expected (eigenvalue, blocks) at a binding, merging colliding values."""
+    """Expected (eigenvalue, blocks) at a binding, merging colliding values.
+
+    Raises ConstraintViolated where the entry's genericity expression
+    vanishes, since the template does not hold there.
+    """
     entry = catalog_entry(entry_id)
+    if entry.jordan_generic and not eval_expr(entry.jordan_generic, binding):
+        raise ConstraintViolated(f"the Jordan template of {entry.id} holds only where "
+                                 f"{entry.jordan_generic} is nonzero")
     merged: list = []
     for spec, blocks in entry.jordan_template:
         if "sqrt" in spec:

@@ -126,12 +126,8 @@ def _sampled_bindings(doc: dict, given: ParamBinding, samples: int, seed: int):
     constraints = list(doc.get("constraints", []))
     out = [given]
     if missing:
-        out = []
-        for k in range(samples):
-            sampled = sample_binding(missing, constraints, seed + k)
-            merged = dict(given.values)
-            merged.update(sampled.values)
-            out.append(ParamBinding(merged, seed + k))
+        out = [sample_binding(missing, constraints, seed + k, given.values)
+               for k in range(samples)]
     for binding in out:
         for cons in constraints:
             if not eval_expr(cons, binding):

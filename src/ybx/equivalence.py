@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-import numpy as np
-
 from .config import DEFAULT_TOL
 from .core import (
     YBObject,
@@ -35,11 +33,13 @@ from .errors import (
 from .scalars import Backend, one, scalar_abs, to_complex, zero
 from .spectral import eig_to_complex, jordan_structure, spectrum
 from .structure import (
-    matrix_pencil,
-    matrix_pencil_numeric,
+    Rank1Result,
+    intertwiner_space,
+    intertwiner_space_numeric,
     rank1_symmetric_elements,
     realign,
     vec_to_matrix,
+    _gauss_newton_starts,
     _pair_space_basis,
     _rank1_numeric,
 )
@@ -146,14 +146,22 @@ def local_distinguish(A: YBObject, B: YBObject, L: int = 4,
 
 # -- local witness search -------------------------------------------------------
 
+_WITNESS_STARTS = 128
+
 
 def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
                          seed: int = 0, tol: float | None = None):
     """Search for invertible Q with (Q (x) Q) R_A = R_B (Q (x) Q).
 
     Strategies: "diagonal", "monomial" (exact backends), "full" (the
-    realignment route; numeric with exact verification tolerance on the
-    complex backend).  Any returned Q is verified; None means not found.
+    realignment route: Q (x) Q lies in the pencil {X : X R_A = R_B X}, and
+    realigned it is vec(Q) vec(Q)^T).  On exact backends "full" uses the
+    exact rank-one search; on the complex backend it solves
+    W^H vec(v v^T) = 0, det(vec^-1 v) = 1 by Gauss-Newton over the N^2
+    entries of v, W spanning the complement of the realigned pencil, from
+    up to 128 seeded starts, and stops at the first start that gives a
+    verified Q.  Any returned Q is invertible and verified at `tol`; None
+    means not found.
     """
     N = A.slot_dim
     if B.slot_dim != N:
@@ -185,58 +193,38 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
     if strategy != "full":
         raise ValueError(f"unknown strategy {strategy!r}")
     if exact:
-        pencil = matrix_pencil(A.R, B.R)
+        pencil = intertwiner_space([B.R], [A.R])
         result = rank1_symmetric_elements([realign(X, N) for X in pencil], seed)
         for v in result.vectors:
             Q = vec_to_matrix(v, N)
             if _ok(Q):
                 return Q
         return None
-    pencil = matrix_pencil_numeric(A.R.promote_to(Backend.COMPLEX_F),
-                                   B.R.promote_to(Backend.COMPLEX_F))
-    realigned = [realign(X, N) for X in pencil]
-    if not realigned:
+    pencil = _realigned_pencil_numeric(A, B)
+    if not pencil:
         return None
-    stack = np.array([X.to_numpy().ravel() for X in realigned])
-    q_basis, _ = np.linalg.qr(stack.T)
-    comp = np.eye(N ** 4) - q_basis @ q_basis.conj().T
-    # projection rays may sit on the singular stratum; escalate over seeds
-    for seed_k in (seed, seed + 17, seed + 31, seed + 53):
-        for ray in _rank1_numeric(realigned, seed_k, restarts=90).vectors:
-            v = _polish_rank1_in_span(ray.to_numpy().ravel(), comp)
-            if v is None:
-                continue
-            Q = Matrix.from_numpy(v.reshape(N, N, order="F"))
-            if _ok(Q):
-                return Q
+    for v, _, converged in _gauss_newton_starts(pencil, seed, _WITNESS_STARTS, det_chart=True):
+        Q = Matrix.from_numpy(v.reshape(N, N, order="F"))
+        if converged and _ok(Q):
+            return Q
     return None
 
 
-def _polish_rank1_in_span(v, comp):
-    """Gauss-Newton on (I - proj)(v v^T) = 0; quadratic near the variety.
+def _realigned_pencil_numeric(A: YBObject, B: YBObject) -> list:
+    """{X : X R_A = R_B X} on the complex backend, each X realigned."""
+    pencil = intertwiner_space_numeric([B.R.promote_to(Backend.COMPLEX_F)],
+                                       [A.R.promote_to(Backend.COMPLEX_F)])
+    return [realign(X, A.slot_dim) for X in pencil]
 
-    The constraint is complex-linear in the update direction, so each step
-    is one least-squares solve; returns the polished vector or None.
-    """
-    n = v.shape[0]
-    for _ in range(40):
-        G = comp @ np.outer(v, v).ravel()
-        if np.linalg.norm(G) < 1e-13 * max(1.0, np.linalg.norm(v) ** 2):
-            return v
-        cols = []
-        for k in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[k] = 1.0
-            cols.append(comp @ (np.outer(e, v) + np.outer(v, e)).ravel())
-        J = np.array(cols).T
-        step, *_ = np.linalg.lstsq(J, -G, rcond=None)
-        v = v + step
-        if np.linalg.norm(step) < 1e-15:
-            break
-    G = comp @ np.outer(v, v).ravel()
-    if np.linalg.norm(G) < 1e-11 * max(1.0, np.linalg.norm(v) ** 2):
-        return v
-    return None
+
+def _witness_rank1(A: YBObject, B: YBObject, seed: int) -> Rank1Result:
+    """What the numeric "full" search sees, with every start run: the
+    converged rays (det vec^-1 v = 1), how many of the 128 starts converged,
+    and the smallest residual."""
+    pencil = _realigned_pencil_numeric(A, B)
+    if not pencil:
+        return Rank1Result([], False)
+    return _rank1_numeric(pencil, seed, _WITNESS_STARTS, det_chart=True)
 
 
 # -- p-equivalence ----------------------------------------------------------------
@@ -268,45 +256,6 @@ def _trace_words(n: int, max_len: int):
                     reduced.append(e)
             if len(reduced) == length:
                 yield word
-
-
-def _intertwiner_space_exact(As: list, Bs: list) -> list:
-    """Basis of {T : T B_i = A_i T for all i}."""
-    m = As[0].rows
-    backend = As[0].backend
-    z = zero(backend)
-    rows = []
-    for A, B in zip(As, Bs):
-        for r in range(m):
-            for c in range(m):
-                row = [z] * (m * m)
-                for k in range(m):
-                    if B.data[k][c]:
-                        row[r * m + k] = row[r * m + k] + B.data[k][c]
-                    if A.data[r][k]:
-                        row[k * m + c] = row[k * m + c] - A.data[r][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[z] * (m * m)]
-    system = Matrix(len(rows), m * m, backend, rows)
-    return [Matrix(m, m, backend,
-                   [[v.data[r * m + c][0] for c in range(m)] for r in range(m)])
-            for v in system.nullspace()]
-
-
-def _intertwiner_space_numeric(As: list, Bs: list, tol: float) -> list:
-    m = As[0].rows
-    ident = np.eye(m)
-    blocks = []
-    for A, B in zip(As, Bs):
-        a, b = A.to_numpy(), B.to_numpy()
-        blocks.append(np.kron(ident, b.T) - np.kron(a, ident))
-    lhs = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(lhs)
-    cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
-    null = vh[int(np.sum(s > cutoff)):].conj()
-    return [Matrix.from_numpy(row.reshape(m, m)) for row in null]
 
 
 def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
@@ -346,9 +295,9 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                                                  f"({_fmt(ta)} vs {_fmt(tb)})",
                                          dims=cert.dims, intertwiners=cert.intertwiners)
         if exact:
-            basis = _intertwiner_space_exact(gens_A, gens_B)
+            basis = intertwiner_space(gens_A, gens_B)
         else:
-            basis = _intertwiner_space_numeric(
+            basis = intertwiner_space_numeric(
                 [g.promote_to(Backend.COMPLEX_F) for g in gens_A],
                 [g.promote_to(Backend.COMPLEX_F) for g in gens_B], tol)
         cert.dims[n] = len(basis)

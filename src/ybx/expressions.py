@@ -303,18 +303,19 @@ _SAMPLE_BOUND = 13
 _MAX_ATTEMPTS = 1000
 
 
-def sample_binding(params, constraints, seed: int) -> ParamBinding:
+def sample_binding(params, constraints, seed: int, given: dict | None = None) -> ParamBinding:
     """Random small-rational binding with every constraint evaluating nonzero.
 
     Numerators and denominators are bounded by `_SAMPLE_BOUND`; the result is
-    deterministic per seed.  Raises :class:`ExhaustedRetries` after 1000
-    attempts.
+    deterministic per seed.  Values in `given` are kept as they are, and the
+    constraints are evaluated over them and the sampled values together.
+    Raises :class:`ExhaustedRetries` after 1000 attempts.
     """
     params = list(params)
     parsed = [parse_expr(c) if isinstance(c, str) else c for c in constraints]
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        values = {}
+        values = dict(given or {})
         for name in params:
             num = rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
             den = rng.randint(1, _SAMPLE_BOUND)

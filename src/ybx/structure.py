@@ -7,8 +7,11 @@ a search for elements whose *realignment* is a symmetric rank-one matrix
 v v^T; such X are exactly the Kronecker squares A (x) A.  The rank-one step
 is exact and complete for (symmetrized) pencil dimension <= 3 — dimension 2
 by minor gcds, dimension 3 by bivariate resultant elimination; beyond that
-it falls back to structured exact candidates and seeded numeric projection
-with exact reconstruction, and the result carries a completeness flag.
+it falls back to structured exact candidates and seeded Gauss-Newton over
+the entries of v with exact reconstruction, and the result carries a
+completeness flag.  The same Gauss-Newton solver serves the complex backend
+and the numeric local witness search, there with det(Q) = 1 fixing the
+scale.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import isqrt
 
 import numpy as np
 
@@ -73,47 +77,49 @@ def end_verify(obj: YBObject, A: Matrix, tol: float | None = None) -> bool:
 # -- linear pencils ----------------------------------------------------------------
 
 
-def matrix_pencil(A: Matrix, B: Matrix) -> list:
-    """Exact basis of {X : X A = B X} for square A, B of equal size."""
-    n = A.rows
+def intertwiner_space(As: list, Bs: list) -> list:
+    """Exact basis of {T : T B_i = A_i T for all i}; {X : X A = B X} is
+    intertwiner_space([B], [A])."""
+    m = As[0].rows
+    backend = As[0].backend
+    z = zero(backend)
     rows = []
-    z = zero(A.backend)
-    for r in range(n):
-        for c in range(n):
-            row = [z] * (n * n)
-            # (XA)[r][c] = sum_k X[r][k] A[k][c]; (BX)[r][c] = sum_k B[r][k] X[k][c]
-            for k in range(n):
-                if A.data[k][c]:
-                    row[r * n + k] = row[r * n + k] + A.data[k][c]
-                if B.data[r][k]:
-                    row[k * n + c] = row[k * n + c] - B.data[r][k]
-            if any(row):
-                rows.append(row)
+    for A, B in zip(As, Bs):
+        for r in range(m):
+            for c in range(m):
+                row = [z] * (m * m)
+                for k in range(m):
+                    if B.data[k][c]:
+                        row[r * m + k] = row[r * m + k] + B.data[k][c]
+                    if A.data[r][k]:
+                        row[k * m + c] = row[k * m + c] - A.data[r][k]
+                if any(row):
+                    rows.append(row)
     if not rows:
-        rows = [[z] * (n * n)]
-    system = Matrix(len(rows), n * n, A.backend, rows)
-    return [Matrix(n, n, A.backend,
-                   [[v.data[r * n + c][0] for c in range(n)] for r in range(n)])
+        rows = [[z] * (m * m)]
+    system = Matrix(len(rows), m * m, backend, rows)
+    return [Matrix(m, m, backend,
+                   [[v.data[r * m + c][0] for c in range(m)] for r in range(m)])
             for v in system.nullspace()]
 
 
-def matrix_pencil_numeric(A: Matrix, B: Matrix, tol: float = DEFAULT_TOL) -> list:
-    """Numeric orthonormal basis of {X : X A = B X} via SVD."""
-    n = A.rows
-    a = A.to_numpy()
-    b = B.to_numpy()
-    ident = np.eye(n)
-    # vec by rows: vec(X)[r*n+c] = X[r][c]; X A -> (A^T kron_rows I) etc.
-    lhs = np.kron(ident, a.T) - np.kron(b, ident)
-    # rows of lhs indexed by (r, c) pairs: d/dX of (XA - BX)[r][c]
+def intertwiner_space_numeric(As: list, Bs: list, tol: float = DEFAULT_TOL) -> list:
+    """Orthonormal basis of {T : T B_i = A_i T for all i}, by one SVD."""
+    m = As[0].rows
+    ident = np.eye(m)
+    blocks = []
+    for A, B in zip(As, Bs):
+        a, b = A.to_numpy(), B.to_numpy()
+        blocks.append(np.kron(ident, b.T) - np.kron(a, ident))
+    lhs = np.vstack(blocks)
     u, s, vh = np.linalg.svd(lhs)
-    cutoff = tol * max(1.0, float(s[0]) if len(s) else 1.0) * 1e3
-    null = vh[np.sum(s > cutoff):].conj()
-    return [Matrix.from_numpy(row.reshape(n, n)) for row in null]
+    cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    null = vh[int(np.sum(s > cutoff)):].conj()
+    return [Matrix.from_numpy(row.reshape(m, m)) for row in null]
 
 
 def commutant_basis(obj: YBObject) -> list:
-    return matrix_pencil(obj.R, obj.R)
+    return intertwiner_space([obj.R], [obj.R])
 
 
 # -- symmetric rank-one elements of a matrix space ---------------------------------
@@ -121,8 +127,14 @@ def commutant_basis(obj: YBObject) -> list:
 
 @dataclass
 class Rank1Result:
+    """Vectors v with v v^T in a span, and whether they are all of them.  The
+    numeric solver also reports its seeded starts, how many converged, and
+    the smallest residual |W^H vec(v v^T)| / |v|^2 a start reached."""
     vectors: list
     complete: bool
+    starts: int = 0
+    converged: int = 0
+    best_residual: float | None = None
 
 
 def _symmetrize_basis(basis: list) -> list:
@@ -336,20 +348,21 @@ def _rank1_span3_exact(B1: Matrix, B2: Matrix, B3: Matrix):
     return out, complete
 
 
-def rank1_symmetric_elements(basis: list, seed: int = 0, restarts: int = 40) -> Rank1Result:
+def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
     """Vectors v with v v^T in span(basis); exact and complete for dim <= 3.
 
     Higher-dimensional spans fall back to structured exact candidates
     (pencils through basis pairs and triples, 0/1 and sign patterns) plus
-    seeded numeric projection with exact reconstruction; every returned
-    vector is verified, and the completeness flag is dropped.
+    64 seeded Gauss-Newton solves with exact reconstruction; every
+    returned vector is verified, and the completeness flag is dropped.  On
+    the complex backend the Gauss-Newton solves are the whole search.
     """
     basis = [B for B in basis if not B.is_zero_matrix()]
     if not basis:
         return Rank1Result([], True)
     backend = basis[0].backend
     if not backend.is_exact:
-        return _rank1_numeric(basis, seed, restarts)
+        return _rank1_numeric(basis, seed, _LINEAR_STARTS)
     sym = _symmetrize_basis(basis)
     sym = [B for B in sym if not B.is_zero_matrix()]
     if not sym:
@@ -380,7 +393,8 @@ def rank1_symmetric_elements(basis: list, seed: int = 0, restarts: int = 40) -> 
     for v in _pattern_vectors(n, backend):
         if _vvT_in_span(v, sym):
             out.append(v)
-    numeric = _rank1_numeric([B.promote_to(Backend.COMPLEX_F) for B in sym], seed, restarts)
+    numeric = _rank1_numeric([B.promote_to(Backend.COMPLEX_F) for B in sym], seed,
+                             _LINEAR_STARTS)
     for v in numeric.vectors:
         exact = _rationalize_vector(v, backend)
         if exact is not None and _vvT_in_span(exact, sym):
@@ -448,58 +462,82 @@ def _vvT_in_span(v: Matrix, basis: list) -> bool:
         return False
 
 
-def _rank1_numeric(basis: list, seed: int, restarts: int) -> Rank1Result:
-    """Seeded alternating projection between span(basis) and the rank-one cone.
+_GN_STEPS = 50   # Gauss-Newton steps per start
+_GN_TOL = 1e-12  # residual at which a start counts as converged
+_LINEAR_STARTS = 64  # starts of rank1_symmetric_elements, in a linear chart
 
-    The projection onto the cone of symmetric Kronecker squares v v^T is the
-    dominant singular pair of the symmetrized iterate (for a complex
-    symmetric matrix the left singular vector is the Takagi vector up to
-    phase), which keeps the iteration stable where a naive power step
-    rotates endlessly.
+
+def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):
+    """Seeded Gauss-Newton for v with v v^T in span(basis), one start at a time.
+
+    With W an orthonormal basis of the span's orthogonal complement in
+    C^(n^2) (one SVD), membership is the quadratic system
+    W^H vec(v v^T) = 0 in the n entries of v.  It is holomorphic in v, so a
+    Gauss-Newton step is one complex least-squares solve, with Jacobian
+    (Wh + Wh^T) v.  The system is homogeneous; one more row fixes the scale:
+    a seeded linear chart c^T v = 1, or with ``det_chart`` (n = N^2)
+    det(vec^-1 v) = 1, whose gradient is the cofactor matrix and which also
+    excludes the singular matrices.  Yields (v, residual, converged) for
+    each start, lazily: the residual is |W^H vec(v v^T)| / |v|^2, and a
+    start converges when it and the chart residual fall below 1e-12 within
+    50 steps.
     """
     n = basis[0].rows
-    mats = [B.to_numpy() for B in basis]
-    stack = np.array([m.ravel() for m in mats])
-    q, _ = np.linalg.qr(stack.T)  # orthonormal basis of the span in C^(n^2)
-    proj = q @ q.conj().T
-
+    stack = np.array([B.to_numpy().ravel() for B in basis]).T
+    u, s, _ = np.linalg.svd(stack)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    Wh = u[:, rank:].conj().T.reshape(-1, n, n)
+    S = Wh + Wh.transpose(0, 2, 1)  # v^T Wh v = v^T S v / 2; Jacobian S v
     rng = np.random.default_rng(seed)
+    if det_chart:
+        N = degree = isqrt(n)
+        others = np.array([[k for k in range(N) if k != i] for i in range(N)], dtype=int)
+        signs = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
+
+        def chart(v):  # det Q by the first row, and the cofactors as gradient
+            Q = v.reshape(N, N, order="F")
+            cof = signs * np.linalg.det(Q[others[:, None, :, None], others[None, :, None, :]])
+            return Q[0] @ cof[0], cof.ravel(order="F")
+    else:
+        degree = 1
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        def chart(v):
+            return c @ v, c
+
+    for _ in range(starts):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = v / chart(v)[0] ** (1 / degree)  # start on the chart
+        for step in range(_GN_STEPS + 1):
+            Sv = S @ v
+            value, grad = chart(v)
+            r = np.append(0.5 * (Sv @ v), value - 1)
+            resid = np.linalg.norm(r[:-1]) / np.linalg.norm(v) ** 2
+            ok = resid <= _GN_TOL and abs(r[-1]) <= _GN_TOL
+            if ok or step == _GN_STEPS:
+                break
+            delta, *_ = np.linalg.lstsq(np.vstack([Sv, grad]), -r, rcond=None)
+            v = v + delta
+        yield v, resid, ok
+
+
+def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False) -> Rank1Result:
+    """Every start of `_gauss_newton_starts`: each converged ray once, with
+    the number of starts that converged and the smallest residual."""
     rays: list[np.ndarray] = []
     found = []
-    relaxations = (1.0, 0.5, 0.3)
-    for k in range(restarts):
-        beta = relaxations[k % len(relaxations)]  # damping breaks projection cycles
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        for _ in range(600):
-            M = (proj @ np.outer(v, v).ravel()).reshape(n, n)
-            M = (M + M.T) / 2
-            u, s, vh = np.linalg.svd(M)
-            if s[0] < 1e-14:
-                break
-            w = u[:, 0]
-            # fix the Takagi phase: for symmetric M, vh[0].conj() = w * phase
-            ip = vh[0].conj() @ w.conj()
-            if abs(ip) > 1e-13:
-                w = w * np.sqrt(ip.conjugate() / abs(ip))
-            ip2 = np.vdot(v, w)
-            if abs(ip2) > 1e-13:
-                w = w * (ip2.conjugate() / abs(ip2))
-            w = (1 - beta) * v + beta * w
-            w /= np.linalg.norm(w)
-            if np.linalg.norm(w - v) < 1e-13:
-                v = w
-                break
-            v = w
-        outer = np.outer(v, v)
-        resid = np.linalg.norm(proj @ outer.ravel() - outer.ravel())
-        # generous gate: candidates are polished and strictly re-verified
-        if np.linalg.norm(v) > 1e-9 and resid <= 1e-6:
-            ray = v / v[np.argmax(np.abs(v))]
-            if not any(np.allclose(ray, r, atol=1e-6) for r in rays):
-                rays.append(ray)
-                found.append(Matrix.from_numpy(v.reshape(n, 1)))
-    return Rank1Result(found, False)
+    converged = 0
+    best = np.inf
+    for v, resid, ok in _gauss_newton_starts(basis, seed, starts, det_chart):
+        best = min(best, resid)
+        if not ok:
+            continue
+        converged += 1
+        ray = v / v[np.argmax(np.abs(v))]
+        if not any(np.allclose(ray, other, atol=1e-6) for other in rays):
+            rays.append(ray)
+            found.append(Matrix.from_numpy(v.reshape(-1, 1)))
+    return Rank1Result(found, False, starts, converged, float(best))
 
 
 # -- endomorphism search ------------------------------------------------------------

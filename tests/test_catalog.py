@@ -81,6 +81,23 @@ def test_jordan_templates_match_everywhere():
             assert jordan_template_matches(entry_id, binding), (entry_id, binding.values)
 
 
+def test_jordan_template_refused_off_its_generic_locus():
+    # slash-glue-2 has one 3-block for k only where k (p + q)^2 != 0; at
+    # p + q = 0 the blocks are [2, 1], so the template must not be returned
+    from ybx.catalog import jordan_template_eval
+    from ybx.spectral import jordan_structure
+
+    binding = ParamBinding.of(k=Fraction(3, 4), q=-2, p=2, s=3)
+    obj = catalog_get("hietarinta:slash-glue-2", binding)
+    assert sorted(list(b) for _, b in jordan_structure(obj.R)) == [[1], [2, 1]]
+    with pytest.raises(YbxError, match="k\\*\\(p\\+q\\)\\^2"):
+        jordan_template_eval("hietarinta:slash-glue-2", binding)
+    with pytest.raises(YbxError):
+        jordan_template_matches("hietarinta:slash-glue-2", binding)
+    generic = ParamBinding.of(k=Fraction(3, 4), q=-1, p=2, s=3)
+    assert jordan_template_matches("hietarinta:slash-glue-2", generic)
+
+
 def test_fslash_at_ones_is_flip():
     obj = catalog_get("match2:F/", ParamBinding.of(alpha=1, beta=1, gamma=1, chi=1))
     assert obj.R.eq(swap_matrix(2, 2))

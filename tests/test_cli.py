@@ -47,6 +47,18 @@ def test_check_bound_binding(capsys):
     assert "holds" in out
 
 
+def test_check_partial_binding_samples_the_rest(capsys):
+    # the constraint k is evaluated over the given k and the sampled q, p, s
+    code, out, _ = run(capsys, "check", str(DATA / "hietarinta-slash.json"),
+                       "--bind", "k=1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["holds"] is True and len(report["samples"]) == 5
+    assert all(s["binding"]["k"] == "1" for s in report["samples"])
+    code, out, _ = run(capsys, "check", str(DATA / "hietarinta-slash.json"), "--bind", "k=1")
+    assert code == 0 and "holds" in out
+
+
 def test_rep_trace_ising(capsys):
     code, out, _ = run(capsys, "rep", str(DATA / "hietarinta-ising.json"),
                        "--strands", "3", "--word", "1 -2", "--trace")

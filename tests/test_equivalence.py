@@ -212,6 +212,110 @@ def test_local_witness_gaussian_pair_negative_with_control():
     assert local_witness_search(objR, objS, strategy="full", seed=5) is None
 
 
+TWIN_VALUES = (Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-3, 2),
+               Fraction(2, 3), Fraction(3, 4), Fraction(5, 4))
+
+
+def _twinned_pair(entry_id, params, seed):
+    """(A, (Q (x) Q) A (Q (x) Q)^-1) with A the family at a binding drawn from
+    TWIN_VALUES and Q a complex Gaussian matrix of condition number below 10."""
+    import numpy as np
+
+    from ybx.errors import YbxError
+    from ybx.scalars import Backend
+
+    rng = random.Random(seed)
+    while True:
+        try:
+            obj = catalog_get(entry_id, ParamBinding(
+                {name: rng.choice(TWIN_VALUES) for name in params}))
+            break
+        except YbxError:
+            continue
+    while True:
+        Q = np.array([[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)]
+                      for _ in range(2)])
+        if np.linalg.cond(Q) < 10:
+            break
+    A = make_ybo(2, obj.R.promote_to(Backend.COMPLEX_F), tol=1e-9)
+    return A, phi_q(A, Matrix.from_numpy(Q), tol=1e-9)
+
+
+def _assert_witness(A, B, Q):
+    import numpy as np
+
+    assert Q is not None
+    s = np.linalg.svd(Q.to_numpy(), compute_uv=False)
+    assert s[-1] > 1e-9 * s[0]
+    QQ = kron(Q, Q)
+    lhs, rhs = QQ.mul(A.R), B.R.mul(QQ)
+    assert lhs.max_abs_diff(rhs) <= 1e-9 * max(1.0, lhs.inf_norm(), rhs.inf_norm())
+
+
+# Seeds 0-3 of each family, and f seed 26: the alternating-projection
+# search this solver replaced missed a-glue seeds 0 and 3, eight-vertex
+# seed 3 and f seed 26.
+TWIN_CASES = [
+    ("hietarinta:f", "kpq", (0, 1, 2, 3, 26)), ("hietarinta:a-glue", "pqk", range(4)),
+    ("hietarinta:eight-vertex", "pq", range(4)), ("hietarinta:slash", "kqps", range(4)),
+    ("hietarinta:slash-glue-2", "kqps", range(4)), ("grouptype:single-g", "abd", range(4))]
+
+
+@pytest.mark.parametrize("entry_id, params, seeds", TWIN_CASES,
+                         ids=[case[0] for case in TWIN_CASES])
+def test_local_witness_found_for_twinned_pairs(entry_id, params, seeds):
+    for seed in seeds:
+        A, B = _twinned_pair(entry_id, params, seed)
+        _assert_witness(A, B, local_witness_search(A, B, strategy="full", seed=5))
+
+
+def test_local_witness_found_for_twinned_gaussian_pairs():
+    # default_rng(2) and (3) are twins the alternating-projection search missed
+    from conftest import gaussian_pair
+    from ybx.core import YBObject
+    import numpy as np
+
+    objR = YBObject(3, 1, gaussian_pair()[0])
+    for s in (2, 3):
+        rng = np.random.default_rng(s)
+        Q0 = Matrix.from_numpy(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        twin = phi_q(objR, Q0, tol=1e-9)
+        _assert_witness(objR, twin, local_witness_search(objR, twin, strategy="full", seed=5))
+
+
+def test_witness_search_diagnostics_separate_negatives_from_controls():
+    # No Gauss-Newton start reaches the det Q = 1 chart for the two negative
+    # pairs, while the twinned controls at the same sizes converge.  For the
+    # 9x9 pair no start converges in a linear chart either, which admits
+    # singular Q too.
+    from conftest import gaussian_pair
+    from ybx.core import YBObject
+    from ybx.equivalence import _realigned_pencil_numeric, _witness_rank1
+    from ybx.structure import _rank1_numeric
+    import numpy as np
+
+    R, S = gaussian_pair()
+    objR, objS = YBObject(3, 1, R), YBObject(3, 1, S)
+    ising = make_ybo(2, ising_unitary(), tol=1e-9)
+    fa = make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)
+    for A, B in ((objR, objS), (ising, fa)):
+        result = _witness_rank1(A, B, seed=5)
+        assert result.starts == 128
+        assert result.converged == 0 and not result.vectors
+        assert result.best_residual > 1e-3
+    linear = _rank1_numeric(_realigned_pencil_numeric(objR, objS), 5, 128)
+    assert linear.converged == 0 and linear.best_residual > 1e-3
+    controls = []
+    for obj, n, s in ((objR, 3, 12), (ising, 2, 11)):
+        rng = np.random.default_rng(s)
+        Q0 = Matrix.from_numpy(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        controls.append((obj, phi_q(obj, Q0, tol=1e-9)))
+    for A, B in controls:
+        result = _witness_rank1(A, B, seed=5)
+        assert result.starts == 128 and result.converged > 0 and result.vectors
+        assert result.best_residual <= 1e-12
+
+
 def test_match_stabilizer_preservation(rng):
     for N in (2, 3):
         for seed in range(5):
