@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from multiprocessing import Pool
 
 from .core import YBObject, make_ybo
 from .errors import ConstraintViolated, DivisionByZero, UnknownId, UnsupportedRank, YbxError
@@ -363,6 +362,8 @@ def partition_count(n: int) -> int:
 
 def involutive_class_count(N: int) -> int:
     """Pairs of Young diagrams with N boxes in total: sum p(k) p(N-k)."""
+    if N < 0:
+        raise YbxError(f"N must be non-negative, got {N}")
     return sum(partition_count(k) * partition_count(N - k) for k in range(N + 1))
 
 
@@ -392,24 +393,32 @@ class PermEnumeration:
         }
 
 
-def _perm_is_ybe(p, N: int) -> bool:
+def _braid_solutions(N: int) -> list:
+    """The permutations p of the N^2 points with (p x 1)(1 x p)(p x 1) = (1 x p)(p x 1)(1 x p),
+    in lexicographic order, by backtracking: p[0], p[1], ... are assigned in turn from the
+    unused points, and a branch is cut where both sides are defined on a triple and differ."""
     n2 = N * N
-    n3 = n2 * N
-    r1 = [p[i % n2] + n2 * (i // n2) for i in range(n3)]
-    r2 = [i % N + N * p[i // N] for i in range(n3)]
-    return all(r1[r2[r1[k]]] == r2[r1[r2[k]]] for k in range(n3))
 
+    def side(p: list, k: int, low: bool) -> int:
+        # triple k under three alternating factors, the first p x 1 if low; -1 where a
+        # factor needs a point past the end of p
+        for _ in range(3):
+            i = k % n2 if low else k // N
+            if i >= len(p):
+                return -1
+            k = p[i] + n2 * (k // n2) if low else k % N + N * p[i]
+            low = not low
+        return k
 
-def _enum_partition(args) -> list:
-    N, first = args
-    n2 = N * N
-    rest = [x for x in range(n2) if x != first]
-    out = []
-    for tail in permutations(rest):
-        p = (first,) + tail
-        if _perm_is_ybe(p, N):
-            out.append(p)
-    return out
+    def extend(p: list):
+        if len(p) == n2:
+            yield tuple(p)
+        for q in ([*p, v] for v in range(n2) if v not in p):
+            lefts = ((k, side(q, k, True)) for k in range(n2 * N))
+            if all(side(q, k, False) in (-1, a) for k, a in lefts if a >= 0):
+                yield from extend(q)
+
+    return list(extend([]))
 
 
 def _relabel(p, pi, N: int):
@@ -431,8 +440,8 @@ def _nondegenerate(p, N: int) -> bool:
     return True
 
 
-def enumerate_permutation_solutions(N: int, jobs: int = 1) -> PermEnumeration:
-    """Exhaustive search over all permutation matrices on N^2 points.
+def enumerate_permutation_solutions(N: int) -> PermEnumeration:
+    """All permutation solutions on N^2 points, N = 2 or 3, found by backtracking.
 
     Solutions are grouped under simultaneous relabeling (conjugation by
     P_pi (x) P_pi); flags mark non-degenerate and involutive solutions.
@@ -440,17 +449,7 @@ def enumerate_permutation_solutions(N: int, jobs: int = 1) -> PermEnumeration:
     if N not in (2, 3):
         raise UnsupportedRank("permutation enumeration supports N = 2 and 3")
     n2 = N * N
-    # the search is split into n2 tasks, so more workers than that never help
-    if not 1 <= jobs <= n2:
-        raise YbxError(f"jobs must be between 1 and {n2} for N = {N}, got {jobs}")
-    tasks = [(N, first) for first in range(n2)]
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            chunks = pool.map(_enum_partition, tasks)
-    else:
-        chunks = [_enum_partition(t) for t in tasks]
-    solutions = [p for chunk in chunks for p in chunk]
-    solutions.sort()
+    solutions = _braid_solutions(N)
     seen = set()
     classes = []
     for p in solutions:

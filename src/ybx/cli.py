@@ -369,7 +369,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_enum_perm(args) -> int:
-    result = enumerate_permutation_solutions(args.N, jobs=args.jobs)
+    result = enumerate_permutation_solutions(args.N)
     report = {"command": "enum-perm", "N": args.N, "counts": result.counts,
               "classes": [list(c) for c in result.classes],
               "summary": f"N={args.N}: {result.counts['solutions']} solutions, "
@@ -397,9 +397,16 @@ def _cmd_x_symmetry(args) -> int:
                    f"{'pass' if report.ok else 'FAIL'} ({report.method})"})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise YbxError, so they exit with the input-error code 3
+    rather than argparse's 2, which here means "inconclusive"."""
+
+    def error(self, message: str):
+        raise YbxError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ybx",
-                                     description="Yang-Baxter matrix toolkit")
+    parser = _Parser(prog="ybx", description="Yang-Baxter matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, bind=True):
@@ -479,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enum-perm");  common(p, bind=False)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_enum_perm)
 
     p = sub.add_parser("count-involutive");  common(p, bind=False)
@@ -496,9 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (YbxError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .errors import (
     NotDiagonal,
     SizeCeiling,
     UnfactoredSpectrum,
+    YbxError,
 )
 from .scalars import Backend, one, scalar_abs, to_complex, zero
 from .spectral import eig_to_complex, jordan_structure, spectrum
@@ -266,6 +267,8 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
     then solve the intertwiner space and sample five random combinations for
     invertibility.  All-singular sampling yields "inconclusive_singular".
     """
+    if p < 2:
+        raise YbxError(f"p must be at least 2, got {p}: n = 2 is the first braid group compared")
     tol = DEFAULT_TOL if tol is None else tol
     cert = PEquivCertificate(p=p, verdict="equivalent")
     if A.slot_dim != B.slot_dim:

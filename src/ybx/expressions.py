@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, ExhaustedRetries, ParseError, UnboundParam
+from .errors import ConstraintViolated, DivisionByZero, ExhaustedRetries, ParseError, UnboundParam
 from .scalars import (
     I_QI,
     backend_of,
@@ -309,10 +309,19 @@ def sample_binding(params, constraints, seed: int, given: dict | None = None) ->
     Numerators and denominators are bounded by `_SAMPLE_BOUND`; the result is
     deterministic per seed.  Values in `given` are kept as they are, and the
     constraints are evaluated over them and the sampled values together.
-    Raises :class:`ExhaustedRetries` after 1000 attempts.
+    Raises :class:`ConstraintViolated` before any draw when a constraint that
+    depends on the given values alone vanishes there, and
+    :class:`ExhaustedRetries` after 1000 attempts.
     """
     params = list(params)
     parsed = [parse_expr(c) if isinstance(c, str) else c for c in constraints]
+    fixed = ParamBinding({k: v for k, v in (given or {}).items() if k not in params})
+    for cons, expr in zip(constraints, parsed):
+        try:
+            if not _eval(expr, fixed):
+                raise ConstraintViolated(f"constraint {str(cons)!r} vanishes at the given values")
+        except UnboundParam:
+            continue  # depends on a sampled parameter
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         values = dict(given or {})

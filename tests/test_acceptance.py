@@ -272,7 +272,7 @@ def test_criterion_10_permutation_enumeration():
     result2 = enumerate_permutation_solutions(2)
     assert result2.counts == GOLDEN_N2
     start = time.time()
-    result3 = enumerate_permutation_solutions(3, jobs=4)
+    result3 = enumerate_permutation_solutions(3)
     elapsed = time.time() - start
     assert result3.counts == GOLDEN_N3
     assert elapsed < 60.0
@@ -292,7 +292,7 @@ def test_criterion_10_permutation_enumeration():
         assert duality_verify(obj, obj, coev3, coev3.transpose())
     print(f"\nACCEPT 10 permutation enumeration: PASS (N=2: {result2.counts['solutions']} "
           f"solutions; N=3: {result3.counts['solutions']} solutions, "
-          f"{result3.counts['classes']} classes, {elapsed:.1f}s with 4 jobs)")
+          f"{result3.counts['classes']} classes, {elapsed:.1f}s)")
 
 
 def test_criterion_11_gaussian_pair():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from ybx.catalog import (
     sample_entry_binding,
 )
 from ybx.constructions import ds_transform, is_automorphism
-from ybx.core import is_charge_conserving, is_unitary, is_ybe
+from ybx.core import YBObject, is_charge_conserving, is_unitary, is_ybe
 from ybx.errors import ConstraintViolated, UnknownId, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
 from ybx.structure import duality_verify
@@ -196,13 +198,21 @@ def test_enumeration_rejects_large_rank():
         enumerate_permutation_solutions(4)
 
 
-def test_enumeration_bounds_jobs_before_any_pool(monkeypatch):
-    import ybx.catalog
+def test_enumeration_rank2_matches_is_ybe_over_all_permutations():
+    # independent reference: every permutation matrix on 4 points through the
+    # exact Yang-Baxter check of the representation layer
+    reference = [p for p in itertools.permutations(range(4))
+                 if is_ybe(YBObject(2, 1, Matrix.permutation(list(p)))).holds]
+    assert enumerate_permutation_solutions(2).solutions == reference
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(ybx.catalog, "Pool", no_pool)
-    for jobs in (0, -1, 10 ** 6):
-        with pytest.raises(YbxError, match="jobs"):
-            enumerate_permutation_solutions(2, jobs=jobs)
+# Frozen from the exhaustive search over all 9! permutations that the
+# backtracking search replaced: the N = 3 solutions and classes, in order.
+N3_SOLUTIONS_SHA256 = "c915479fd5e296b58df26194e9443583dc3b6b07df5d234ff20587ffbce9d433"
+N3_CLASSES_SHA256 = "cbd4688d0c5cd18a499f4890fa10fe3503014530488c5ee065f5995541b5342d"
+
+
+def test_enumeration_rank3_frozen_digests():
+    result = enumerate_permutation_solutions(3)
+    assert hashlib.sha256(repr(result.solutions).encode()).hexdigest() == N3_SOLUTIONS_SHA256
+    assert hashlib.sha256(repr(result.classes).encode()).hexdigest() == N3_CLASSES_SHA256

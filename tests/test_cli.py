@@ -1,6 +1,10 @@
 import json
 import pathlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ybx.cli import main
 from ybx.expressions import eval_expr
 from ybx.tensor import Matrix
@@ -264,3 +268,140 @@ def test_negative_samples_exit_3(capsys):
 def test_rep_beyond_size_ceiling_exits_3(capsys):
     assert "ceiling" in assert_input_error(
         capsys, "rep", str(DATA / "hietarinta-ising.json"), "--strands", "40", "--word", "1")
+
+
+def test_usage_errors_exit_3(capsys):
+    # argparse exits 2 on a usage error, which the CLI reserves for "inconclusive"
+    assert_input_error(capsys, "rep", str(DATA / "hietarinta-slash.json"))
+    assert_input_error(capsys, "bogus")
+    assert "--jobs" in assert_input_error(capsys, "enum-perm", "--N", "3", "--jobs", "4")
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["enum-perm", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+
+def test_given_value_zeroing_a_constraint_is_named_before_sampling(capsys):
+    err = assert_input_error(capsys, "check", str(DATA / "hietarinta-slash.json"),
+                             "--bind", "k=0")
+    assert "'k'" in err and "tries" not in err
+
+
+def test_vacuous_runs_exit_3(capsys):
+    a = str(DATA / "hietarinta-slash.json")
+    for p in ("0", "1"):
+        assert "p must be" in assert_input_error(capsys, "equiv", a, a, "--p", p,
+                                                 "--bind", "k=1,q=2,p=3,s=4")
+    assert "N must be" in assert_input_error(capsys, "count-involutive", "--N", "-1")
+
+
+# -- fuzzing the command line ---------------------------------------------------
+
+# Each command's positional slots and flags, by the kind of value they take;
+# every command also takes --json and --seed.
+_COMMANDS = {
+    "check": (["ybo"], {"--samples": "int", "--bind": "bind"}),
+    "rep": (["ybo"], {"--strands": "int", "--word": "word", "--trace": "flag",
+                      "--bind": "bind"}),
+    "cable": (["ybo"], {"--k": "int", "--bind": "bind"}),
+    "lash": (["ybo", "ybo"], {"--bind": "bind"}),
+    "dsum": (["ybo", "ybo"], {"--mu": "expr", "--bind": "bind"}),
+    "ds-transform": (["ybo"], {"--q": "matrix", "--bind": "bind"}),
+    "endo": (["ybo"], {"--strategy": "strategy", "--verify": "matrix", "--bind": "bind"}),
+    "sub-extract": (["ybo"], {"--endo": "matrix", "--bind": "bind"}),
+    "segre": (["ybo"], {"--side": "side", "--bind": "bind"}),
+    "dual-verify": (["ybo", "ybo"], {"--coev": "matrix", "--ev": "matrix", "--bind": "bind"}),
+    "equiv": (["ybo", "ybo"], {"--p": "int", "--bind": "bind"}),
+    "invariants": (["ybo"], {"--words": "int", "--bind": "bind"}),
+    "catalog": (["action", "id"], {"--bind": "bind"}),
+    "enum-perm": ([], {"--N": "int"}),
+    "count-involutive": ([], {"--N": "int"}),
+    "x-symmetry": (["ybo"], {"--x": "matrix", "--n-max": "int", "--bind": "bind"}),
+}
+
+_FLIP = [["1", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"]]
+
+# documents of the wrong shape, each read where an object or a matrix is expected
+_BAD_DOCS = {
+    "list.json": [{"kind": "ybo", "N": 2, "entries": _FLIP}],
+    "no-entries.json": {"kind": "ybo", "N": 2},
+    "string-n.json": {"kind": "ybo", "N": "2", "entries": _FLIP},
+    "zero-level.json": {"kind": "ybo", "N": 2, "level": 0, "entries": _FLIP},
+    "ragged.json": {"kind": "ybo", "N": 2, "entries": [["1", "0"], ["0"]]},
+    "numbers.json": {"kind": "ybo", "N": 2, "entries": [[int(e) for e in r] for r in _FLIP]},
+    "wrong-n.json": {"kind": "ybo", "N": 3, "entries": _FLIP},
+    "singular.json": {"kind": "ybo", "N": 2, "entries": [["0"] * 4] * 4},
+    "unbound.json": {"kind": "ybo", "N": 2, "entries": [["k"] + r[1:] for r in _FLIP]},
+    "params-not-list.json": {"kind": "ybo", "N": 2, "params": "k", "entries": _FLIP},
+    "bad-expr.json": {"kind": "ybo", "N": 2, "entries": [["1/"] + r[1:] for r in _FLIP]},
+    "div-zero.json": {"kind": "matrix", "entries": [["1/0", "0"], ["0", "1"]]},
+    "empty-matrix.json": {"kind": "matrix", "entries": []},
+}
+_GOOD_MATRICES = {
+    "q.json": [["0", "5"], ["7", "0"]],
+    "x.json": [["2", "0", "0", "0"], ["0", "3", "0", "0"], ["0", "0", "5", "0"],
+               ["0", "0", "0", "7"]],
+    "coev.json": [["1"], ["0"], ["0"], ["1"]],
+    "ev.json": [["1", "0", "0", "1"]],
+}
+
+# small integers only, so that no call reaches a large search
+_INTS = st.sampled_from(["-1", "0", "1", "2", "", "x"])
+_BIND_PIECES = ["", " ", "k", "k=", "=1", "k=0", "k=1", "k=1/0", "k=(", "k=i", "q=2", "p=3",
+                "s=4", "alpha=2", "zz=1"]
+_VALUES = {
+    "int": _INTS,
+    "bind": (st.sampled_from(["k=1,q=2,p=3,s=4", "k=1,p=1,q=-2"])
+             | st.lists(st.sampled_from(_BIND_PIECES), max_size=4).map(",".join)),
+    "word": st.sampled_from(["", "1", "1 -2", "2 1", "0", "3", "x"]),
+    "expr": st.sampled_from(["2", "0", "", "x", "1/0", "i"]),
+    "strategy": st.sampled_from(["diag", "monomial", "commutant", "bogus"]),
+    "side": st.sampled_from(["left", "right", "middle"]),
+    "action": st.sampled_from(["list", "get", "bogus"]),
+    "id": st.sampled_from(["hietarinta:ising", "hietarinta:slash", "missing:id", ""]),
+}
+
+
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path, capsys):
+    for name, doc in _BAD_DOCS.items():
+        write_json(tmp_path, name, doc)
+    for name, entries in _GOOD_MATRICES.items():
+        write_json(tmp_path, name, {"kind": "matrix", "entries": entries})
+    (tmp_path / "not-json.json").write_text("{not json")
+    (tmp_path / "empty.json").write_text("")
+    bad = sorted(str(p) for p in tmp_path.glob("*.json") if p.name not in _GOOD_MATRICES)
+    missing = str(tmp_path / "missing.json")
+    ybo_files = [str(DATA / n) for n in ("perm-flip.json", "hietarinta-ising.json",
+                                         "hietarinta-slash.json", "hietarinta-f.json")]
+    values = dict(_VALUES,
+                  flag=st.just(None),
+                  ybo=st.sampled_from(ybo_files) | st.sampled_from(bad + [missing]),
+                  matrix=(st.sampled_from([str(tmp_path / n) for n in _GOOD_MATRICES])
+                          | st.sampled_from(bad + [missing])))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def one_call(data):
+        command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+        slots, flags = _COMMANDS[command]
+        argv = [command]
+        # positionals and flags are each left out now and then
+        kept = len(slots) if data.draw(st.integers(0, 3)) else data.draw(st.integers(0, len(slots)))
+        for slot in slots[:kept]:
+            argv.append(data.draw(values[slot]))
+        for flag, kind in sorted(dict(flags, **{"--json": "flag", "--seed": "int"}).items()):
+            if data.draw(st.integers(0, 3)):
+                value = data.draw(values[kind])
+                argv += [flag] if value is None else [flag, value]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), argv
+        if code == 3:
+            assert err.startswith("error: ") and len(err) > len("error: \n"), argv
+
+    one_call()

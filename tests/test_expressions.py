@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ybx.errors import DivisionByZero, ExhaustedRetries, ParseError, UnboundParam
+from ybx.errors import (
+    ConstraintViolated,
+    DivisionByZero,
+    ExhaustedRetries,
+    ParseError,
+    UnboundParam,
+)
 from ybx.expressions import (
     Mul,
     ParamBinding,
@@ -73,6 +79,15 @@ def test_sample_binding():
 def test_sample_binding_exhaustion():
     with pytest.raises(ExhaustedRetries):
         sample_binding(["x"], ["x-x"], seed=0)
+
+
+def test_sample_binding_names_a_constraint_the_given_values_break():
+    # no draw of q can help, so the constraint is named before any draw
+    with pytest.raises(ConstraintViolated, match="'k'"):
+        sample_binding(["q"], ["q", "k"], seed=0, given={"k": Fraction(0)})
+    with pytest.raises(DivisionByZero):
+        sample_binding(["q"], ["1/k"], seed=0, given={"k": Fraction(0)})
+    assert sample_binding(["q"], ["q*k"], seed=0, given={"k": Fraction(2)})["q"] != 0
 
 
 def test_params_collection():
