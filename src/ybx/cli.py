@@ -349,6 +349,8 @@ def _cmd_catalog(args) -> int:
         ids = catalog_ids()
         return _emit(args, EXIT_HOLDS, {
             "command": "catalog", "ids": ids, "summary": "\n".join(ids)})
+    if args.id is None:
+        raise YbxError("catalog get needs an entry id (see 'ybx catalog list')")
     entry = catalog_entry(args.id)
     binding = _parse_binding(args.bind)
     missing = [p for p in entry.params if p not in binding]

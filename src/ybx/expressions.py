@@ -313,9 +313,10 @@ def sample_binding(params, constraints, seed: int, given: dict | None = None) ->
     depends on the given values alone vanishes there, and
     :class:`ExhaustedRetries` after 1000 attempts.
     """
-    params = list(params)
+    given = dict(given or {})
+    params = [p for p in params if p not in given]
     parsed = [parse_expr(c) if isinstance(c, str) else c for c in constraints]
-    fixed = ParamBinding({k: v for k, v in (given or {}).items() if k not in params})
+    fixed = ParamBinding(given)
     for cons, expr in zip(constraints, parsed):
         try:
             if not _eval(expr, fixed):
@@ -324,7 +325,7 @@ def sample_binding(params, constraints, seed: int, given: dict | None = None) ->
             continue  # depends on a sampled parameter
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        values = dict(given or {})
+        values = dict(given)
         for name in params:
             num = rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
             den = rng.randint(1, _SAMPLE_BOUND)

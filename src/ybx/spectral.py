@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, UnfactoredSpectrum
 from .scalars import Backend, GaussianRational, to_complex
-from .tensor import Matrix, _rref_in_place
+from .tensor import Matrix
 
 # -- quadratic surds ----------------------------------------------------------
 
@@ -168,17 +168,6 @@ def poly_eval(coeffs, x):
     return acc
 
 
-def poly_deflate(coeffs, root):
-    """Divide a monic-or-not polynomial by (x - root); remainder must be zero."""
-    out = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + carry * root
-    if carry:
-        raise ValueError("not a root")
-    return out
-
 def poly_divmod(num, den):
     num = list(num)
     dden = len(den) - 1
@@ -260,7 +249,7 @@ def _extract_verified_roots(coeffs, backend: Backend):
                     cand_val = cand
                 if poly_eval(coeffs, cand_val):
                     continue
-                coeffs = poly_deflate(coeffs, cand_val)
+                coeffs = poly_divmod(coeffs, [-cand_val, 1])[0]
                 found[cand] = found.get(cand, 0) + 1
                 progressed = True
                 break
@@ -408,22 +397,6 @@ def _as_fraction(v) -> Fraction:
     return Fraction(v)
 
 
-def _generic_matmul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for arow in A:
-        orow = [arow[0] * 0] * m
-        for kk in range(k):
-            a = arow[kk]
-            if a:
-                brow = B[kk]
-                for c in range(m):
-                    if brow[c]:
-                        orow[c] = orow[c] + a * brow[c]
-        out.append(orow)
-    return out
-
-
 def jordan_structure(M: Matrix, tol: float | None = None) -> list:
     """Jordan data as (eigenvalue, sorted block sizes descending) pairs."""
     if not M.is_square():
@@ -436,15 +409,14 @@ def jordan_structure(M: Matrix, tol: float | None = None) -> list:
             if mult == 1:
                 out.append((lam, [1]))
                 continue
-            base = _lift_matrix_rows(M, lam)
+            base = Matrix(n, n, M.backend, _lift_matrix_rows(M, lam))
             ranks = [n]
             power = base
             while len(ranks) <= mult:
-                work = [list(r) for r in power]
-                ranks.append(len(_rref_in_place(work, n)))
+                ranks.append(power.rank())
                 if ranks[-1] == ranks[-2]:
                     break
-                power = _generic_matmul(power, base)
+                power = power.mul(base)
             out.append((lam, _blocks_from_ranks(ranks, mult)))
         return out
     tol = DEFAULT_TOL if tol is None else tol

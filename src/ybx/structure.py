@@ -4,21 +4,24 @@ decomposability, and duality verification.
 The quadratic condition (A (x) A) R = R (A (x) A) is attacked in two linear
 steps: first the commutant-style pencil {X : X R = R X} (or a variant), then
 a search for elements whose *realignment* is a symmetric rank-one matrix
-v v^T; such X are exactly the Kronecker squares A (x) A.  The rank-one step
-is exact and complete for (symmetrized) pencil dimension <= 3 — dimension 2
-by minor gcds, dimension 3 by bivariate resultant elimination; beyond that
-it falls back to structured exact candidates and seeded Gauss-Newton over
-the entries of v with exact reconstruction, and the result carries a
-completeness flag.  The same Gauss-Newton solver serves the complex backend
-and the numeric local witness search, there with det(Q) = 1 fixing the
-scale.
+v v^T; such X are exactly the Kronecker squares A (x) A.  Product (Segre)
+eigenvectors R (v (x) v) = lam v (x) v are found the same way.  Both come
+down to the rational zeros of a small polynomial system in at most two
+unknowns, solved by one exact gcd-and-resultant solver: the rank-one
+search for (symmetrized) pencil dimension <= 3, the Segre search for
+N <= 3.  There the search is complete, and its flag turns False only on an
+irrational zero or a sampled continuum.  Larger pencils fall back to
+structured exact candidates and seeded Gauss-Newton over the entries of v
+with exact reconstruction, flagged incomplete.  The same Gauss-Newton
+solver serves the complex backend and the numeric local witness search,
+there with det(Q) = 1 fixing the scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import isqrt
 
 import numpy as np
@@ -26,9 +29,9 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .core import YBObject
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
-from .scalars import Backend, one, zero
-from .spectral import poly_divmod, poly_eval
-from .tensor import Matrix, kron, pseudo_inverse
+from .scalars import Backend, GaussianRational, one, zero
+from .spectral import _extract_verified_roots, poly_divmod
+from .tensor import Matrix, _eliminate, kron, pseudo_inverse
 
 # -- realignment ----------------------------------------------------------------
 
@@ -122,6 +125,157 @@ def commutant_basis(obj: YBObject) -> list:
     return intertwiner_space([obj.R], [obj.R])
 
 
+# -- rational zeros of small polynomial systems ---------------------------------------
+#
+# A polynomial is a dict {exponent tuple: nonzero coefficient}.  The rank-one
+# search and the product eigenvector search both come down to the rational
+# common zeros of such a system in at most two unknowns.
+
+
+def _unit(j: int, k: int) -> tuple:
+    """Exponent of the j-th of k unknowns; of the constant for j = -1."""
+    return tuple(int(i == j) for i in range(k))
+
+
+def _accumulate(p: dict, e: tuple, c) -> None:
+    x = p.get(e, 0) + c
+    if x:
+        p[e] = x
+    else:
+        p.pop(e, None)
+
+
+def _padd(a: dict, b: dict, scale=1) -> dict:
+    """a + scale * b."""
+    out = dict(a)
+    for e, c in b.items():
+        _accumulate(out, e, scale * c)
+    return out
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            _accumulate(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
+    return out
+
+
+def _psubst(p: dict, x) -> dict:
+    """p with the value x put in for its first unknown."""
+    out = {}
+    for e, c in p.items():
+        _accumulate(out, e[1:], c * x ** e[0])
+    return out
+
+
+def _resultant(a: dict, b: dict) -> dict:
+    """Sylvester resultant of a and b in their second unknown, a polynomial in
+    the first; by cofactor expansion along the rows, each minor once."""
+    def coefficients(p):  # of t^0, t^1, ... as polynomials in s
+        out = [{} for _ in range(max(e[1] for e in p) + 1)]
+        for (i, j), c in p.items():
+            out[j][(i,)] = c
+        return out
+
+    ca, cb = coefficients(a), coefficients(b)
+    da, db = len(ca) - 1, len(cb) - 1
+    rows = [{k + da - j: c for j, c in enumerate(ca) if c} for k in range(db)]
+    rows += [{k + db - j: c for j, c in enumerate(cb) if c} for k in range(da)]
+    minors = {(): {(0,): 1}}
+
+    def minor(cols):  # the rows below len(rows) - len(cols), on the columns cols
+        if cols not in minors:
+            row = rows[len(rows) - len(cols)]
+            acc = {}
+            for pos, col in enumerate(cols):
+                if col in row:
+                    term = _pmul(row[col], minor(cols[:pos] + cols[pos + 1:]))
+                    acc = _padd(acc, term, -1 if pos % 2 else 1)
+            minors[cols] = acc
+        return minors[cols]
+
+    return minor(tuple(range(da + db)))
+
+
+def _poly_gcd(a: list, b: list) -> list:
+    a, b = list(a), list(b)
+    while len(b) > 1 or (b and b[0]):
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+        if len(b) == 1 and not b[0]:
+            break
+    if len(a) > 1 and a[-1] != 1 and a[-1]:
+        lead = a[-1]
+        a = [v / lead for v in a]
+    return a
+
+
+def _rational_poly_roots(coeffs):
+    """Rational (Gaussian-rational) roots with multiplicity, and the rest."""
+    gaussian = any(isinstance(c, GaussianRational) for c in coeffs)
+    found, rest = _extract_verified_roots(
+        list(coeffs), Backend.EXACT_QI if gaussian else Backend.EXACT_Q)
+    roots = []
+    for root, mult in found.items():
+        roots.extend([root] * mult)
+    return roots, rest
+
+
+_SAMPLES = {1: (0, 1, 2), 2: (0, 1, -1, 2)}  # the first unknown on a continuum
+
+
+def _rational_zeros(polys: list, k: int):
+    """Rational common zeros of polynomials in k <= 2 unknowns: (points, complete).
+
+    The system is first replaced by a reduced basis of its span, ordered so
+    that the rows free of the second unknown come last.  The first unknown
+    is confined to the roots of one gcd: of those rows and, for k = 2, of
+    the resultants in the second unknown of the other rows' pairs, folded
+    in until the gcd splits into rational roots.  Each root is substituted
+    and the rest solved the same way.  complete is False when an irrational
+    factor is left over, or when nothing confines the first unknown (the
+    zeros form a continuum) and it is sampled at ``_SAMPLES[k]`` instead.
+    """
+    polys = [p for p in polys if p]
+    if k == 0:
+        return ([] if polys else [()]), True
+    monomials = sorted({e for p in polys for e in p}, key=lambda e: (e[1:], e), reverse=True)
+    column = {e: j for j, e in enumerate(monomials)}
+    rows = [{column[e]: c for e, c in p.items()} for p in polys]
+    rank = len(_eliminate(rows, len(monomials))[0])
+    polys = [{monomials[j]: c for j, c in row.items()} for row in rows[:rank]]
+    free = [p for p in polys if not any(any(e[1:]) for e in p)]
+    bound = [p for p in reversed(polys) if any(any(e[1:]) for e in p)]  # lowest degree first
+    confining = chain(({e[:1]: c for e, c in p.items()} for p in free),
+                      (_resultant(a, b) for a, b in combinations(bound, 2)))
+    roots, complete = [Fraction(x) for x in _SAMPLES[k]], False
+    g = []
+    for p in confining:
+        if not p:
+            continue
+        z = next(iter(p.values())) * 0
+        coeffs = [p.get((i,), z) for i in range(max(p)[0] + 1)]
+        degree = len(g)
+        g = _poly_gcd(g, coeffs) if g else coeffs
+        if len(g) == 1:
+            return [], True
+        if len(g) == degree:  # a gcd of the same degree is the same polynomial
+            continue
+        roots, rest = _rational_poly_roots(g)
+        if k == 2:  # a plane's first coordinates in increasing order, a line's as found
+            roots.sort(key=lambda x: (getattr(x, "re", x), getattr(x, "im", 0)))
+        complete = len(rest) == 1
+        if complete:
+            break
+    points = []
+    for x in dict.fromkeys(roots):
+        found, found_complete = _rational_zeros([_psubst(p, x) for p in polys], k - 1)
+        points.extend((x,) + point for point in found)
+        complete = complete and found_complete
+    return points, complete
+
+
 # -- symmetric rank-one elements of a matrix space ---------------------------------
 
 
@@ -180,84 +334,30 @@ def _extract_rank1_symmetric(S: Matrix):
     return v
 
 
-def _pencil_minor_polys(B0: Matrix, B1: Matrix) -> list:
-    """2x2 minors of B0 + u B1 as polynomials in u (degree <= 2)."""
-    n = B0.rows
-    polys = []
-    for r1, r2 in combinations(range(n), 2):
-        for c1, c2 in combinations(range(n), 2):
-            # (a0 + u a1)(d0 + u d1) - (b0 + u b1)(c0 + u c1)
-            a0, a1 = B0.data[r1][c1], B1.data[r1][c1]
-            d0, d1 = B0.data[r2][c2], B1.data[r2][c2]
-            b0, b1 = B0.data[r1][c2], B1.data[r1][c2]
-            c0, c1_ = B0.data[r2][c1], B1.data[r2][c1]
-            coeffs = [
-                a0 * d0 - b0 * c0,
-                a0 * d1 + a1 * d0 - b0 * c1_ - b1 * c0,
-                a1 * d1 - b1 * c1_,
-            ]
-            while len(coeffs) > 1 and not coeffs[-1]:
-                coeffs.pop()
-            if len(coeffs) > 1 or coeffs[0]:
-                polys.append(coeffs)
-    return polys
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while len(b) > 1 or (b and b[0]):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-        if len(b) == 1 and not b[0]:
-            break
-    if len(a) > 1 and a[-1] != 1 and a[-1]:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-def _rational_poly_roots(coeffs, backend: Backend):
-    from .spectral import _extract_verified_roots
-
-    found, rest = _extract_verified_roots(list(coeffs), backend)
-    roots = []
-    for root, mult in found.items():
-        roots.extend([root] * mult)
-    return roots, rest
-
-
-def _rank1_pencil_exact(B0: Matrix, B1: Matrix):
-    """Rank-one symmetric points of the line B0 + u B1 (plus infinity)."""
+def _rank1_chart(basis: list):
+    """Rank-one symmetric points of span(B0, ..., Bk), k <= 2: the rational
+    zeros of the 2x2 minors of the chart B0 + sum_j u_j B_j, then
+    span(B1, ..., Bk) for the points at infinity.  Returns (vectors, complete)."""
+    if not basis:
+        return [], True
+    B0, rest = basis[0], basis[1:]
+    k, n = len(rest), B0.rows
+    entry = [[{_unit(j, k): B.data[r][c] for j, B in enumerate(basis, -1) if B.data[r][c]}
+              for c in range(n)] for r in range(n)]
+    minors = [_padd(_pmul(entry[r1][c1], entry[r2][c2]),
+                    _pmul(entry[r1][c2], entry[r2][c1]), -1)
+              for r1, r2 in combinations(range(n), 2) for c1, c2 in combinations(range(n), 2)]
+    points, complete = _rational_zeros(minors, k)
     out = []
-    complete = True
-    polys = _pencil_minor_polys(B0, B1)
-    if not polys:
-        # rank <= 1 along the whole pencil: a continuum, return samples
-        for u in (0, 1, 2):
-            v = _extract_rank1_symmetric(B0.add(B1.scale(Fraction(u))))
-            if v is not None:
-                out.append(v)
-        v = _extract_rank1_symmetric(B1)
+    for u in points:
+        M = B0
+        for x, B in zip(u, rest):
+            M = M.add(B.scale(x))
+        v = _extract_rank1_symmetric(M)
         if v is not None:
             out.append(v)
-        return out, False
-    g = polys[0]
-    for p in polys[1:]:
-        g = _poly_gcd(g, p)
-        if len(g) == 1 and g[0]:
-            break
-    if len(g) > 1 or not g[0]:
-        roots, rest = _rational_poly_roots(g, B0.backend)
-        if len(rest) > 1:
-            complete = False  # irrational pencil roots not represented
-        for u in roots:
-            v = _extract_rank1_symmetric(B0.add(B1.scale(u)))
-            if v is not None:
-                out.append(v)
-    v = _extract_rank1_symmetric(B1)  # the point at infinity
-    if v is not None:
-        out.append(v)
-    return out, complete
+    vectors, rest_complete = _rank1_chart(rest)
+    return out + vectors, complete and rest_complete
 
 
 def _pattern_vectors(n: int, backend: Backend):
@@ -272,80 +372,6 @@ def _pattern_vectors(n: int, backend: Backend):
         for signs in iproduct((1, -1), repeat=n - 1):
             out.append(Matrix(n, 1, backend, [[o]] + [[o if s > 0 else -o] for s in signs]))
     return out
-
-
-def _rank1_span3_exact(B1: Matrix, B2: Matrix, B3: Matrix):
-    """Rank-one symmetric points of span(B1, B2, B3) by resultant elimination.
-
-    Works in the chart M(u, w) = B1 + u B2 + w B3 plus the pencil at
-    infinity; returns (vectors, complete) with complete False whenever a
-    degenerate stratum forced sampling or an irrational root was dropped.
-    """
-    n = B1.rows
-    one_f = Fraction(1)
-    out = []
-    complete = True
-    minors = []
-    for r1, r2 in combinations(range(n), 2):
-        for c1, c2 in combinations(range(n), 2):
-            def lin(B0v, B2v, B3v):
-                poly = {}
-                if B0v:
-                    poly[(0, 0)] = B0v
-                if B2v:
-                    poly[(1, 0)] = B2v
-                if B3v:
-                    poly[(0, 1)] = B3v
-                return poly
-            a = lin(B1.data[r1][c1], B2.data[r1][c1], B3.data[r1][c1])
-            d = lin(B1.data[r2][c2], B2.data[r2][c2], B3.data[r2][c2])
-            b = lin(B1.data[r1][c2], B2.data[r1][c2], B3.data[r1][c2])
-            c = lin(B1.data[r2][c1], B2.data[r2][c1], B3.data[r2][c1])
-            m = _bipoly_add(_bipoly_mul(a, d), _bipoly_scale(_bipoly_mul(b, c), -one_f))
-            if m:
-                minors.append(m)
-    backend = B1.backend
-    if not minors:
-        complete = False
-        u_candidates = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    else:
-        u_candidates = _chart_a_candidates(minors, backend)
-        if u_candidates is None:
-            complete = False
-            u_candidates = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]
-    for u0 in u_candidates:
-        unis = []
-        for m in minors:
-            uni = _bipoly_eval_s(m, u0)
-            if not _upoly_is_zero(uni):
-                unis.append(uni)
-        slice_matrix = B1.add(B2.scale(u0))
-        if not unis:
-            vecs, comp = _rank1_pencil_exact(slice_matrix, B3)
-            out.extend(vecs)
-            complete = complete and comp
-            continue
-        g = unis[0]
-        for p in unis[1:]:
-            g = _poly_gcd(g, p)
-            if len(g) == 1 and g[0]:
-                break
-        if len(g) == 1:
-            continue
-        roots, rest = _rational_poly_roots(g, backend)
-        if len(rest) > 1:
-            complete = False
-        for w0 in roots:
-            v = _extract_rank1_symmetric(slice_matrix.add(B3.scale(w0)))
-            if v is not None:
-                out.append(v)
-    vecs, comp = _rank1_pencil_exact(B2, B3)  # the chart at infinity in u
-    out.extend(vecs)
-    complete = complete and comp
-    v = _extract_rank1_symmetric(B3)
-    if v is not None:
-        out.append(v)
-    return out, complete
 
 
 def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
@@ -367,28 +393,17 @@ def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
     sym = [B for B in sym if not B.is_zero_matrix()]
     if not sym:
         return Rank1Result([], True)
-    if len(sym) == 1:
-        v = _extract_rank1_symmetric(sym[0])
-        return Rank1Result([v] if v is not None else [], True)
-    if len(sym) == 2:
-        out, complete = _rank1_pencil_exact(sym[0], sym[1])
-        return Rank1Result(_dedupe_rays(out), complete)
-    if len(sym) == 3:
-        out, complete = _rank1_span3_exact(sym[0], sym[1], sym[2])
-        out = [v for v in out if _vvT_in_span(v, sym)]
+    if len(sym) <= 3:
+        out, complete = _rank1_chart(sym)
         return Rank1Result(_dedupe_rays(out), complete)
     out = []
     cap = min(len(sym), 5)
     for i in range(cap):
-        v = _extract_rank1_symmetric(sym[i])
-        if v is not None:
-            out.append(v)
+        out.extend(_rank1_chart([sym[i]])[0])
         for j in range(i + 1, cap):
-            vecs, _ = _rank1_pencil_exact(sym[i], sym[j])
-            out.extend(vecs)
+            out.extend(_rank1_chart([sym[i], sym[j]])[0])
             for k in range(j + 1, cap):
-                vecs, _ = _rank1_span3_exact(sym[i], sym[j], sym[k])
-                out.extend(vecs)
+                out.extend(_rank1_chart([sym[i], sym[j], sym[k]])[0])
     n = sym[0].rows
     for v in _pattern_vectors(n, backend):
         if _vvT_in_span(v, sym):
@@ -699,80 +714,33 @@ class SegreResult:
     complete: bool
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    z = (a[0] if a else b[0]) * 0
-    out = [z] * n
-    for i, v in enumerate(a):
-        out[i] = out[i] + v
-    for i, v in enumerate(b):
-        out[i] = out[i] + v
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_mul(a, b):
-    z = a[0] * 0
-    out = [z] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _poly_scale(a, s):
-    return [v * s for v in a]
-
-
-def _segre_complete_rank2(R: Matrix):
-    """All product eigenvectors for N = 2 via the affine chart v = (1, t)."""
+def _segre_charts(R: Matrix, N: int) -> SegreResult:
+    """Every product eigenvector for N <= 3, chart by chart: v = e_k +
+    sum_{j>k} t_j e_j, with w = v (x) v, is one when (R w)_i = lam w_i for
+    all i, where lam = (R w)_(k,k) since w_(k,k) = 1."""
     backend = R.backend
-    z, o = zero(backend), one(backend)
-    # w(t) = (1, t, t, t^2) in the revlex pair basis
-    w = [[o], [z, o], [z, o], [z, z, o]]
-    Rw = []
-    for i in range(4):
-        acc = [z]
-        for c in range(4):
-            if R.data[i][c]:
-                acc = _poly_add(acc, _poly_scale(w[c], R.data[i][c]))
-        Rw.append(acc)
-    lam = Rw[0]
-    conds = []
-    for i in (1, 2, 3):
-        conds.append(_poly_add(Rw[i], _poly_scale(_poly_mul(lam, w[i]), -o)))
-    nonzero = [p for p in conds if len(p) > 1 or p[0]]
-    pairs = []
-    complete = True
-    if not nonzero:
-        complete = False  # every (1, t) works; return representatives
-        for tval in (Fraction(0), Fraction(1)):
-            v = Matrix.from_rows([[o], [tval]], backend)
-            lam_v = poly_eval(lam, tval)
-            pairs.append((v, lam_v))
-    else:
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = _poly_gcd(g, p)
-        if len(g) > 1:
-            roots, rest = _rational_poly_roots(g, backend)
-            if len(rest) > 1:
-                complete = False
-            for t0 in roots:
-                v = Matrix.from_rows([[o], [t0]], backend)
-                lam_v = poly_eval(lam, t0)
-                pairs.append((v, lam_v))
-    # the chart at infinity: v = (0, 1), w = e4
-    col = [R.data[r][3] for r in range(4)]
-    if not col[0] and not col[1] and not col[2]:
-        pairs.append((Matrix.from_rows([[z], [o]], backend), col[3]))
-    return SegreResult(_verify_segre(R, 2, pairs), complete)
+    o, z = one(backend), zero(backend)
+    pairs, complete = [], True
+    for k in range(N):
+        m = N - 1 - k
+        v = [{} for _ in range(k)] + [{_unit(j, m): o} for j in range(-1, m)]
+        w = [_pmul(v[u % N], v[u // N]) for u in range(N * N)]
+        Rw = [{} for _ in range(N * N)]
+        for i in range(N * N):
+            for c in range(N * N):
+                if R.data[i][c]:
+                    Rw[i] = _padd(Rw[i], w[c], R.data[i][c])
+        lam = Rw[k + N * k]
+        points, chart_complete = _rational_zeros(
+            [_padd(Rw[i], _pmul(lam, w[i]), -1) for i in range(N * N)], m)
+        complete = complete and chart_complete
+        for t in points:
+            value = lam
+            for x in t:
+                value = _psubst(value, x)
+            vec = Matrix.from_rows([[z]] * k + [[o]] + [[x] for x in t], backend)
+            pairs.append((vec, value.get((), z)))
+    return SegreResult(_verify_segre(R, N, pairs), complete)
 
 
 def _verify_segre(R: Matrix, N: int, pairs, tol: float | None = None):
@@ -791,249 +759,6 @@ def _verify_segre(R: Matrix, N: int, pairs, tol: float | None = None):
     return out
 
 
-def _bipoly_zero():
-    return {}
-
-
-def _bipoly_const(c):
-    return {(0, 0): c} if c else {}
-
-
-def _bipoly_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, v * 0) + v
-        if nv:
-            out[k] = nv
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _bipoly_mul(a, b):
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            nv = out.get(k, v1 * 0) + v1 * v2
-            if nv:
-                out[k] = nv
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _bipoly_scale(a, s):
-    if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
-
-
-def _bipoly_to_t_poly(a):
-    """View as polynomial in t with coefficients polynomials in s (lists)."""
-    if not a:
-        return [[Fraction(0)]]
-    deg_t = max(j for (_, j) in a)
-    deg_s = max(i for (i, _) in a)
-    z = next(iter(a.values())) * 0
-    out = [[z] * (deg_s + 1) for _ in range(deg_t + 1)]
-    for (i, j), v in a.items():
-        out[j][i] = v
-    return [_trim(p) for p in out]
-
-
-def _trim(p):
-    p = list(p)
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _upoly_is_zero(p):
-    return all(not v for v in p)
-
-
-def _resultant_t(pa, pb):
-    """Resultant in t of two t-polynomials with s-polynomial coefficients."""
-    da, db = len(pa) - 1, len(pb) - 1
-    if da < 0 or db < 0 or (da == 0 and db == 0):
-        return pa[0] if da == 0 else [Fraction(1)]
-    size = da + db
-    z = [Fraction(0)]
-    rows = []
-    for k in range(db):
-        row = [z] * size
-        for i, cf in enumerate(reversed(pa)):
-            row[k + i] = cf
-        rows.append(row)
-    for k in range(da):
-        row = [z] * size
-        for i, cf in enumerate(reversed(pb)):
-            row[k + i] = cf
-        rows.append(row)
-    return _poly_matrix_det(rows)
-
-
-def _poly_matrix_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    det = None
-    for j in range(n):
-        entry = rows[0][j]
-        if _upoly_is_zero(entry):
-            continue
-        minor = [[rows[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = _poly_mul(entry, _poly_matrix_det(minor))
-        if j % 2 == 1:
-            term = _poly_scale(term, Fraction(-1))
-        det = term if det is None else _poly_add(det, term)
-    return det if det is not None else [Fraction(0)]
-
-
-def _segre_complete_rank3(R: Matrix):
-    """Product eigenvectors for N = 3 by two-chart resultant elimination."""
-    backend = R.backend
-    z, o = zero(backend), one(backend)
-    pairs = []
-    complete = True
-
-    # chart v = (1, s, t)
-    s_poly = {(1, 0): o}
-    t_poly = {(0, 1): o}
-    v_sym = [_bipoly_const(o), s_poly, t_poly]
-    w = [_bipoly_mul(v_sym[u % 3], v_sym[u // 3]) for u in range(9)]
-    Rw = []
-    for i in range(9):
-        acc = _bipoly_zero()
-        for c in range(9):
-            if R.data[i][c]:
-                acc = _bipoly_add(acc, _bipoly_scale(w[c], R.data[i][c]))
-        Rw.append(acc)
-    lam = Rw[0]
-    conds = []
-    for i in range(1, 9):
-        conds.append(_bipoly_add(Rw[i], _bipoly_scale(_bipoly_mul(lam, w[i]), -o)))
-    conds = [c for c in conds if c]
-    if not conds:
-        complete = False
-        for sv, tv in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))):
-            v = Matrix.from_rows([[o], [sv], [tv]], backend)
-            pairs.append((v, _bipoly_eval(lam, sv, tv)))
-    else:
-        s_candidates = _chart_a_candidates(conds, backend)
-        if s_candidates is None:
-            complete = False
-            s_candidates = []
-        for s0 in s_candidates:
-            unis = []
-            for c in conds:
-                uni = _bipoly_eval_s(c, s0)
-                if not _upoly_is_zero(uni):
-                    unis.append(uni)
-            if not unis:
-                complete = False
-                t_roots = [Fraction(0), Fraction(1)]
-            else:
-                g = unis[0]
-                for p in unis[1:]:
-                    g = _poly_gcd(g, p)
-                if len(g) == 1:
-                    continue
-                t_roots, rest = _rational_poly_roots(g, backend)
-                if len(rest) > 1:
-                    complete = False
-            for t0 in t_roots:
-                v = Matrix.from_rows([[o], [s0], [t0]], backend)
-                pairs.append((v, _bipoly_eval(lam, s0, t0)))
-
-    # chart v = (0, 1, t): indices restricted to letters {2, 3}
-    wt = [[o], [z, o], [z, o], [z, z, o]]  # (1, t, t, t^2) over pairs of letters 2,3
-    idx = [4, 5, 7, 8]  # pair indices of (2,2),(3,2),(2,3),(3,3) in revlex
-    Rwt = []
-    for i in range(9):
-        acc = [z]
-        for pos, c in enumerate(idx):
-            if R.data[i][c]:
-                acc = _poly_add(acc, _poly_scale(wt[pos], R.data[i][c]))
-        Rwt.append(acc)
-    lam_t = Rwt[4]
-    conds_t = []
-    ok_chart = True
-    for i in range(9):
-        if i == 4:
-            continue
-        if i in idx:
-            pos = idx.index(i)
-            conds_t.append(_poly_add(Rwt[i], _poly_scale(_poly_mul(lam_t, wt[pos]), -o)))
-        else:
-            conds_t.append(Rwt[i])  # must vanish outside the chart's support
-    nonzero = [p for p in conds_t if not _upoly_is_zero(p)]
-    if not nonzero:
-        complete = False
-        for tv in (Fraction(0), Fraction(1)):
-            v = Matrix.from_rows([[z], [o], [tv]], backend)
-            pairs.append((v, poly_eval(lam_t, tv)))
-    else:
-        g = nonzero[0]
-        for p in nonzero[1:]:
-            g = _poly_gcd(g, p)
-        if len(g) > 1:
-            roots, rest = _rational_poly_roots(g, backend)
-            if len(rest) > 1:
-                complete = False
-            for t0 in roots:
-                v = Matrix.from_rows([[z], [o], [t0]], backend)
-                pairs.append((v, poly_eval(lam_t, t0)))
-
-    # chart v = (0, 0, 1)
-    col = [R.data[r][8] for r in range(9)]
-    if all(not col[r] for r in range(9) if r != 8):
-        pairs.append((Matrix.from_rows([[z], [z], [o]], backend), col[8]))
-
-    return SegreResult(_verify_segre(R, 3, pairs), complete)
-
-
-def _bipoly_eval(a, s0, t0):
-    acc = None
-    for (i, j), v in a.items():
-        term = v * (s0 ** i) * (t0 ** j)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
-
-
-def _bipoly_eval_s(a, s0):
-    out = {}
-    for (i, j), v in a.items():
-        nv = out.get(j, v * 0) + v * (s0 ** i)
-        out[j] = nv
-    deg = max(out) if out else 0
-    z = Fraction(0)
-    poly = [out.get(j, z) for j in range(deg + 1)]
-    return _trim(poly)
-
-
-def _chart_a_candidates(conds, backend: Backend):
-    """Rational s-candidates from pairwise resultants; None when degenerate."""
-    t_polys = [_bipoly_to_t_poly(c) for c in conds]
-    t_polys = [p for p in t_polys if not all(_upoly_is_zero(cf) for cf in p)]
-    for p in t_polys:
-        # a condition free of t constrains s directly
-        if len(p) == 1 and len(p[0]) > 1:
-            roots, _ = _rational_poly_roots(p[0], backend)
-            return sorted(set(roots))
-    for i in range(len(t_polys)):
-        for j in range(i + 1, len(t_polys)):
-            res = _trim(_resultant_t(t_polys[i], t_polys[j]))
-            if _upoly_is_zero(res):
-                continue  # the pair shares a factor; try another
-            if len(res) == 1:
-                return []  # nonzero constant resultant: no common root
-            roots, _ = _rational_poly_roots(res, backend)
-            return sorted(set(roots))
-    return None
-
-
 def segre_eigenvectors(obj: YBObject, side: str = "right", complete: bool = True,
                        extra_candidates=None, tol: float | None = None) -> SegreResult:
     """Eigenvectors of product form v (x) v, with eigenvalues.
@@ -1047,13 +772,9 @@ def segre_eigenvectors(obj: YBObject, side: str = "right", complete: bool = True
     if complete:
         if not obj.R.backend.is_exact:
             raise UnsupportedRank("complete Segre solving requires an exact backend")
-        if N == 1:
-            return SegreResult([(Matrix.identity(1, R.backend), R.data[0][0])], True)
-        if N == 2:
-            return _segre_complete_rank2(R)
-        if N == 3:
-            return _segre_complete_rank3(R)
-        raise UnsupportedRank("complete Segre solving is implemented for N <= 3")
+        if N > 3:
+            raise UnsupportedRank("complete Segre solving is implemented for N <= 3")
+        return _segre_charts(R, N)
     backend = R.backend
     o = one(backend)
     cands = [Matrix.from_rows([[o if r == i else zero(backend)] for r in range(N)], backend)
@@ -1098,9 +819,7 @@ def _candidate_subspaces(obj: YBObject, R: Matrix, N: int, seed: int = 0):
     """Invariant subspaces found by Segre vectors, coordinate sets, endo columns."""
     found = []
     if N <= 3 and obj.R.backend.is_exact:
-        segre = _segre_complete_rank2(R) if N == 2 else (
-            _segre_complete_rank3(R) if N == 3 else SegreResult([], False))
-        for v, _ in segre.pairs:
+        for v, _ in _segre_charts(R, N).pairs:
             found.append(v)
     backend = R.backend
     o, z = one(backend), zero(backend)

@@ -148,9 +148,6 @@ class Matrix:
     def to_numpy(self):
         return np.array([[to_complex(v) for v in row] for row in self.data], dtype=complex)
 
-    def copy_data(self):
-        return [list(row) for row in self.data]
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -192,10 +189,6 @@ class Matrix:
         s = promote(s, backend)
         return Matrix(self.rows, self.cols, backend,
                       [[s * v for v in row] for row in A.data])
-
-    def neg(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.backend,
-                      [[-v for v in row] for row in self.data])
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -291,9 +284,10 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
         self._require_exact("rref")
-        rows = self.copy_data()
-        pivots = _rref_in_place(rows, self.cols)
-        return Matrix(self.rows, self.cols, self.backend, rows), pivots
+        rows = sparse_rows(self.data)
+        pivots = _eliminate(rows, self.cols)[0]
+        return Matrix(self.rows, self.cols, self.backend,
+                      dense_rows(rows, self.cols, zero(self.backend))), pivots
 
     def rank(self, tol: float | None = None) -> int:
         if not self.backend.is_exact:
@@ -463,18 +457,6 @@ def _eliminate(rows, stop_col: int):
         if r == nrows:
             break
     return pivots, values, swaps
-
-
-def _rref_in_place(rows, ncols: int, stop_col: int | None = None) -> list:
-    """Gauss-Jordan over an exact field on dense rows, in place; returns pivot
-    column indices.  The work is done on sparse rows by ``_eliminate``."""
-    if not rows or not ncols:
-        return []
-    z = rows[0][0] - rows[0][0]
-    sparse = sparse_rows(rows)
-    pivots = _eliminate(sparse, ncols if stop_col is None else stop_col)[0]
-    rows[:] = dense_rows(sparse, ncols, z)
-    return pivots
 
 
 # -- tensor operations --------------------------------------------------------

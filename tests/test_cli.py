@@ -102,6 +102,12 @@ def test_catalog_list_and_get(capsys):
     assert code == 3
 
 
+def test_catalog_get_without_id_names_the_missing_id(capsys):
+    code, out, err = run(capsys, "catalog", "get")
+    assert code == 3
+    assert "needs an entry id" in err and "None" not in err
+
+
 def test_equiv_command(capsys):
     a = str(DATA / "hietarinta-slash.json")
     code, out, _ = run(capsys, "equiv", a, a, "--p", "3",

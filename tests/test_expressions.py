@@ -90,5 +90,13 @@ def test_sample_binding_names_a_constraint_the_given_values_break():
     assert sample_binding(["q"], ["q*k"], seed=0, given={"k": Fraction(2)})["q"] != 0
 
 
+def test_sample_binding_keeps_a_given_value_of_a_sampled_name():
+    assert sample_binding(["k"], ["k"], 0, {"k": Fraction(5)})["k"] == 5
+    b = sample_binding(["k", "q"], ["k", "q"], 0, {"k": Fraction(5)})
+    assert b["k"] == 5 and b["q"] != 0
+    with pytest.raises(ConstraintViolated, match="'k'"):
+        sample_binding(["k", "q"], ["k"], 0, {"k": Fraction(0)})
+
+
 def test_params_collection():
     assert parse_expr("(a+b)*c^2 - i").params() == {"a", "b", "c"}

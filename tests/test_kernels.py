@@ -19,7 +19,7 @@ from ybx.braid import BraidWord
 from ybx.core import YBObject, braid_relations_check, is_ybe, make_ybo, rho
 from ybx.errors import SingularMatrix
 from ybx.scalars import GaussianRational, scalar_abs
-from ybx.tensor import Matrix, _rref_in_place, kron
+from ybx.tensor import Matrix, kron
 
 # about two entries in three are zero
 entry = st.tuples(st.integers(0, 2),
@@ -43,19 +43,16 @@ def from_sympy(M):
     return [[Fraction(int(v.p), int(v.q)) for v in M.row(r)] for r in range(M.rows)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
 def test_rref_matches_sympy(data):
-    rows = [list(row) for row in data]
-    pivots = _rref_in_place(rows, len(data[0]))
     expected, expected_pivots = to_sympy(data).rref()
+    M, pivots = Matrix.from_rows(data).rref()
     assert tuple(pivots) == expected_pivots
-    assert rows == from_sympy(expected)
-    M, matrix_pivots = Matrix.from_rows(data).rref()
-    assert M.data == rows and matrix_pivots == pivots
+    assert M.data == from_sympy(expected)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices(square=True))
 @example([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(0)]])
 @example([[Fraction(0), Fraction(0), Fraction(1)], [Fraction(0), Fraction(5), Fraction(0)],
@@ -67,7 +64,7 @@ def test_det_matches_sympy(data):
     assert Matrix.from_rows(data).det() == Fraction(int(expected.p), int(expected.q))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices(), st.data())
 def test_solve_right_matches_sympy(data, draw):
     A = Matrix.from_rows(data)
@@ -90,7 +87,7 @@ def test_solve_right_matches_sympy(data, draw):
     assert A.solve_right(Matrix.from_rows(rhs)).data == from_sympy(solution)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(sparse_matrices())
 def test_nullspace_matches_sympy(data):
     got = [[v.data[r][0] for r in range(v.rows)] for v in Matrix.from_rows(data).nullspace()]

@@ -1,4 +1,7 @@
 from fractions import Fraction
+from itertools import combinations
+
+import sympy
 
 from conftest import (
     ising_exact,
@@ -8,7 +11,7 @@ from conftest import (
 )
 from ybx.catalog import enumerate_permutation_solutions, permutation_to_ybo
 from ybx.constructions import boxplus, cable
-from ybx.core import YBObject, make_ybo
+from ybx.core import YBObject, group_type_build, make_ybo
 from ybx.structure import (
     canonical_subobject_form,
     decomposability,
@@ -17,6 +20,7 @@ from ybx.structure import (
     end_verify,
     extract_from_endo,
     hom_verify,
+    rank1_symmetric_elements,
     realign,
     segre_eigenvectors,
     vec_to_matrix,
@@ -327,3 +331,153 @@ def test_canonical_subobject_form():
     Q = Matrix.from_rows([[2, 0], [0, 3], [0, 3], [0, 0]])
     canon = canonical_subobject_form(Q)
     assert canon.data[0][0] == 1 and canon.data[1][1] == 1
+
+
+# -- the exact zero solver against sympy ----------------------------------------------
+
+
+def _sympy_zeros(eqs, syms):
+    """Common zeros of a polynomial system by sympy: the points when there
+    are finitely many and all are rational, else None."""
+    eqs = [e for e in (sympy.expand(e) for e in eqs) if e != 0]
+    if not syms:
+        return [] if eqs else [()]
+    if not eqs:
+        return None
+    basis = sympy.groebner(eqs, *syms, order="lex")
+    if list(basis.exprs) == [1]:
+        return []
+    if not basis.is_zero_dimensional:
+        return None
+    points = [tuple(sol.get(s) for s in syms)
+              for sol in sympy.solve(basis.exprs, syms, dict=True)]
+    if all(x is not None and x.is_rational for p in points for x in p):
+        return points
+    return None
+
+
+def _to_sympy(M):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in M.data])
+
+
+def _sympy_segre(R, N):
+    """{(ray, eigenvalue)} of R(v (x) v) = lam v (x) v on the charts
+    v = e_k + sum_{j>k} t_j e_j, or None when a chart holds infinitely many
+    or an irrational one."""
+    R = _to_sympy(R)
+    found = set()
+    for k in range(N):
+        ts = sympy.symbols(f"t1:{N - k}")
+        v = [0] * k + [1] + list(ts)
+        w = [v[u % N] * v[u // N] for u in range(N * N)]
+        Rw = R * sympy.Matrix(w)
+        lam = Rw[k + N * k]
+        points = _sympy_zeros([Rw[i] - lam * w[i] for i in range(N * N)], ts)
+        if points is None:
+            return None
+        for p in points:
+            at = dict(zip(ts, p))
+            found.add((tuple(str(sympy.sympify(x).subs(at)) for x in v), str(lam.subs(at))))
+    return found
+
+
+def _sympy_rank1(basis):
+    """Rays of v with v v^T in span(basis) on the charts B_i + sum_{j>i} u_j B_j,
+    or None when a chart holds infinitely many or an irrational one."""
+    basis = [_to_sympy(B) for B in basis]
+    n = basis[0].rows
+    rays = set()
+    for start in range(len(basis)):
+        us = sympy.symbols(f"u1:{len(basis) - start}")
+        M = basis[start] + sum((u * B for u, B in zip(us, basis[start + 1:])),
+                               sympy.zeros(n, n))
+        minors = [M[r1, c1] * M[r2, c2] - M[r1, c2] * M[r2, c1]
+                  for r1, r2 in combinations(range(n), 2) for c1, c2 in combinations(range(n), 2)]
+        points = _sympy_zeros(minors, us)
+        if points is None:
+            return None
+        for p in points:
+            X = M.subs(dict(zip(us, p)))
+            col = next((X[:, c] for c in range(n) if any(X[:, c])), None)
+            if col is not None:
+                lead = next(x for x in col if x)
+                rays.add(tuple(str(x / lead) for x in col))
+    return rays
+
+
+def _ray(v):
+    lead = next(v.data[r][0] for r in range(v.rows) if v.data[r][0])
+    return tuple(str(v.data[r][0] / lead) for r in range(v.rows))
+
+
+def _sym(*rows):
+    return Matrix.from_rows([list(r) for r in rows])
+
+
+def test_rational_zero_solver_matches_sympy():
+    """Segre at N = 2, 3 and rank one on spans of dimension 2, 3: complete
+    exactly when sympy finds finitely many solutions, all rational, and then
+    the same ones; otherwise every returned solution verifies."""
+    A3 = Matrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+    one3 = YBObject(1, 1, Matrix.from_rows([[Fraction(3)]]))
+    g2 = Matrix.from_rows([[0, 2], [1, 0]])
+    segre_cases = [
+        rightnotleft(),                                            # finite, rational
+        group_type_build([g2, g2], verify=True),                   # irrational
+        permutation_to_ybo(enumerate_permutation_solutions(2).solutions[0], 2),
+        group_type_build([Matrix.from_rows([[2, 1, 0], [0, 3, 1], [0, 0, 5]])] * 3,
+                         verify=True),
+        YBObject(3, 1, swap_matrix(3, 3).mul(kron(A3, A3))),       # irrational
+        boxplus(sampled_catalog_object("hietarinta:a-glue", 100), one3, Fraction(2)),
+        boxplus(sampled_catalog_object("perm:flip", 100), one3, Fraction(2)),  # continuum
+    ]
+    kinds = set()
+    for obj in segre_cases:
+        N = obj.slot_dim
+        for side in ("right", "left"):
+            R = obj.R if side == "right" else obj.R.transpose()
+            result = segre_eigenvectors(obj, side=side)
+            expected = _sympy_segre(R, N)
+            kinds.add(expected is None)
+            assert result.complete == (expected is not None)
+            if expected is not None:
+                assert {(_ray(v), str(lam)) for v, lam in result.pairs} == expected
+            for v, lam in result.pairs:
+                w = kron(v, v)
+                assert R.mul(w).eq(w.scale(lam))
+    E = lambda r, c, n: Matrix.from_rows(  # noqa: E731
+        [[int((i, j) in ((r, c), (c, r))) for j in range(n)] for i in range(n)])
+    rank1_cases = [
+        [E(0, 0, 2), E(1, 1, 2)],                                  # finite, rational
+        [E(0, 1, 2), _sym((1, 0), (0, 2))],                        # u = +-1/sqrt(2)
+        [E(0, 0, 3), E(1, 1, 3), E(2, 2, 3)],                      # finite, rational
+        [_sym((1, 0, 0), (0, 2, 0), (0, 0, 0)), E(0, 1, 3), E(2, 2, 3)],  # irrational
+        [E(0, 0, 2), E(1, 1, 2), E(0, 1, 2)],                      # continuum
+    ]
+    for basis in rank1_cases:
+        result = rank1_symmetric_elements(basis)
+        expected = _sympy_rank1(basis)
+        kinds.add(expected is None)
+        assert result.complete == (expected is not None)
+        if expected is not None:
+            assert {_ray(v) for v in result.vectors} == expected
+        n = basis[0].rows
+        for v in result.vectors:
+            target = [v.data[r][0] * v.data[c][0] for r in range(n) for c in range(n)]
+            system = Matrix.from_rows([[B.data[r][c] for B in basis]
+                                       for r in range(n) for c in range(n)])
+            system.solve_right(Matrix.from_rows([[x] for x in target]))
+    assert kinds == {True, False}
+
+
+def test_segre_irrational_eigenvectors_leave_search_incomplete():
+    # v = (sqrt 2, 1, 0) has R (v (x) v) = 2 v (x) v; only (0, 0, 1) is rational
+    A = Matrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, 3]])
+    result = segre_eigenvectors(YBObject(3, 1, swap_matrix(3, 3).mul(kron(A, A))))
+    assert not result.complete
+    assert [_ray(v) for v, _ in result.pairs] == [("0", "0", "1")]
+    # the eight-vertex summand carries the rays with s = +-sqrt(299)/13
+    obj = boxplus(sampled_catalog_object("hietarinta:eight-vertex", 200),
+                  YBObject(1, 1, Matrix.from_rows([[Fraction(3)]])), 2)
+    assert not segre_eigenvectors(obj).complete
