@@ -15,6 +15,7 @@ from .errors import (
     ZeroMu,
 )
 from .scalars import join_backend, promote
+from .structure import hom_verify
 from .tensor import Matrix, farr, kron, kron_all, swap_matrix
 
 
@@ -110,8 +111,7 @@ def is_automorphism(obj: YBObject, Q: Matrix, tol: float | None = None) -> bool:
             return False
     elif Q.rank(tol=DEFAULT_TOL if tol is None else tol) < Q.rows:
         return False
-    QQ = kron(Q, Q)
-    return QQ.mul(obj.R).eq(obj.R.mul(QQ), tol)
+    return hom_verify(Q, obj, obj, tol)
 
 
 def ds_transform(obj: YBObject, Q: Matrix, tol: float | None = None) -> YBObject:

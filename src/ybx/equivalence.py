@@ -10,7 +10,7 @@ yields an inconclusive verdict, never a refutation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -18,7 +18,7 @@ from .config import DEFAULT_TOL
 from .core import (
     YBObject,
     _letter_rows,
-    generator_image,
+    _word_rows,
     is_additive_cc,
     is_charge_conserving,
     make_ybo,
@@ -31,17 +31,16 @@ from .errors import (
     UnfactoredSpectrum,
     YbxError,
 )
-from .scalars import Backend, one, scalar_abs, to_complex, zero
+from .scalars import Backend, format_scalar, one, scalar_abs, to_complex, zero
 from .spectral import eig_to_complex, jordan_structure, spectrum
 from .structure import (
     Rank1Result,
+    hom_verify,
     intertwiner_space,
     intertwiner_space_numeric,
-    rank1_symmetric_elements,
     realign,
-    vec_to_matrix,
     _gauss_newton_starts,
-    _pair_space_basis,
+    _morphism_candidates,
     _rank1_numeric,
 )
 from .tensor import Matrix, kron, swap_matrix
@@ -156,8 +155,9 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
 
     Strategies: "diagonal", "monomial" (exact backends), "full" (the
     realignment route: Q (x) Q lies in the pencil {X : X R_A = R_B X}, and
-    realigned it is vec(Q) vec(Q)^T).  On exact backends "full" uses the
-    exact rank-one search; on the complex backend it solves
+    realigned it is vec(Q) vec(Q)^T).  On exact backends each strategy
+    tries the candidates that ``end_search`` reads too
+    (``structure._morphism_candidates``); on the complex backend "full" solves
     W^H vec(v v^T) = 0, det(vec^-1 v) = 1 by Gauss-Newton over the N^2
     entries of v, W spanning the complement of the realigned pencil, from
     up to 128 seeded starts, and stops at the first start that gives a
@@ -167,40 +167,20 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
     N = A.slot_dim
     if B.slot_dim != N:
         return None
-    backend = A.R.backend
-    exact = backend.is_exact and B.R.backend.is_exact
 
     def _ok(Q: Matrix) -> bool:
-        if not Q.is_invertible():
-            return False
-        QQ = kron(Q, Q)
-        return QQ.mul(A.R).eq(B.R.mul(QQ), tol)
+        return Q.is_invertible() and hom_verify(Q, A, B, tol)
 
-    if strategy in ("diagonal", "monomial"):
-        if not exact:
-            raise DimensionMismatch("diagonal/monomial witness search needs exact backends")
-        perms = [tuple(range(N))] if strategy == "diagonal" else list(permutations(range(N)))
-        for perm in perms:
-            P = Matrix.permutation(perm, backend)
-            PP = kron(P, P)
-            R_t = PP.transpose().mul(B.R).mul(PP)
-            basis = _pair_space_basis(A.R, R_t, N)
-            for v in rank1_symmetric_elements(basis, seed).vectors:
-                D = Matrix.diagonal([v.data[r][0] for r in range(N)], backend)
-                Q = P.mul(D)
+    if A.backend.is_exact and B.backend.is_exact:
+        for candidates, _ in _morphism_candidates(A, B, strategy, seed):
+            for Q in candidates:
                 if _ok(Q):
                     return Q
         return None
+    if strategy in ("diagonal", "monomial"):
+        raise DimensionMismatch("diagonal/monomial witness search needs exact backends")
     if strategy != "full":
         raise ValueError(f"unknown strategy {strategy!r}")
-    if exact:
-        pencil = intertwiner_space([B.R], [A.R])
-        result = rank1_symmetric_elements([realign(X, N) for X in pencil], seed)
-        for v in result.vectors:
-            Q = vec_to_matrix(v, N)
-            if _ok(Q):
-                return Q
-        return None
     pencil = _realigned_pencil_numeric(A, B)
     if not pencil:
         return None
@@ -213,9 +193,7 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
 
 def _realigned_pencil_numeric(A: YBObject, B: YBObject) -> list:
     """{X : X R_A = R_B X} on the complex backend, each X realigned."""
-    pencil = intertwiner_space_numeric([B.R.promote_to(Backend.COMPLEX_F)],
-                                       [A.R.promote_to(Backend.COMPLEX_F)])
-    return [realign(X, A.slot_dim) for X in pencil]
+    return [realign(X, A.slot_dim) for X in intertwiner_space_numeric(B, A)]
 
 
 def _witness_rank1(A: YBObject, B: YBObject, seed: int) -> Rank1Result:
@@ -280,36 +258,22 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
-        gens_A = [generator_image(A, n, i) for i in range(1, n)]
-        gens_B = [generator_image(B, n, i) for i in range(1, n)]
         scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** trace_word_len
         for word in _trace_words(n, trace_word_len):
-            ta = _word_trace(A, gens_A, n, word)
-            tb = _word_trace(B, gens_B, n, word)
-            if exact:
-                if ta != tb:
-                    return PEquivCertificate(p=p, verdict="not_equivalent", failed_n=n,
-                                             witness=f"trace of word {list(word)} differs "
-                                                     f"({_fmt(ta)} vs {_fmt(tb)})",
-                                             dims=cert.dims, intertwiners=cert.intertwiners)
-            elif abs(to_complex(ta) - to_complex(tb)) > tol * scale:
-                return PEquivCertificate(p=p, verdict="not_equivalent", failed_n=n,
-                                         witness=f"trace of word {list(word)} differs "
-                                                 f"({_fmt(ta)} vs {_fmt(tb)})",
-                                         dims=cert.dims, intertwiners=cert.intertwiners)
+            ta, tb = _word_trace(A, n, word), _word_trace(B, n, word)
+            if (ta != tb) if exact else abs(to_complex(ta) - to_complex(tb)) > tol * scale:
+                return replace(cert, verdict="not_equivalent", failed_n=n,
+                               witness=f"trace of word {list(word)} differs "
+                                       f"({format_scalar(ta)} vs {format_scalar(tb)})")
         if exact:
-            basis = intertwiner_space(gens_A, gens_B)
+            basis = intertwiner_space(A, B, n)
         else:
-            basis = intertwiner_space_numeric(
-                [g.promote_to(Backend.COMPLEX_F) for g in gens_A],
-                [g.promote_to(Backend.COMPLEX_F) for g in gens_B], tol)
+            basis = intertwiner_space_numeric(A, B, n, tol)
         cert.dims[n] = len(basis)
         cert.bases[n] = basis
         if not basis:
-            return PEquivCertificate(p=p, verdict="not_equivalent", failed_n=n,
-                                     witness="intertwiner space is zero",
-                                     dims=cert.dims, bases=cert.bases,
-                                     intertwiners=cert.intertwiners)
+            return replace(cert, verdict="not_equivalent", failed_n=n,
+                           witness="intertwiner space is zero")
         found = None
         for _ in range(5):
             coeffs = [rng.randint(-9, 9) for _ in basis]
@@ -324,31 +288,15 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                 found = T
                 break
         if found is None:
-            return PEquivCertificate(p=p, verdict="inconclusive_singular", failed_n=n,
-                                     witness="no invertible intertwiner found by sampling",
-                                     dims=cert.dims, bases=cert.bases,
-                                     intertwiners=cert.intertwiners)
+            return replace(cert, verdict="inconclusive_singular", failed_n=n,
+                           witness="no invertible intertwiner found by sampling")
         cert.intertwiners[n] = found
     return cert
 
 
-def _word_trace(obj: YBObject, gens: list, n: int, word):
-    M = None
-    inverses = {}
-    for e in word:
-        g = gens[abs(e) - 1]
-        if e < 0:
-            if e not in inverses:
-                inverses[e] = g.inverse()
-            g = inverses[e]
-        M = g if M is None else M.mul(g)
-    return M.trace()
-
-
-def _fmt(x) -> str:
-    from .scalars import format_scalar
-
-    return format_scalar(x)
+def _word_trace(obj: YBObject, n: int, word):
+    z = zero(obj.backend)
+    return sum((row.get(k, z) for k, row in enumerate(_word_rows(obj, n, word))), z)
 
 
 # -- stabilizer theorems -----------------------------------------------------------

@@ -1,10 +1,16 @@
 """Hom/End spaces, subobject and quotient extraction, product eigenvectors,
 decomposability, and duality verification.
 
-The quadratic condition (A (x) A) R = R (A (x) A) is attacked in two linear
-steps: first the commutant-style pencil {X : X R = R X} (or a variant), then
-a search for elements whose *realignment* is a symmetric rank-one matrix
-v v^T; such X are exactly the Kronecker squares A (x) A.  Product (Segre)
+Both notions of morphism are solved here.  Intertwiners of the braid
+representations, T rho_B(sigma_i) = rho_A(sigma_i) T on n strands, form the
+linear space ``intertwiner_space``.  A morphism of Yang-Baxter objects,
+(Q (x) Q) R_A = R_B (Q (x) Q), is quadratic in Q and is attacked in two
+linear steps: first the pencil {X : X R_A = R_B X} (or, for diagonal and
+monomial Q, a pair space), then a search for elements whose *realignment*
+is a symmetric rank-one matrix v v^T; such X are exactly the Kronecker
+squares Q (x) Q.  One generator of candidates, ``_morphism_candidates``,
+serves ``end_search`` and the exact ``local_witness_search``.  Every exact
+linear system is built as sparse rows for ``tensor.kernel``.  Product (Segre)
 eigenvectors R (v (x) v) = lam v (x) v are found the same way.  Both come
 down to the rational zeros of a small polynomial system in at most two
 unknowns, solved by one exact gcd-and-resultant solver: the rank-one
@@ -27,11 +33,11 @@ from math import isqrt
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core import YBObject
+from .core import YBObject, _letter_rows, check_dim, generator_image
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
-from .scalars import Backend, GaussianRational, one, zero
+from .scalars import Backend, GaussianRational, join_backend, one, zero
 from .spectral import _extract_verified_roots, poly_divmod
-from .tensor import Matrix, _eliminate, kron, pseudo_inverse
+from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse
 
 # -- realignment ----------------------------------------------------------------
 
@@ -80,49 +86,54 @@ def end_verify(obj: YBObject, A: Matrix, tol: float | None = None) -> bool:
 # -- linear pencils ----------------------------------------------------------------
 
 
-def intertwiner_space(As: list, Bs: list) -> list:
-    """Exact basis of {T : T B_i = A_i T for all i}; {X : X A = B X} is
-    intertwiner_space([B], [A])."""
-    m = As[0].rows
-    backend = As[0].backend
-    z = zero(backend)
+def _accumulate(p: dict, e, c) -> None:
+    """p[e] += c in a dict of nonzero values: a sparse row or a polynomial."""
+    x = p.get(e, 0) + c
+    if x:
+        p[e] = x
+    else:
+        p.pop(e, None)
+
+
+def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
+    """Exact basis of {T : T rho_B(sigma_i) = rho_A(sigma_i) T for i < n} on
+    n strands; {X : X R_A = R_B X} is intertwiner_space(B, A).
+
+    T[r][k] is unknown r mB + k.  Equation (r, c) takes B_i[k][c] at
+    r mB + k and -A_i[r][k] at k mB + c, read off the generators' local
+    actions (``core._letter_rows``) without building their images.
+    """
+    mA, mB = A.slot_dim ** n, B.slot_dim ** n
+    check_dim(max(mA, mB), f"intertwiners on {n} strands")
     rows = []
-    for A, B in zip(As, Bs):
-        for r in range(m):
-            for c in range(m):
-                row = [z] * (m * m)
-                for k in range(m):
-                    if B.data[k][c]:
-                        row[r * m + k] = row[r * m + k] + B.data[k][c]
-                    if A.data[r][k]:
-                        row[k * m + c] = row[k * m + c] - A.data[r][k]
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[z] * (m * m)]
-    system = Matrix(len(rows), m * m, backend, rows)
-    return [Matrix(m, m, backend,
-                   [[v.data[r * m + c][0] for c in range(m)] for r in range(m)])
-            for v in system.nullspace()]
+    for i in range(1, n):
+        eqs = [{} for _ in range(mA * mB)]  # equation (r, c) is eqs[r mB + c]
+        for k, row in enumerate(_letter_rows(B.R, B.slot_dim, n, i)):
+            for c, v in row:
+                for r in range(mA):
+                    _accumulate(eqs[r * mB + c], r * mB + k, v)
+        for r, row in enumerate(_letter_rows(A.R, A.slot_dim, n, i)):
+            for k, v in row:
+                for c in range(mB):
+                    _accumulate(eqs[r * mB + c], k * mB + c, -v)
+        rows.extend(eq for eq in eqs if eq)
+    backend = join_backend(A.backend, B.backend)
+    return [Matrix(mA, mB, backend, [vec[r * mB:(r + 1) * mB] for r in range(mA)])
+            for vec in kernel(rows, mA * mB, backend)]
 
 
-def intertwiner_space_numeric(As: list, Bs: list, tol: float = DEFAULT_TOL) -> list:
-    """Orthonormal basis of {T : T B_i = A_i T for all i}, by one SVD."""
-    m = As[0].rows
-    ident = np.eye(m)
+def intertwiner_space_numeric(A: YBObject, B: YBObject, n: int = 2,
+                              tol: float = DEFAULT_TOL) -> list:
+    """Orthonormal basis of the same space on the complex backend, by one SVD."""
+    mA, mB = A.slot_dim ** n, B.slot_dim ** n
     blocks = []
-    for A, B in zip(As, Bs):
-        a, b = A.to_numpy(), B.to_numpy()
-        blocks.append(np.kron(ident, b.T) - np.kron(a, ident))
-    lhs = np.vstack(blocks)
-    u, s, vh = np.linalg.svd(lhs)
+    for i in range(1, n):
+        a, b = generator_image(A, n, i).to_numpy(), generator_image(B, n, i).to_numpy()
+        blocks.append(np.kron(np.eye(mA), b.T) - np.kron(a, np.eye(mB)))
+    u, s, vh = np.linalg.svd(np.vstack(blocks))
     cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
     null = vh[int(np.sum(s > cutoff)):].conj()
-    return [Matrix.from_numpy(row.reshape(m, m)) for row in null]
-
-
-def commutant_basis(obj: YBObject) -> list:
-    return intertwiner_space([obj.R], [obj.R])
+    return [Matrix.from_numpy(row.reshape(mA, mB)) for row in null]
 
 
 # -- rational zeros of small polynomial systems ---------------------------------------
@@ -135,14 +146,6 @@ def commutant_basis(obj: YBObject) -> list:
 def _unit(j: int, k: int) -> tuple:
     """Exponent of the j-th of k unknowns; of the constant for j = -1."""
     return tuple(int(i == j) for i in range(k))
-
-
-def _accumulate(p: dict, e: tuple, c) -> None:
-    x = p.get(e, 0) + c
-    if x:
-        p[e] = x
-    else:
-        p.pop(e, None)
 
 
 def _padd(a: dict, b: dict, scale=1) -> dict:
@@ -297,21 +300,18 @@ def _symmetrize_basis(basis: list) -> list:
         return []
     n = basis[0].rows
     backend = basis[0].backend
-    z = zero(backend)
     rows = []
     for r in range(n):
         for c in range(r + 1, n):
-            row = [B.data[r][c] - B.data[c][r] for B in basis]
-            if any(row):
+            row = {i: x for i, B in enumerate(basis) if (x := B.data[r][c] - B.data[c][r])}
+            if row:
                 rows.append(row)
     if not rows:
         return list(basis)
-    system = Matrix(len(rows), len(basis), backend, rows)
     out = []
-    for coeff in system.nullspace():
+    for coeff in kernel(rows, len(basis), backend):
         M = Matrix.zeros(n, n, backend)
-        for i, B in enumerate(basis):
-            t = coeff.data[i][0]
+        for t, B in zip(coeff, basis):
             if t:
                 M = M.add(B.scale(t))
         out.append(M)
@@ -404,17 +404,12 @@ def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
             out.extend(_rank1_chart([sym[i], sym[j]])[0])
             for k in range(j + 1, cap):
                 out.extend(_rank1_chart([sym[i], sym[j], sym[k]])[0])
-    n = sym[0].rows
-    for v in _pattern_vectors(n, backend):
-        if _vvT_in_span(v, sym):
-            out.append(v)
     numeric = _rank1_numeric([B.promote_to(Backend.COMPLEX_F) for B in sym], seed,
                              _LINEAR_STARTS)
-    for v in numeric.vectors:
-        exact = _rationalize_vector(v, backend)
-        if exact is not None and _vvT_in_span(exact, sym):
-            out.append(exact)
-    out = [v for v in out if _vvT_in_span(v, sym)]
+    exact = (_rationalize_vector(v, backend) for v in numeric.vectors)
+    for v in chain(_pattern_vectors(sym[0].rows, backend), exact):
+        if v is not None and _vvT_in_span(v, sym):  # the charts' points lie in it
+            out.append(v)
     return Rank1Result(_dedupe_rays(out), False)
 
 
@@ -431,9 +426,6 @@ def _dedupe_rays(vectors: list) -> list:
 
 
 def _rationalize_vector(v: Matrix, backend: Backend):
-    from .scalars import GaussianRational
-
-    lead = None
     arr = [v.data[r][0] for r in range(v.rows)]
     lead = max(arr, key=abs)
     if not lead:
@@ -451,30 +443,23 @@ def _rationalize_vector(v: Matrix, backend: Backend):
             out.append(GaussianRational(re, im))
         else:
             return None
-    try:
-        return Matrix.from_rows([[x] for x in out], backend)
-    except Exception:
-        return None
+    return Matrix.from_rows([[x] for x in out], backend)
 
 
 def _vvT_in_span(v: Matrix, basis: list) -> bool:
-    n = v.rows
-    backend = v.backend
-    target = Matrix(n, n, backend,
-                    [[v.data[r][0] * v.data[c][0] for c in range(n)] for r in range(n)])
-    cols = []
-    for B in basis:
-        cols.append([B.data[r][c] for r in range(n) for c in range(n)])
-    rhs = [target.data[r][c] for r in range(n) for c in range(n)]
-    system = Matrix(n * n, len(basis), backend,
-                    [[col[i] for col in cols] for i in range(n * n)])
-    try:
-        system.solve_right(Matrix(n * n, 1, backend, [[x] for x in rhs]))
-        return True
-    except SingularMatrix:
-        return False
-    except Exception:
-        return False
+    """v v^T lies in span(basis) when, with its entries as the last column of
+    the system whose columns are the basis, that column holds no pivot."""
+    x = [v.data[r][0] for r in range(v.rows)]
+    k = len(basis)
+    rows = []
+    for r, xr in enumerate(x):
+        for c, xc in enumerate(x):
+            row = {j: B.data[r][c] for j, B in enumerate(basis) if B.data[r][c]}
+            if xr * xc:
+                row[k] = xr * xc
+            if row:
+                rows.append(row)
+    return k not in _eliminate(rows, k + 1)[0]
 
 
 _GN_STEPS = 50   # Gauss-Newton steps per start
@@ -578,26 +563,46 @@ def _pair_space_basis(R: Matrix, R_tilde: Matrix, N: int) -> list:
     symmetric rank-one P.
     """
     n2 = N * N
-    backend = R.backend
-    z = zero(backend)
     rows = []
     for u in range(n2):
         for v in range(n2):
-            x, y = R.data[u][v], R_tilde.data[u][v]
-            if x or y:
-                row = [z] * n2
-                row[u] = row[u] + x
-                row[v] = row[v] - y
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        rows = [[z] * n2]
-    system = Matrix(len(rows), n2, backend, rows)
-    out = []
-    for vec in system.nullspace():
-        out.append(Matrix(N, N, backend,
-                          [[vec.data[a + N * b][0] for b in range(N)] for a in range(N)]))
-    return out
+            row = {}
+            _accumulate(row, u, R.data[u][v])
+            _accumulate(row, v, -R_tilde.data[u][v])
+            if row:
+                rows.append(row)
+    backend = join_backend(R.backend, R_tilde.backend)
+    return [Matrix(N, N, backend, [[vec[a + N * b] for b in range(N)] for a in range(N)])
+            for vec in kernel(rows, n2, backend)]
+
+
+def _morphism_candidates(A: YBObject, B: YBObject, strategy: str, seed: int):
+    """Candidates Q for (Q (x) Q) R_A = R_B (Q (x) Q), lazily: yields
+    (candidates, complete) once per permutation or pencil searched.
+
+    ``full`` realigns the pencil {X : X R_A = R_B X} and reads Q off its
+    symmetric rank-one elements vec(Q) vec(Q)^T.  ``diagonal`` and
+    ``monomial`` take Q = P D for the identity P or every permutation P:
+    (D (x) D) R_A = R_P (D (x) D) with R_P = (P (x) P)^T R_B (P (x) P) says
+    the pair products p_(a + N b) = d_a d_b lie in the pair space of
+    (R_A, R_P).  Candidates are not verified.
+    """
+    N = A.slot_dim
+    backend = join_backend(A.backend, B.backend)
+    if strategy == "full":
+        result = rank1_symmetric_elements([realign(X, N) for X in intertwiner_space(B, A)],
+                                          seed)
+        yield [vec_to_matrix(v, N) for v in result.vectors], result.complete
+        return
+    if strategy not in ("diagonal", "monomial"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    for perm in [tuple(range(N))] if strategy == "diagonal" else permutations(range(N)):
+        P = Matrix.permutation(perm, backend)
+        PP = kron(P, P)
+        result = rank1_symmetric_elements(
+            _pair_space_basis(A.R, PP.transpose().mul(B.R).mul(PP), N), seed)
+        yield ([P.mul(Matrix.diagonal([v.data[r][0] for r in range(N)], backend))
+                for v in result.vectors], result.complete)
 
 
 def end_search(obj: YBObject, strategy: str = "diagonal", seed: int = 0) -> EndSearchResult:
@@ -606,40 +611,20 @@ def end_search(obj: YBObject, strategy: str = "diagonal", seed: int = 0) -> EndS
     Strategies: ``diagonal`` (complete over the rationals for pencil dim <= 2),
     ``monomial`` (permutation times diagonal), ``commutant`` (full pencil plus
     rank-one realignment).  The identity and zero are always included.
+    Exact backends only: the complex backend raises BackendMismatch.
     """
     N = obj.slot_dim
     backend = obj.R.backend
     elements: list[Matrix] = [Matrix.identity(N, backend), Matrix.zeros(N, N, backend)]
     complete = True
+    for candidates, done in _morphism_candidates(
+            obj, obj, "full" if strategy == "commutant" else strategy, seed):
+        elements.extend(candidates)
+        complete = complete and done
     if strategy == "diagonal":
-        basis = _pair_space_basis(obj.R, obj.R, N)
-        result = rank1_symmetric_elements(basis, seed)
-        complete = result.complete
-        for v in result.vectors:
-            elements.append(Matrix.diagonal([v.data[r][0] for r in range(N)], backend))
         for bits in range(1, 2 ** N - 1):
             vals = [one(backend) if bits >> i & 1 else zero(backend) for i in range(N)]
             elements.append(Matrix.diagonal(vals, backend))
-    elif strategy == "monomial":
-        for perm in permutations(range(N)):
-            P = Matrix.permutation(perm, backend)
-            PP = kron(P, P)
-            R_t = PP.transpose().mul(obj.R).mul(PP)
-            basis = _pair_space_basis(obj.R, R_t, N)
-            result = rank1_symmetric_elements(basis, seed)
-            complete = complete and result.complete
-            for v in result.vectors:
-                D = Matrix.diagonal([v.data[r][0] for r in range(N)], backend)
-                elements.append(P.mul(D))
-    elif strategy == "commutant":
-        basis = commutant_basis(obj)
-        realigned = [realign(X, N) for X in basis]
-        result = rank1_symmetric_elements(realigned, seed)
-        complete = result.complete
-        for v in result.vectors:
-            elements.append(vec_to_matrix(v, N))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     out = []
     seen = set()
     for A in elements:
@@ -649,7 +634,7 @@ def end_search(obj: YBObject, strategy: str = "diagonal", seed: int = 0) -> EndS
         if key in seen:
             continue
         seen.add(key)
-        out.append(EndoElement(A, A.rank() if backend.is_exact else A.rank(tol=DEFAULT_TOL)))
+        out.append(EndoElement(A, A.rank()))
     return EndSearchResult(out, complete)
 
 

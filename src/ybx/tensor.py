@@ -14,8 +14,10 @@ Conventions, fixed once here and relied on everywhere else:
 Storage stays dense: ``Matrix.data`` is the public list of row lists.  The
 two exact hot loops work on sparse rows instead, one ``{col: value}`` dict
 per row holding only the nonzero entries: the elimination kernel here
-(behind rref, rank, nullspace, solve, inverse and det) and the braid word
-product in ``ybx.core``.  ``sparse_rows`` and ``dense_rows`` convert.
+(behind rref, rank, solve, inverse, det and ``kernel``, the one exact
+nullspace, which the linear systems of ``ybx.structure`` fill directly) and
+the braid word product in ``ybx.core``.  ``sparse_rows`` and ``dense_rows``
+convert.
 
 All decision procedures (rank, nullspace, solve, inverse, det) require an
 exact backend; the complex-float backend only supports them with an explicit
@@ -303,20 +305,8 @@ class Matrix:
 
     def nullspace(self) -> list:
         """Exact basis of the right nullspace, as a list of column Matrices."""
-        self._require_exact("nullspace")
-        rows = sparse_rows(self.data)
-        pivots = _eliminate(rows, self.cols)[0]
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        z, o = zero(self.backend), one(self.backend)
-        for fc in free:
-            vec = [z] * self.cols
-            vec[fc] = o
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rows[r].get(fc, z)
-            basis.append(Matrix(self.cols, 1, self.backend, [[v] for v in vec]))
-        return basis
+        return [Matrix(self.cols, 1, self.backend, [[v] for v in vec])
+                for vec in kernel(sparse_rows(self.data), self.cols, self.backend)]
 
     def solve_right(self, rhs: "Matrix") -> "Matrix":
         """Exact solution X of self @ X = rhs; raises if inconsistent/underdetermined."""
@@ -411,6 +401,30 @@ def dense_rows(rows, ncols: int, z) -> list:
             dense[c] = v
         out.append(dense)
     return out
+
+
+def kernel(rows, ncols: int, backend: Backend) -> list:
+    """Exact basis of {x : sum_c row[c] x[c] = 0 for every sparse row}.
+
+    One dense vector per non-pivot column f, in increasing order: 1 at f and
+    minus the reduced rows' entries of column f at the pivots.  The rows are
+    eliminated in place; complex-f rows are refused.
+    """
+    if not backend.is_exact:
+        raise BackendMismatch("kernel requires an exact backend (got complex-f)")
+    pivots = _eliminate(rows, ncols)[0]
+    pivot_set = set(pivots)
+    z, o = zero(backend), one(backend)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [z] * ncols
+        vec[fc] = o
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row.get(fc, z)
+        basis.append(vec)
+    return basis
 
 
 def _eliminate(rows, stop_col: int):

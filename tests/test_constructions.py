@@ -23,7 +23,7 @@ from ybx.core import YBObject, is_group_type, make_ybo, rho
 from ybx.errors import NotAnAutomorphism, SizeCeiling, ZeroMu
 from ybx.expressions import ParamBinding
 from ybx.spectral import eig_to_complex, spectrum
-from ybx.structure import segre_eigenvectors
+from ybx.structure import intertwiner_space, segre_eigenvectors
 from ybx.tensor import Matrix, kron, swap_matrix
 
 
@@ -78,6 +78,8 @@ def test_size_ceiling_before_allocation():
     assert lash(big, obj, verify=False).N == 12
     with pytest.raises(SizeCeiling):
         lash(big, obj)                           # verifying needs 12^3 rows
+    with pytest.raises(SizeCeiling):
+        intertwiner_space(obj, obj, 11)          # 2^11 rows, 2^22 unknowns
 
 
 def test_lash_unit():

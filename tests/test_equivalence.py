@@ -374,3 +374,16 @@ def test_x_symmetry_n3_diagonal_solve(rng):
                              for _ in range(9)])
         report = x_symmetry_check(obj, X, 4)
         assert report.ok and report.method == "ratio-propagation"
+
+
+def test_exact_witness_search_across_exact_backends():
+    # an exact-q object against its twin under a Gaussian diagonal Q: the
+    # witness has Gaussian entries, so every strategy must search over Q(i)
+    from ybx.scalars import GaussianRational
+
+    obj = sampled_catalog_object("hietarinta:eight-vertex", 100)
+    twin = phi_q(obj, Matrix.from_rows([[GaussianRational(1, 1), 0], [0, 2]]))
+    for strategy in ("diagonal", "monomial", "full"):
+        Q = local_witness_search(obj, twin, strategy=strategy)
+        assert Q is not None and Q.is_invertible()
+        assert kron(Q, Q).mul(obj.R).eq(twin.R.mul(kron(Q, Q)))

@@ -1,0 +1,95 @@
+"""Frozen behaviour of the morphism searches and of p-equivalence.
+
+The inputs are the 14 exact rank-2 catalog entries at the bindings
+``sample_entry_binding(e, 100)`` and ``(e, 101)``.  The SHA-256 digests pin,
+byte for byte, what the implementation returned when they were taken:
+
+* ``end_search`` with every strategy: elements in order, ranks, ``complete``;
+* ``local_witness_search`` (diagonal, monomial, full) against a diagonal and
+  an anti-diagonal twin (Q (x) Q) R (Q (x) Q)^-1 of each object;
+* ``p_equivalent(p=3)`` against both twins and between catalog neighbours at
+  the same seed: verdict, ``failed_n``, witness string and dimensions.
+
+The sampled intertwiners are not pinned; each is checked to be invertible
+and to intertwine the dense generator images exactly.
+"""
+
+import hashlib
+
+from conftest import sampled_catalog_object
+from ybx.catalog import catalog_ids
+from ybx.constructions import phi_q
+from ybx.core import generator_image
+from ybx.equivalence import local_witness_search, p_equivalent
+from ybx.structure import end_search, hom_verify
+from ybx.tensor import Matrix
+
+SEEDS = (100, 101)
+DIAGONAL_Q = ((2, 0), (0, -3))
+ANTI_DIAGONAL_Q = ((0, 3), (2, 0))
+
+END_SEARCH_SHA256 = "66494124c1bedd121ee8dd6385b95e9ea395fd87e4f5e36dac93e119b0797b3a"
+WITNESS_SHA256 = "e6a51d73afde4e14d0e3c6e1ba9e0181d6034b65be8c8fb3af449522b0a1fc3b"
+P_EQUIVALENT_SHA256 = "282f207d2b1e53f4d462d2b5898211e17c27489d3d522f2854eb7aa8c57da0a5"
+
+
+def _digest(record) -> str:
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+def _cells(M):
+    return None if M is None else [[str(x) for x in row] for row in M.data]
+
+
+def _objects():
+    return [(f"{entry_id}@{seed}", sampled_catalog_object(entry_id, seed))
+            for seed in SEEDS for entry_id in catalog_ids()]
+
+
+def _twins(obj):
+    return [(label, phi_q(obj, Matrix.from_rows(Q)))
+            for label, Q in (("diagonal", DIAGONAL_Q), ("anti-diagonal", ANTI_DIAGONAL_Q))]
+
+
+def test_end_search_frozen():
+    record = []
+    for name, obj in _objects():
+        for strategy in ("diagonal", "monomial", "commutant"):
+            result = end_search(obj, strategy)
+            record.append((name, strategy, result.complete,
+                           [(_cells(e.A), e.rank) for e in result.elements]))
+    assert _digest(record) == END_SEARCH_SHA256
+
+
+def test_local_witness_search_frozen():
+    record = []
+    for name, obj in _objects():
+        for label, twin in _twins(obj):
+            for strategy in ("diagonal", "monomial", "full"):
+                Q = local_witness_search(obj, twin, strategy=strategy)
+                assert Q is None or (Q.is_invertible() and hom_verify(Q, obj, twin))
+                record.append((name, label, strategy, _cells(Q)))
+    assert _digest(record) == WITNESS_SHA256
+
+
+def _check_intertwiners(A, B, cert):
+    for n, T in cert.intertwiners.items():
+        assert T.is_invertible()
+        for i in range(1, n):
+            assert T.mul(generator_image(B, n, i)).eq(generator_image(A, n, i).mul(T))
+
+
+def test_p_equivalent_frozen():
+    objects = _objects()
+    pairs = [(f"{name}~{label}", obj, twin)
+             for name, obj in objects for label, twin in _twins(obj)]
+    per_seed = len(objects) // len(SEEDS)
+    pairs += [(f"{a[0]}~{b[0]}", a[1], b[1])
+              for k in range(0, len(objects), per_seed)
+              for a, b in zip(objects[k:k + per_seed], objects[k + 1:k + per_seed])]
+    record = []
+    for name, A, B in pairs:
+        cert = p_equivalent(A, B, 3)
+        _check_intertwiners(A, B, cert)
+        record.append((name, cert.verdict, cert.failed_n, cert.witness, cert.dims))
+    assert _digest(record) == P_EQUIVALENT_SHA256

@@ -1,0 +1,190 @@
+"""The exact linear systems of ybx.structure against sympy.
+
+``intertwiner_space`` is compared with sympy's nullspace over Q(i) of the
+stacked dense system I (x) B_i^T - A_i (x) I (T flattened row by row), built
+from ``generator_image``.  The pair-space, symmetrization and span-membership
+helpers are compared with sympy on random sparse rational input.  The one
+exact kernel under them refuses the complex backend.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
+
+from conftest import ising_unitary, sampled_catalog_object
+from ybx.constructions import phi_q
+from ybx.core import generator_image, make_ybo
+from ybx.equivalence import local_witness_search
+from ybx.errors import BackendMismatch, DimensionMismatch
+from ybx.scalars import Backend, GaussianRational
+from ybx.structure import (
+    _pair_space_basis,
+    _symmetrize_basis,
+    _vvT_in_span,
+    end_search,
+    intertwiner_space,
+)
+from ybx.tensor import Matrix, kernel
+
+# two entries in three are zero
+entry = st.sampled_from([Fraction(0)] * 12
+                        + [Fraction(x) for x in ("1", "-1", "2", "-3", "1/2", "-5/4")])
+
+
+def square(n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def qq_i(x):
+    """An exact scalar as an element of sympy's Q(i)."""
+    re, im = (x.re, x.im) if isinstance(x, GaussianRational) else (x, 0)
+    return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+
+def domain(rows):
+    """sympy's exact matrix over Q(i) with the given rows of Q(i) elements."""
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ_I)
+
+
+def flat(M):
+    return [qq_i(x) for row in M.data for x in row]
+
+
+def rank(vectors):
+    return domain(vectors).rank() if vectors else 0
+
+
+def same_span(got, expected):
+    return len(got) == len(expected) == rank(got) == rank(got + expected)
+
+
+# -- the kernel refuses complex-f -----------------------------------------------
+
+
+def test_exact_kernel_refuses_complex_backend():
+    obj = make_ybo(2, ising_unitary(), tol=1e-9)
+    with pytest.raises(BackendMismatch, match="exact backend"):
+        kernel([{0: complex(1)}], 2, Backend.COMPLEX_F)
+    with pytest.raises(BackendMismatch, match="exact backend"):
+        intertwiner_space(obj, obj)
+    for strategy in ("diagonal", "monomial", "commutant"):
+        with pytest.raises(BackendMismatch, match="exact backend"):
+            end_search(obj, strategy)
+    for strategy in ("diagonal", "monomial"):
+        with pytest.raises(DimensionMismatch):
+            local_witness_search(obj, obj, strategy=strategy)
+
+
+# -- intertwiner spaces ----------------------------------------------------------
+
+
+def _promoted(obj):
+    return make_ybo(obj.N, obj.R.promote_to(Backend.EXACT_QI))
+
+
+def _pairs():
+    """Exact-q pairs, their exact-qi promotions, and twins under Gaussian Q."""
+    a = sampled_catalog_object("hietarinta:a", 100)
+    ising = sampled_catalog_object("hietarinta:ising", 100)
+    glue = sampled_catalog_object("hietarinta:slash-glue-1", 100)
+    eight = sampled_catalog_object("hietarinta:eight-vertex", 101)
+    eight_twin = phi_q(eight, Matrix.from_rows([[1, 2], [3, 4]]))
+    gaussian_Q = Matrix.from_rows([[1, GaussianRational(0, 1)], [2, GaussianRational(1, 1)]])
+    return [(a, a), (a, ising), (glue, glue), (eight, eight_twin),
+            (a, phi_q(a, Matrix.from_rows([[0, 3], [2, 0]]))),
+            (_promoted(a), _promoted(ising)), (_promoted(eight), _promoted(eight_twin)),
+            (a, phi_q(a, gaussian_Q)), (phi_q(_promoted(eight), gaussian_Q), _promoted(eight))]
+
+
+def _kron(a, b):
+    return [[x * y if x and y else QQ_I.zero for x in arow for y in brow]
+            for arow in a for brow in b]
+
+
+def _eye(m):
+    return [[QQ_I.one if r == c else QQ_I.zero for c in range(m)] for r in range(m)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_intertwiner_space_matches_sympy(n):
+    dims = []
+    for A, B in _pairs():
+        system = []
+        for i in range(1, n):
+            a, b = ([[qq_i(x) for x in row] for row in generator_image(X, n, i).data]
+                    for X in (A, B))
+            b_t = [list(col) for col in zip(*b)]
+            system += [[x - y for x, y in zip(r1, r2)]
+                       for r1, r2 in zip(_kron(_eye(len(a)), b_t), _kron(a, _eye(len(b))))]
+        basis = intertwiner_space(A, B, n)
+        assert same_span([flat(T) for T in basis], domain(system).nullspace().to_list())
+        for T in basis:
+            for i in range(1, n):
+                assert T.mul(generator_image(B, n, i)).eq(generator_image(A, n, i).mul(T))
+        dims.append(len(basis))
+    assert 0 in dims and len(set(dims)) > 2
+
+
+# -- the helpers of the rank-one search --------------------------------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pair_space_basis_matches_sympy(data):
+    N = data.draw(st.integers(1, 3))
+    R = data.draw(square(N * N))
+    R_t = R if data.draw(st.booleans()) else data.draw(square(N * N))
+    system = []
+    for u in range(N * N):
+        for v in range(N * N):
+            row = [Fraction(0)] * (N * N)
+            row[u] += R[u][v]
+            row[v] -= R_t[u][v]
+            system.append([qq_i(x) for x in row])
+    got = [[qq_i(P.data[a][b]) for b in range(N) for a in range(N)]
+           for P in _pair_space_basis(Matrix.from_rows(R), Matrix.from_rows(R_t), N)]
+    assert same_span(got, domain(system).nullspace().to_list())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_symmetrize_basis_matches_sympy(data):
+    n = data.draw(st.integers(1, 3))
+    basis = [Matrix.from_rows(M) for M in data.draw(st.lists(square(n), min_size=1, max_size=5))]
+    symmetric = data.draw(st.booleans())
+    if symmetric:
+        basis = [M.add(M.transpose()) for M in basis]
+    assume(rank([flat(M) for M in basis]) == len(basis))
+    antisymmetric = rank([flat(M.sub(M.transpose())) for M in basis])
+    got = _symmetrize_basis(basis)
+    if symmetric:   # returned as it is
+        assert [M.data for M in got] == [M.data for M in basis]
+    assert len(got) == len(basis) - antisymmetric == rank([flat(M) for M in got])
+    for M in got:
+        assert M.eq(M.transpose())
+        assert rank([flat(B) for B in basis] + [flat(M)]) == len(basis)
+
+
+def test_vvT_in_a_dependent_spanning_set():
+    basis = [Matrix.from_rows(M) for M in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]])]
+    assert _vvT_in_span(Matrix.column([1, 0]), basis)
+    assert not _vvT_in_span(Matrix.column([1, 1]), basis)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_vvT_in_span_matches_sympy(data):
+    n = data.draw(st.integers(1, 3))
+    v = Matrix.column(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    vvT = v.mul(v.transpose())
+    basis = [Matrix.from_rows(M) for M in data.draw(st.lists(square(n), min_size=1, max_size=4))]
+    if data.draw(st.booleans()):   # put v v^T in the span
+        basis.append(vvT.sub(basis[0]))
+    if data.draw(st.booleans()):   # make the spanning set dependent
+        basis.append(basis[-1].add(basis[0]))
+    flats = [flat(M) for M in basis]
+    assert _vvT_in_span(v, basis) == (rank(flats + [flat(vvT)]) == rank(flats))
