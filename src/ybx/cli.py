@@ -322,6 +322,7 @@ def _cmd_equiv(args) -> int:
         "command": "equiv", "p": args.p, "verdict": cert.verdict,
         "failed_n": cert.failed_n, "witness": cert.witness,
         "dims": {str(k): v for k, v in cert.dims.items()},
+        "traces": {str(k): v for k, v in cert.traces.items()},
         "summary": f"p-equivalence (p = {args.p}): {cert.verdict}"
                    + (f" at n = {cert.failed_n} ({cert.witness})" if cert.failed_n else ""),
     })

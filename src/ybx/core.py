@@ -139,18 +139,23 @@ def _word_rows(obj: YBObject, n: int, letters) -> list:
             if e < 0 and inverse is None:
                 inverse = obj.R.inverse()
             step = steps[e] = _letter_rows(inverse if e < 0 else obj.R, w, n, abs(e))
-        product = []
-        for row in rows:
-            out = {}
-            for k, v in row.items():
-                for c, r in step[k]:
-                    if c in out:
-                        out[c] += v * r
-                    else:
-                        out[c] = v * r
-            product.append({c: x for c, x in out.items() if x})
-        rows = product
+        rows = _times(rows, step)
     return rows
+
+
+def _times(rows: list, step: list) -> list:
+    """Sparse rows {col: value} times a letter's [(col, value)] rows (``_letter_rows``)."""
+    product = []
+    for row in rows:
+        out = {}
+        for k, v in row.items():
+            for c, r in step[k]:
+                if c in out:
+                    out[c] += v * r
+                else:
+                    out[c] = v * r
+        product.append({c: x for c, x in out.items() if x})
+    return product
 
 
 def _dense(obj: YBObject, rows) -> Matrix:

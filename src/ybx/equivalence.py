@@ -18,7 +18,7 @@ from .config import DEFAULT_TOL
 from .core import (
     YBObject,
     _letter_rows,
-    _word_rows,
+    _times,
     is_additive_cc,
     is_charge_conserving,
     make_ybo,
@@ -43,23 +43,47 @@ from .structure import (
     _morphism_candidates,
     _rank1_numeric,
 )
-from .tensor import Matrix, kron, swap_matrix
+from .tensor import Matrix, kron
 
 # -- local invariants ---------------------------------------------------------
 
 
 def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
-    """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap."""
-    P = swap_matrix(obj.slot_dim, obj.slot_dim, obj.R.backend)
-    letters = {"R": obj.R, "P": P}
-    out = {}
-    for length in range(1, L + 1):
-        for word in product("RP", repeat=length):
-            M = None
-            for ch in word:
-                M = letters[ch] if M is None else M.mul(letters[ch])
-            out["".join(word)] = M.trace()
-    return out
+    """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap, in
+    length order, from sparse rows on two slots: one per cyclic class (``_word_traces``)."""
+    w, o = obj.slot_dim, one(obj.backend)
+    letters = {1: _letter_rows(obj.R, w, 2, 1),
+               2: [[(k // w + w * (k % w), o)] for k in range(w * w)]}
+    words = [word for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
+    return {"".join("RP"[e - 1] for e in word): t
+            for word, t in _word_traces(letters, words, obj.backend)}
+
+
+def _word_traces(letter_rows: dict, words, backend: Backend):
+    """Yield (word, trace) for each word (a tuple) in turn, one per ``_cyclic_key``,
+    the letters' rows as ``core._letter_rows`` gives them: sum_k (sum_j P[k][j] L[j][k])
+    for the memoised prefix rows P and last letter L, in the order P L adds them."""
+    prefixes = {(): [{k: one(backend)} for k in range(len(next(iter(letter_rows.values()))))]}
+    traces = {}
+    for word in words:
+        key = _cyclic_key(word)
+        if key not in traces:
+            for i in range(1, len(word)):
+                if word[:i] not in prefixes:
+                    prefixes[word[:i]] = _times(prefixes[word[:i - 1]], letter_rows[word[i - 1]])
+            last = letter_rows[word[-1]]
+            diagonal = ([v * r for j, v in row.items() for c, r in last[j] if c == k]
+                        for k, row in enumerate(prefixes[word[:-1]]))
+            traces[key] = sum((sum(d[1:], d[0]) for d in diagonal if d), zero(backend))
+        yield word, traces[key]
+
+
+def _cyclic_key(word) -> tuple:
+    """The least rotation of the cyclically reduced word, -e the inverse of e:
+    tr(uv) = tr(vu) and tr(g w g^-1) = tr(w), so one key means one trace."""
+    while len(word) > 1 and word[0] == -word[-1]:
+        word = word[1:-1]
+    return min(word[i:] + word[:i] for i in range(len(word)))
 
 
 @dataclass
@@ -134,12 +158,10 @@ def local_distinguish(A: YBObject, B: YBObject, L: int = 4,
         if [j[1] for j in ja] != [j[1] for j in jb]:
             return ("distinguished", "jordan block structures differ")
     scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** L
+    exact = ra.backend.is_exact and rb.backend.is_exact
     for word, ta in ra.traces.items():
         tb = rb.traces[word]
-        if ra.backend.is_exact and rb.backend.is_exact:
-            if ta != tb:
-                return ("distinguished", f"trace of flip word {word} differs")
-        elif abs(to_complex(ta) - to_complex(tb)) > tol * scale:
+        if (ta != tb) if exact else abs(to_complex(ta) - to_complex(tb)) > tol * scale:
             return ("distinguished", f"trace of flip word {word} differs")
     return ("same", None)
 
@@ -221,29 +243,27 @@ class PEquivCertificate:
     dims: dict = field(default_factory=dict)
     bases: dict = field(default_factory=dict)         # n -> intertwiner-space basis
     intertwiners: dict = field(default_factory=dict)  # n -> exact invertible sample
+    traces: dict = field(default_factory=dict)        # n -> [words compared, traces computed]
 
 
-def _trace_words(n: int, max_len: int):
-    gens = [g for i in range(1, n) for g in (i, -i)]
-    for length in range(1, max_len + 1):
-        for word in product(gens, repeat=length):
-            reduced = []
-            for e in word:
-                if reduced and reduced[-1] == -e:
-                    reduced.pop()
-                else:
-                    reduced.append(e)
-            if len(reduced) == length:
-                yield word
+def _trace_words(letters, max_len: int) -> list:
+    """The freely reduced words of length 1..max_len in the letters, -e inverting e."""
+    return [word for length in range(1, max_len + 1) for word in product(letters, repeat=length)
+            if all(a != -b for a, b in zip(word, word[1:]))]
+
+
+def _generator_letters(obj: YBObject, inverse: Matrix, n: int) -> dict:
+    return {e: _letter_rows(obj.R if e > 0 else inverse, obj.slot_dim, n, abs(e))
+            for i in range(1, n) for e in (i, -i)}
 
 
 def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                  trace_word_len: int = 3, tol: float | None = None) -> PEquivCertificate:
     """Decide simultaneous similarity of the braid representations up to n = p.
 
-    For each n <= p: compare traces over short words (an exact invariant),
-    then solve the intertwiner space and sample five random combinations for
-    invertibility.  All-singular sampling yields "inconclusive_singular".
+    For each n <= p: compare the traces of short words (an exact invariant, by
+    ``_word_traces``), then solve the intertwiner space and sample five random
+    combinations for invertibility.  All-singular sampling yields "inconclusive_singular".
     """
     if p < 2:
         raise YbxError(f"p must be at least 2, got {p}: n = 2 is the first braid group compared")
@@ -254,13 +274,19 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                                  witness=f"slot dimensions {A.slot_dim} vs {B.slot_dim}")
     exact = A.R.backend.is_exact and B.R.backend.is_exact
     rng = random.Random(seed)
+    inverses = (A.R.inverse(), B.R.inverse())
     for n in range(2, p + 1):
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
         scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** trace_word_len
-        for word in _trace_words(n, trace_word_len):
-            ta, tb = _word_trace(A, n, word), _word_trace(B, n, word)
+        letters = [_generator_letters(obj, inverse, n) for obj, inverse in zip((A, B), inverses)]
+        words = _trace_words(letters[0], trace_word_len)
+        streams = [_word_traces(rows, words, obj.backend) for rows, obj in zip(letters, (A, B))]
+        classes = set()
+        for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
+            classes.add(_cyclic_key(word))
+            cert.traces[n] = [count, len(classes)]
             if (ta != tb) if exact else abs(to_complex(ta) - to_complex(tb)) > tol * scale:
                 return replace(cert, verdict="not_equivalent", failed_n=n,
                                witness=f"trace of word {list(word)} differs "
@@ -282,9 +308,7 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                 if c:
                     term = Bmat.scale(Fraction(c) if exact else complex(c))
                     T = term if T is None else T.add(term)
-            if T is None:
-                continue
-            if T.is_invertible():
+            if T is not None and T.is_invertible():
                 found = T
                 break
         if found is None:
@@ -292,11 +316,6 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                            witness="no invertible intertwiner found by sampling")
         cert.intertwiners[n] = found
     return cert
-
-
-def _word_trace(obj: YBObject, n: int, word):
-    z = zero(obj.backend)
-    return sum((row.get(k, z) for k, row in enumerate(_word_rows(obj, n, word))), z)
 
 
 # -- stabilizer theorems -----------------------------------------------------------

@@ -387,3 +387,106 @@ def test_exact_witness_search_across_exact_backends():
         Q = local_witness_search(obj, twin, strategy=strategy)
         assert Q is not None and Q.is_invertible()
         assert kron(Q, Q).mul(obj.R).eq(twin.R.mul(kron(Q, Q)))
+
+
+# -- word traces ------------------------------------------------------------------
+
+
+def _rows_trace(obj, n, word):
+    """Oracle: the trace of the word's rows multiplied out from the identity."""
+    from ybx.core import _word_rows
+    from ybx.scalars import zero
+
+    z = zero(obj.backend)
+    return sum((row.get(k, z) for k, row in enumerate(_word_rows(obj, n, word))), z)
+
+
+def _shared_prefix_traces(obj, n, max_len):
+    from ybx.equivalence import _generator_letters, _trace_words, _word_traces
+
+    letters = _generator_letters(obj, obj.R.inverse(), n)
+    words = _trace_words(letters, max_len)
+    return words, list(_word_traces(letters, words, obj.backend))
+
+
+def test_word_traces_match_word_rows_products_exact():
+    # length 4 holds words with one multiset of letters in distinct cyclic
+    # classes, such as (1, 1, 2, 2) and (1, 2, 1, 2)
+    from ybx.catalog import catalog_ids, sample_entry_binding
+    from ybx.equivalence import _cyclic_key
+
+    for entry_id in catalog_ids():
+        obj = catalog_get(entry_id, sample_entry_binding(entry_id, 3))
+        assert obj.backend.is_exact
+        for n, max_len, classes in ((2, 3, 6), (3, 3, 24), (3, 4, 50)):
+            words, traces = _shared_prefix_traces(obj, n, max_len)
+            assert [word for word, _ in traces] == words
+            assert len({_cyclic_key(word) for word in words}) == classes
+            for word, trace in traces:
+                assert trace == _rows_trace(obj, n, word), (entry_id, word)
+
+
+def test_word_traces_match_word_rows_products_complex_twin():
+    for entry_id, params, _ in TWIN_CASES:
+        for obj in _twinned_pair(entry_id, params, 0):
+            for n in (2, 3):
+                for word, trace in _shared_prefix_traces(obj, n, 3)[1]:
+                    expected = _rows_trace(obj, n, word)
+                    assert abs(trace - expected) <= 1e-9 * max(1.0, abs(expected)), word
+
+
+def test_flip_word_traces_match_dense_products():
+    from itertools import product
+
+    from ybx.catalog import catalog_ids, sample_entry_binding
+    from ybx.tensor import swap_matrix
+
+    for entry_id in catalog_ids():
+        obj = catalog_get(entry_id, sample_entry_binding(entry_id, 3))
+        letters = {"R": obj.R, "P": swap_matrix(obj.slot_dim, obj.slot_dim, obj.backend)}
+        expected = {}
+        for length in range(1, 5):
+            for word in product("RP", repeat=length):
+                M = letters[word[0]]
+                for letter in word[1:]:
+                    M = M.mul(letters[letter])
+                expected["".join(word)] = M.trace()
+        traces = flip_word_traces(obj, 4)
+        assert list(traces) == list(expected) and len(traces) == 30
+        assert traces == expected, entry_id
+
+
+# Negative verdicts as the per-word traces gave them: the first differing
+# word, its traces and failed_n must not move.
+NEGATIVE_VERDICTS = [
+    ("hietarinta:slash-ds", "hietarinta:slash-glue-2", 3, 2,
+     "trace of word [1, 1] differs (14/75 vs 36/25)", {2: [3, 3]}),
+    ("hietarinta:a-glue", "match2:F/", 8, 2,
+     "trace of word [-1] differs (4 vs -4)", {2: [2, 2]}),
+]
+
+
+@pytest.mark.parametrize("a_id, b_id, seed, failed_n, witness, traces", NEGATIVE_VERDICTS,
+                         ids=[f"{case[0]}~{case[1]}" for case in NEGATIVE_VERDICTS])
+def test_p_equivalence_negative_verdicts_pinned(a_id, b_id, seed, failed_n, witness, traces):
+    cert = p_equivalent(sampled_catalog_object(a_id, seed), sampled_catalog_object(b_id, seed), 3)
+    assert (cert.verdict, cert.failed_n, cert.witness) == ("not_equivalent", failed_n, witness)
+    assert cert.traces == traces
+
+
+def test_ising_vs_fa_negative_verdict_pinned():
+    ising = make_ybo(2, ising_unitary(), tol=1e-9)
+    fa = make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)
+    cert = p_equivalent(ising, fa, 3)
+    assert (cert.verdict, cert.failed_n) == ("not_equivalent", 3)
+    assert cert.witness == ("trace of word [1, 2] differs ((4.000000000000001+0j) vs "
+                            "(1.9999999999999998+6.661338147750939e-16j))")
+    assert cert.traces == {2: [6, 6], 3: [6, 6]}
+
+
+def test_p_equivalence_reports_words_compared_and_traces_computed():
+    obj = sampled_catalog_object("hietarinta:a", 3)
+    twin = phi_q(obj, Matrix.from_rows([[1, 2], [3, 4]]))
+    cert = p_equivalent(obj, twin, 3)
+    assert cert.verdict == "equivalent"
+    assert cert.traces == {2: [6, 6], 3: [52, 24]}
