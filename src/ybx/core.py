@@ -7,12 +7,17 @@ with slots of width N^a and words multiplying left to right.
 
 Words are multiplied without building any generator image: starting from
 identity rows, each letter acts locally on its two slots through R's (or
-R^-1's) nonzero entries, on sparse ``{col: value}`` rows.
+R^-1's) nonzero entries, on sparse ``{col: value}`` rows.  The exact
+backends multiply integer numerators with one common denominator per
+product (``_integral``), exact-qi realified as pairs of integer columns, and
+divide once per entry of the result (``_decoded``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from math import lcm
 
 from .braid import BraidWord, fox, half_twist_word
 from .config import DEFAULT_TOL
@@ -24,7 +29,7 @@ from .errors import (
     SingularMatrix,
     SizeCeiling,
 )
-from .scalars import Backend, one, scalar_abs, zero
+from .scalars import Backend, GaussianRational, one, scalar_abs, zero
 from .tensor import Matrix, dense_rows, index_to_word
 
 # Largest dimension N^(a n) of a representation space built here.  A dense
@@ -124,27 +129,106 @@ def _letter_rows(R: Matrix, w: int, n: int, i: int) -> list:
     return out
 
 
-def _word_rows(obj: YBObject, n: int, letters) -> list:
-    """Sparse rows {col: value} of the product of the letters' generator images
-    on n strands, left to right."""
+def _integral(rows: list, backend: Backend) -> tuple:
+    """A letter's rows (``_letter_rows``) as integer rows and a denominator d.
+
+    On exact-q the values become int numerators over d, the lcm of their
+    denominators.  On exact-qi the rows are realified over doubled columns:
+    a + b i at (k, c) gives (2c, a), (2c+1, b) in row 2k and (2c, -b),
+    (2c+1, a) in row 2k+1, so integer products do the Gaussian arithmetic
+    exactly.  Complex-f rows pass through with d = 1.
+    """
+    if backend is Backend.COMPLEX_F:
+        return rows, 1
+    if backend is Backend.EXACT_Q:
+        d = lcm(*(v.denominator for row in rows for _, v in row))
+        return [[(c, v.numerator * (d // v.denominator)) for c, v in row] for row in rows], d
+    d = lcm(*(x.denominator for row in rows for _, v in row for x in (v.re, v.im)))
+    out = []
+    for row in rows:
+        parts = [(c, v.re.numerator * (d // v.re.denominator),
+                  v.im.numerator * (d // v.im.denominator)) for c, v in row]
+        out.append([e for c, a, b in parts for e in ((2 * c, a), (2 * c + 1, b)) if e[1]])
+        out.append([e for c, a, b in parts for e in ((2 * c, -b), (2 * c + 1, a)) if e[1]])
+    return out, d
+
+
+def _unit_rows(size: int, backend: Backend) -> list:
+    """Integer rows of the identity that a word product starts from; on exact-qi
+    only the realified rows 2k, since those carry row k of every product."""
+    if backend is Backend.EXACT_QI:
+        return [{2 * k: 1} for k in range(size)]
+    unit = 1 if backend is Backend.EXACT_Q else one(backend)
+    return [{k: unit} for k in range(size)]
+
+
+def _decoded(rows: list, D: int, backend: Backend) -> list:
+    """Sparse rows {col: value} of the integer rows over the denominator D: one
+    division per entry, (re, im) from the column pairs (2c, 2c+1) on exact-qi."""
+    if backend is Backend.COMPLEX_F:
+        return rows
+    if backend is Backend.EXACT_Q:
+        return [{c: Fraction(v, D) for c, v in row.items()} for row in rows]
+    out = []
+    for row in rows:
+        pairs = {}
+        for c, v in row.items():
+            pairs.setdefault(c >> 1, [0, 0])[c & 1] = v
+        out.append({c: GaussianRational._of(Fraction(a, D), Fraction(b, D))
+                    for c, (a, b) in pairs.items()})
+    return out
+
+
+def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
+    """Trace of integer rows over D times a letter's (rows, d) (``_integral``),
+    from the diagonal alone, in the order the product adds it; divided once.
+    On exact-qi the diagonal entry of row k is (column 2k, column 2k+1) = (re, im)."""
+    last, d = step
+    if backend is Backend.EXACT_QI:
+        size = 2 * len(rows)
+        return GaussianRational._of(Fraction(_diagonal_sum(rows, last, range(0, size, 2)), D * d),
+                                    Fraction(_diagonal_sum(rows, last, range(1, size, 2)), D * d))
+    t = _diagonal_sum(rows, last, range(len(rows)))
+    return Fraction(t, D * d) if backend is Backend.EXACT_Q else complex(t)
+
+
+def _diagonal_sum(rows: list, last: list, targets):
+    """sum_k sum_j rows[k][j] last[j][targets[k]]."""
+    entries = ([v * r for j, v in row.items() for c, r in last[j] if c == k]
+               for k, row in zip(targets, rows))
+    return sum((sum(t[1:], t[0]) for t in entries if t), 0)
+
+
+def _word_product(obj: YBObject, n: int, letters) -> tuple:
+    """Integer rows and denominator D (``_integral``) of the product of the letters'
+    generator images on n strands, left to right; D is the product of the
+    letters' denominators."""
     w = obj.slot_dim
     size = w ** n
     check_dim(size, f"representation on {n} strands")
+    backend = obj.R.backend
     steps = {}
-    rows = [{k: one(obj.R.backend)} for k in range(size)]
+    rows, D = _unit_rows(size, backend), 1
     inverse = None
     for e in letters:
         step = steps.get(e)
         if step is None:
             if e < 0 and inverse is None:
                 inverse = obj.R.inverse()
-            step = steps[e] = _letter_rows(inverse if e < 0 else obj.R, w, n, abs(e))
-        rows = _times(rows, step)
-    return rows
+            step = steps[e] = _integral(
+                _letter_rows(inverse if e < 0 else obj.R, w, n, abs(e)), backend)
+        rows, D = _times(rows, step[0]), D * step[1]
+    return rows, D
+
+
+def _word_rows(obj: YBObject, n: int, letters) -> list:
+    """Sparse rows {col: value} of the product of the letters' generator images
+    on n strands, left to right."""
+    return _decoded(*_word_product(obj, n, letters), obj.R.backend)
 
 
 def _times(rows: list, step: list) -> list:
-    """Sparse rows {col: value} times a letter's [(col, value)] rows (``_letter_rows``)."""
+    """Sparse rows {col: value} times a letter's [(col, value)] rows (``_integral``)."""
     product = []
     for row in rows:
         out = {}
@@ -166,25 +250,32 @@ def _dense(obj: YBObject, rows) -> Matrix:
 def _compare_words(obj: YBObject, n: int, left, right, tol) -> YbeReport:
     """Entrywise comparison of the images of two words on n strands.
 
-    The residual is the largest |difference| and the witness its first
-    (row, col) in row-major order; on complex-f the words agree when the
+    The integer rows are compared directly, cross-multiplied by the other
+    side's denominator when the two differ; only the entries that differ are
+    decoded.  The residual is the largest |difference| and the witness its
+    first (row, col) in row-major order; on complex-f the words agree when the
     residual is at most tol times max(1, inf-norms of both images).
     """
-    lhs = _word_rows(obj, n, left)
-    rhs = _word_rows(obj, n, right)
-    z = zero(obj.R.backend)
+    backend = obj.R.backend
+    lhs, Dl = _word_product(obj, n, left)
+    rhs, Dr = _word_product(obj, n, right)
     worst = None
     worst_abs = 0.0
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
-        if lrow == rrow:
-            continue
-        for c in sorted(lrow.keys() | rrow.keys()):
-            d = lrow.get(c, z) - rrow.get(c, z)
-            if d:
-                m = scalar_abs(d)
-                if m > worst_abs:
-                    worst_abs, worst = m, ((r, c), m)
-    if obj.R.backend.is_exact:
+        if Dl == Dr:
+            if lrow == rrow:
+                continue
+            diff = {c: lrow.get(c, 0) - rrow.get(c, 0) for c in lrow.keys() | rrow.keys()}
+        else:
+            diff = {c: lrow.get(c, 0) * Dr - rrow.get(c, 0) * Dl
+                    for c in lrow.keys() | rrow.keys()}
+        (diff,) = _decoded([{c: x for c, x in diff.items() if x}],
+                           Dl if Dl == Dr else Dl * Dr, backend)
+        for c in sorted(diff):
+            m = scalar_abs(diff[c])
+            if m > worst_abs:
+                worst_abs, worst = m, ((r, c), m)
+    if backend.is_exact:
         return YbeReport(worst is None, worst_abs, worst)
     tol = DEFAULT_TOL if tol is None else tol
     scale = max([1.0] + [sum(scalar_abs(v) for v in row.values()) for row in lhs + rhs])

@@ -17,8 +17,11 @@ from itertools import permutations, product
 from .config import DEFAULT_TOL
 from .core import (
     YBObject,
+    _integral,
     _letter_rows,
+    _product_trace,
     _times,
+    _unit_rows,
     is_additive_cc,
     is_charge_conserving,
     make_ybo,
@@ -51,30 +54,30 @@ from .tensor import Matrix, kron
 def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
     """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap, in
     length order, from sparse rows on two slots: one per cyclic class (``_word_traces``)."""
-    w, o = obj.slot_dim, one(obj.backend)
-    letters = {1: _letter_rows(obj.R, w, 2, 1),
-               2: [[(k // w + w * (k % w), o)] for k in range(w * w)]}
+    w, o, backend = obj.slot_dim, one(obj.backend), obj.backend
+    letters = {1: _integral(_letter_rows(obj.R, w, 2, 1), backend),
+               2: _integral([[(k // w + w * (k % w), o)] for k in range(w * w)], backend)}
     words = [word for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
     return {"".join("RP"[e - 1] for e in word): t
-            for word, t in _word_traces(letters, words, obj.backend)}
+            for word, t in _word_traces(letters, words, backend, w * w)}
 
 
-def _word_traces(letter_rows: dict, words, backend: Backend):
+def _word_traces(letters: dict, words, backend: Backend, size: int):
     """Yield (word, trace) for each word (a tuple) in turn, one per ``_cyclic_key``,
-    the letters' rows as ``core._letter_rows`` gives them: sum_k (sum_j P[k][j] L[j][k])
-    for the memoised prefix rows P and last letter L, in the order P L adds them."""
-    prefixes = {(): [{k: one(backend)} for k in range(len(next(iter(letter_rows.values()))))]}
+    on a space of dimension size, the letters' integer rows and denominators as
+    ``core._integral`` gives them: memoised prefix rows, each with its own
+    denominator, times the last letter's diagonal (``core._product_trace``)."""
+    prefixes = {(): (_unit_rows(size, backend), 1)}
     traces = {}
     for word in words:
         key = _cyclic_key(word)
         if key not in traces:
             for i in range(1, len(word)):
                 if word[:i] not in prefixes:
-                    prefixes[word[:i]] = _times(prefixes[word[:i - 1]], letter_rows[word[i - 1]])
-            last = letter_rows[word[-1]]
-            diagonal = ([v * r for j, v in row.items() for c, r in last[j] if c == k]
-                        for k, row in enumerate(prefixes[word[:-1]]))
-            traces[key] = sum((sum(d[1:], d[0]) for d in diagonal if d), zero(backend))
+                    rows, D = prefixes[word[:i - 1]]
+                    step, d = letters[word[i - 1]]
+                    prefixes[word[:i]] = (_times(rows, step), D * d)
+            traces[key] = _product_trace(*prefixes[word[:-1]], letters[word[-1]], backend)
         yield word, traces[key]
 
 
@@ -253,7 +256,8 @@ def _trace_words(letters, max_len: int) -> list:
 
 
 def _generator_letters(obj: YBObject, inverse: Matrix, n: int) -> dict:
-    return {e: _letter_rows(obj.R if e > 0 else inverse, obj.slot_dim, n, abs(e))
+    return {e: _integral(_letter_rows(obj.R if e > 0 else inverse, obj.slot_dim, n, abs(e)),
+                         obj.backend)
             for i in range(1, n) for e in (i, -i)}
 
 
@@ -263,7 +267,8 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
 
     For each n <= p: compare the traces of short words (an exact invariant, by
     ``_word_traces``), then solve the intertwiner space and sample five random
-    combinations for invertibility.  All-singular sampling yields "inconclusive_singular".
+    combinations for invertibility (``_invertible_sample``).  All-singular
+    sampling yields "inconclusive_singular".
     """
     if p < 2:
         raise YbxError(f"p must be at least 2, got {p}: n = 2 is the first braid group compared")
@@ -282,7 +287,7 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
         scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** trace_word_len
         letters = [_generator_letters(obj, inverse, n) for obj, inverse in zip((A, B), inverses)]
         words = _trace_words(letters[0], trace_word_len)
-        streams = [_word_traces(rows, words, obj.backend) for rows, obj in zip(letters, (A, B))]
+        streams = [_word_traces(rows, words, obj.backend, size) for rows, obj in zip(letters, (A, B))]
         classes = set()
         for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
             classes.add(_cyclic_key(word))
@@ -300,22 +305,38 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
         if not basis:
             return replace(cert, verdict="not_equivalent", failed_n=n,
                            witness="intertwiner space is zero")
-        found = None
-        for _ in range(5):
-            coeffs = [rng.randint(-9, 9) for _ in basis]
-            T = None
-            for c, Bmat in zip(coeffs, basis):
-                if c:
-                    term = Bmat.scale(Fraction(c) if exact else complex(c))
-                    T = term if T is None else T.add(term)
-            if T is not None and T.is_invertible():
-                found = T
-                break
+        found = _invertible_sample(basis, rng, 100 * size)
         if found is None:
             return replace(cert, verdict="inconclusive_singular", failed_n=n,
                            witness="no invertible intertwiner found by sampling")
         cert.intertwiners[n] = found
     return cert
+
+
+def _invertible_sample(basis: list, rng: random.Random, bound: int):
+    """The first of five random combinations of the basis, with integer
+    coefficients in [-bound, bound], that is invertible, or None.
+
+    det T is a polynomial of degree m = T.rows in the coefficients, so when
+    some combination is invertible a draw is singular with probability at
+    most m / (2 bound + 1) (Schwartz-Zippel).  Each draw is one pass over the
+    basis elements' nonzero entries.
+    """
+    first = basis[0]
+    z = zero(first.backend)
+    entries = [[(r, c, v) for r, row in enumerate(M.data) for c, v in enumerate(row) if v]
+               for M in basis]
+    for _ in range(5):
+        data = [[z] * first.cols for _ in range(first.rows)]
+        for nonzeros in entries:
+            coeff = rng.randint(-bound, bound)
+            if coeff:
+                for r, c, v in nonzeros:
+                    data[r][c] += coeff * v
+        T = Matrix(first.rows, first.cols, first.backend, data)
+        if T.is_invertible():
+            return T
+    return None
 
 
 # -- stabilizer theorems -----------------------------------------------------------

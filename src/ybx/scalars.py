@@ -42,66 +42,83 @@ class GaussianRational:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
+    @classmethod
+    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
+        """The value re + im*i from two Fractions, taken as they are."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "re", re)
+        object.__setattr__(value, "im", im)
+        return value
+
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    def _coerce(self, other):
+    @staticmethod
+    def _parts(other):
+        """(re, im) of an operand with im None when it is 0, or None if the
+        operand is not an exact scalar.  Every result below combines a part
+        of self, a Fraction, so it is a Fraction and needs no re-wrapping."""
         if isinstance(other, GaussianRational):
-            return other
+            return other.re, other.im or None
         if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
+            return other, None
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        re, im = o
+        return _gr(self.re + re, self.im if im is None else self.im + im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        re, im = o
+        return _gr(self.re - re, self.im if im is None else self.im - im)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        re, im = o
+        return _gr(re - self.re, -self.im if im is None else im - self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        re, im = o
+        if im is None:
+            return _gr(self.re * re, self.im * re)
+        if not self.im:
+            return _gr(self.re * re, self.re * im)
+        return _gr(self.re * re - self.im * im, self.re * im + self.im * re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise DivisionByZero("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / n,
-            (self.im * o.re - self.re * o.im) / n,
-        )
+        re, im = o
+        if im is None:
+            if not re:
+                raise DivisionByZero("division by zero Gaussian rational")
+            return _gr(self.re / re, self.im / re)
+        n = re * re + im * im
+        return _gr((self.re * re + self.im * im) / n, (self.im * re - self.re * im) / n)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if self._parts(other) is None:
             return NotImplemented
-        return o / self
+        return GaussianRational(other) / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self.re, -self.im)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -119,7 +136,7 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gr(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
@@ -143,6 +160,7 @@ class GaussianRational:
         return format_scalar(self)
 
 
+_gr = GaussianRational._of
 I_QI = GaussianRational(0, 1)
 
 

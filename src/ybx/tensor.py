@@ -16,7 +16,8 @@ two exact hot loops work on sparse rows instead, one ``{col: value}`` dict
 per row holding only the nonzero entries: the elimination kernel here
 (behind rref, rank, solve, inverse, det and ``kernel``, the one exact
 nullspace, which the linear systems of ``ybx.structure`` fill directly) and
-the braid word product in ``ybx.core``.  ``sparse_rows`` and ``dense_rows``
+the braid word product in ``ybx.core``, which runs on integer numerators
+with one denominator per product.  ``sparse_rows`` and ``dense_rows``
 convert.
 
 All decision procedures (rank, nullspace, solve, inverse, det) require an

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from ybx.catalog import catalog_get, sample_entry_binding
-from ybx.scalars import Backend
-from ybx.tensor import Matrix
+from ybx.core import make_ybo
+from ybx.expressions import ParamBinding
+from ybx.scalars import Backend, GaussianRational, scalar_abs
+from ybx.tensor import Matrix, kron
 
 
 def random_rational(rng, lo=-9, hi=9):
@@ -81,6 +83,48 @@ def gaussian_pair():
         [0, x, 0, 0, z, 0, 0, x, 0],
         [0, 0, z, 0, 0, x, 0, 0, x]])
     return R, S
+
+
+# -- braid words multiplied out from Kronecker generator images ---------------------
+
+
+def dense_generator(obj, n, i, inverse=False):
+    w, b = obj.slot_dim, obj.R.backend
+    R = obj.R.inverse() if inverse else obj.R
+    return kron(kron(Matrix.identity(w ** (i - 1), b), R), Matrix.identity(w ** (n - i - 1), b))
+
+
+def dense_word(obj, n, letters):
+    M = Matrix.identity(obj.slot_dim ** n, obj.R.backend)
+    for e in letters:
+        M = M.mul(dense_generator(obj, n, abs(e), inverse=e < 0))
+    return M
+
+
+def dense_report(obj, left, right):
+    """(residual, witness) of the entrywise difference, first worst in row-major order."""
+    lhs, rhs = dense_word(obj, 3, left), dense_word(obj, 3, right)
+    worst, worst_abs = None, 0.0
+    for r in range(lhs.rows):
+        for c in range(lhs.cols):
+            m = scalar_abs(lhs.data[r][c] - rhs.data[r][c])
+            if m > worst_abs:
+                worst_abs, worst = m, ((r, c), m)
+    return worst_abs, worst
+
+
+def integer_path_objects():
+    """Objects whose word products run on integer numerators: exact-q at a
+    non-integral binding, exact-qi with non-integral Gaussian parts, and complex-f."""
+    G = GaussianRational
+    return [
+        ("exact-q", catalog_get("hietarinta:slash-glue-2", ParamBinding.of(
+            k=Fraction(2, 3), q=Fraction(-3, 2), p=Fraction(1, 2), s=Fraction(-5, 3)))),
+        ("exact-qi", catalog_get("match2:F/", ParamBinding.of(
+            alpha=Fraction(2, 3), beta=G(Fraction(1, 2), Fraction(3, 2)),
+            gamma=G(Fraction(-3, 4), Fraction(1, 3)), chi=Fraction(-3, 2)))),
+        ("complex-f", make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)),
+    ]
 
 
 @pytest.fixture

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    dense_generator,
+    dense_report,
+    dense_word,
     fa_matrix,
+    integer_path_objects,
     ising_exact,
     ising_unitary,
     random_invertible,
@@ -15,6 +20,8 @@ from ybx.catalog import catalog_get, sample_entry_binding
 from ybx.constructions import flip_conj, inverse_obj, phi_q, scale_obj, transpose_obj
 from ybx.core import (
     YBObject,
+    _compare_words,
+    _word_rows,
     braid_relations_check,
     cc_shape_level2,
     generator_image,
@@ -34,6 +41,8 @@ from ybx.core import (
     strip_to_permutation,
 )
 from ybx.errors import NotGroupType, NotMonomial
+from ybx.expressions import ParamBinding
+from ybx.scalars import GaussianRational
 from ybx.tensor import Matrix, kron, swap_matrix
 
 
@@ -295,3 +304,79 @@ def test_strip_to_permutation():
     assert D3.mul(P3).eq(M)
     with pytest.raises(NotMonomial):
         strip_to_permutation(ising_exact())
+
+
+# -- word products on integers against Kronecker generator images -------------------
+
+
+def assert_same_image(label, got, want):
+    if label == "complex-f":
+        assert got.max_abs_diff(want) <= 1e-9 * max(1.0, want.max_abs())
+    else:   # same values and same scalar types, Fractions inside Gaussian rationals
+        assert repr(got.data) == repr(want.data)
+
+
+@pytest.mark.parametrize("label,obj", integer_path_objects(),
+                         ids=[label for label, _ in integer_path_objects()])
+def test_rho_and_generator_image_match_kronecker_products(label, obj):
+    rng = random.Random(5)
+    for n in (3, 4, 5):
+        for i in range(1, n):
+            for inverse in (False, True):
+                assert_same_image(label, generator_image(obj, n, i, inverse=inverse),
+                                  dense_generator(obj, n, i, inverse=inverse))
+        gens = [g for i in range(1, n) for g in (i, -i)]
+        for _ in range(3):
+            letters = [rng.choice(gens) for _ in range(rng.randint(1, 6))] + [-rng.randint(1, n - 1)]
+            assert_same_image(label, rho(obj, BraidWord.of(n, letters)),
+                              dense_word(obj, n, letters))
+
+
+@pytest.mark.parametrize("label,obj", integer_path_objects()[:2],
+                         ids=[label for label, _ in integer_path_objects()[:2]])
+def test_word_times_its_inverse_is_exactly_the_identity(label, obj):
+    rng = random.Random(6)
+    for n in (3, 4, 5):
+        word = BraidWord.of(n, [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(8)])
+        letters = (word * word.inverse()).letters
+        identity = Matrix.identity(obj.slot_dim ** n, obj.backend)
+        assert repr(rho(obj, BraidWord.of(n, letters)).data) == repr(identity.data)
+        # no stored zeros: each sparse row holds its diagonal 1 and nothing else
+        assert _word_rows(obj, n, letters) == [{k: 1} for k in range(identity.rows)]
+
+
+def test_long_word_at_seven_digit_denominators_is_exactly_the_identity():
+    obj = catalog_get("hietarinta:a", ParamBinding.of(
+        k=Fraction(1, 1000003), p=Fraction(-2, 1000033), q=Fraction(3, 1000037)))
+    rng = random.Random(120)
+    word = BraidWord.of(5, [rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(60)])
+    letters = (word * word.inverse()).letters
+    assert len(letters) == 120
+    assert _word_rows(obj, 5, letters) == [{k: 1} for k in range(32)]
+    assert rho(obj, BraidWord.of(5, letters)).data == Matrix.identity(32).data
+
+
+def ybe_failures():
+    """The exact objects above with one entry changed, so that YBE fails."""
+    (_, q), (_, qi), _ = integer_path_objects()
+    Rq, Rqi = Matrix.from_rows(q.R.data), Matrix.from_rows(qi.R.data)
+    Rq.data[1][0] = Fraction(1, 7)
+    Rqi.data[0][3] = GaussianRational(Fraction(1, 5), Fraction(-2, 3))
+    return [YBObject(2, 1, Rq), YBObject(2, 1, Rqi)]
+
+
+def test_is_ybe_residual_and_witness_match_the_dense_difference():
+    for obj in ybe_failures():
+        report = is_ybe(obj)
+        residual, witness = dense_report(obj, (1, 2, 1), (2, 1, 2))
+        assert witness is not None and not report.holds
+        assert (report.residual, report.witness) == (residual, witness)
+
+
+def test_words_with_different_denominators_compare_exactly():
+    # (1, 1) and (2,) carry the denominators d^2 and d: compared cross-multiplied
+    for obj in ybe_failures() + [obj for _, obj in integer_path_objects()[:2]]:
+        report = _compare_words(obj, 3, (1, 1), (2,), None)
+        assert (report.residual, report.witness) == dense_report(obj, (1, 1), (2,))
+        assert _compare_words(obj, 3, (1, -1, 2), (2,), None).holds
+        assert _compare_words(obj, 3, (1, 2, -2), (1,), None).residual == 0

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    dense_word,
     fa_matrix,
+    integer_path_objects,
     ising_unitary,
     random_invertible,
     sampled_catalog_object,
@@ -406,7 +408,7 @@ def _shared_prefix_traces(obj, n, max_len):
 
     letters = _generator_letters(obj, obj.R.inverse(), n)
     words = _trace_words(letters, max_len)
-    return words, list(_word_traces(letters, words, obj.backend))
+    return words, list(_word_traces(letters, words, obj.backend, obj.slot_dim ** n))
 
 
 def test_word_traces_match_word_rows_products_exact():
@@ -454,6 +456,29 @@ def test_flip_word_traces_match_dense_products():
         traces = flip_word_traces(obj, 4)
         assert list(traces) == list(expected) and len(traces) == 30
         assert traces == expected, entry_id
+
+
+@pytest.mark.parametrize("label,obj", integer_path_objects(),
+                         ids=[label for label, _ in integer_path_objects()])
+def test_word_traces_match_dense_products_on_each_backend(label, obj):
+    from itertools import product
+
+    from ybx.tensor import swap_matrix
+
+    def same(got, want):
+        if label == "complex-f":
+            return abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        return repr(got) == repr(want)
+
+    letters = {"R": obj.R, "P": swap_matrix(obj.slot_dim, obj.slot_dim, obj.backend)}
+    for word, trace in flip_word_traces(obj, 4).items():
+        M = letters[word[0]]
+        for letter in word[1:]:
+            M = M.mul(letters[letter])
+        assert same(trace, M.trace()), word
+    for n in (2, 3):
+        for word, trace in _shared_prefix_traces(obj, n, 3)[1]:
+            assert same(trace, dense_word(obj, n, word).trace()), (n, word)
 
 
 # Negative verdicts as the per-word traces gave them: the first differing

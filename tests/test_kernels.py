@@ -14,12 +14,20 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fa_matrix, ising_unitary, random_invertible, sampled_catalog_object, zeta8
+from conftest import (
+    dense_report,
+    dense_word,
+    fa_matrix,
+    ising_unitary,
+    random_invertible,
+    sampled_catalog_object,
+    zeta8,
+)
 from ybx.braid import BraidWord
 from ybx.core import YBObject, braid_relations_check, is_ybe, make_ybo, rho
 from ybx.errors import SingularMatrix
-from ybx.scalars import GaussianRational, scalar_abs
-from ybx.tensor import Matrix, kron
+from ybx.scalars import GaussianRational
+from ybx.tensor import Matrix
 
 # about two entries in three are zero
 entry = st.tuples(st.integers(0, 2),
@@ -108,31 +116,6 @@ def test_solve_right_raises_on_inconsistent_and_underdetermined():
 
 
 # -- the braid word product against dense Kronecker products ----------------------
-
-
-def dense_generator(obj, n, i, inverse=False):
-    w, b = obj.slot_dim, obj.R.backend
-    R = obj.R.inverse() if inverse else obj.R
-    return kron(kron(Matrix.identity(w ** (i - 1), b), R), Matrix.identity(w ** (n - i - 1), b))
-
-
-def dense_word(obj, n, letters):
-    M = Matrix.identity(obj.slot_dim ** n, obj.R.backend)
-    for e in letters:
-        M = M.mul(dense_generator(obj, n, abs(e), inverse=e < 0))
-    return M
-
-
-def dense_report(obj, left, right):
-    """(residual, witness) of the entrywise difference, first worst in row-major order."""
-    lhs, rhs = dense_word(obj, 3, left), dense_word(obj, 3, right)
-    worst, worst_abs = None, 0.0
-    for r in range(lhs.rows):
-        for c in range(lhs.cols):
-            m = scalar_abs(lhs.data[r][c] - rhs.data[r][c])
-            if m > worst_abs:
-                worst_abs, worst = m, ((r, c), m)
-    return worst_abs, worst
 
 
 def backends():

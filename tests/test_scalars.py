@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -88,3 +89,44 @@ def test_scalar_eq_tolerance():
     assert scalar_eq(1.0 + 0j, 1.0 + 5e-10j)
     assert not scalar_eq(1.0 + 0j, 1.0 + 1e-6j)
     assert to_complex(GaussianRational(1, -1)) == 1 - 1j
+
+
+def test_gaussian_arithmetic_against_pairs_of_fractions():
+    # real operands (im == 0, int or Fraction) take the short paths; every
+    # result must equal the full formula and keep Fraction parts
+    rng = random.Random(4)
+
+    def parts(v):
+        return (v.re, v.im) if isinstance(v, GaussianRational) else (Fraction(v), Fraction(0))
+
+    def draw():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.randint(-5, 5)
+        if kind == 1:
+            return random_rational(rng)
+        if kind == 2:
+            return GaussianRational(random_rational(rng))
+        return random_gaussian(rng)
+
+    for _ in range(400):
+        a, b = draw(), draw()
+        if not isinstance(a, GaussianRational) and not isinstance(b, GaussianRational):
+            continue
+        (ar, ai), (br, bi) = parts(a), parts(b)
+        n = br * br + bi * bi
+        expected = {
+            operator.add: (ar + br, ai + bi),
+            operator.sub: (ar - br, ai - bi),
+            operator.mul: (ar * br - ai * bi, ar * bi + ai * br),
+            operator.truediv: ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n) if n else None,
+        }
+        for op, want in expected.items():
+            if want is None:
+                with pytest.raises((DivisionByZero, ZeroDivisionError)):
+                    op(a, b)
+                continue
+            got = op(a, b)
+            assert isinstance(got, GaussianRational)
+            assert (got.re, got.im) == want and type(got.re) is type(got.im) is Fraction
+        assert parts(-a) == (-ar, -ai)
