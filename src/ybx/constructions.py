@@ -15,7 +15,7 @@ from .errors import (
     ZeroMu,
 )
 from .scalars import join_backend, promote
-from .structure import hom_verify
+from .structure import _intertwiner_rows, _satisfied, hom_verify
 from .tensor import Matrix, farr, kron, kron_all, swap_matrix
 
 
@@ -146,17 +146,14 @@ def ds_intertwiner(Q: Matrix, n: int) -> Matrix:
 
 def ds_certificates_check(obj: YBObject, Q: Matrix, n_max: int,
                           tol: float | None = None) -> bool:
-    """Verify the explicit n-intertwiners between R and its DS transform."""
-    from .core import generator_image
-
+    """Verify the explicit n-intertwiners between R and its DS transform: A_n
+    satisfies the rows of A_n rho_n^R = rho_n^S A_n (``_intertwiner_rows``)."""
     S = ds_transform(obj, Q, tol)
     for n in range(2, n_max + 1):
+        rows = _intertwiner_rows(S, obj, n)  # checks the size before A_n is built
         A_n = ds_intertwiner(Q, n)
-        A_inv = A_n.inverse()
-        for i in range(1, n):
-            lhs = A_n.mul(generator_image(obj, n, i)).mul(A_inv)
-            if not lhs.eq(generator_image(S, n, i), tol):
-                return False
+        if not _satisfied(rows, [x for row in A_n.data for x in row], S.backend.is_exact, tol):
+            return False
     return True
 
 

@@ -309,15 +309,14 @@ def braid_relations_check(obj: YBObject, n: int, tol: float | None = None) -> bo
 def reversal_conjugation_check(obj: YBObject, n: int, words, tol: float | None = None) -> bool:
     """Conjugation by the half twist realises the index-reversal symmetry.
 
-    Checks rho(D_n) rho(w) rho(D_n)^(-1) = rho(fox(w)) for the given words.
+    Checks rho(D_n) rho(w) rho(D_n)^(-1) = rho(fox(w)) for the given words,
+    as rho(D_n w) = rho(fox(w) D_n) entrywise (``_compare_words``).
     """
-    delta = rho(obj, half_twist_word(n))
-    delta_inv = delta.inverse()
+    delta = half_twist_word(n).letters
     for w in words:
         if w.strands != n:
             raise GeneratorOutOfRange("word strand count mismatch")
-        lhs = delta.mul(rho(obj, w)).mul(delta_inv)
-        if not lhs.eq(rho(obj, fox(w)), tol):
+        if not _compare_words(obj, n, delta + w.letters, fox(w).letters + delta, tol).holds:
             return False
     return True
 
@@ -353,22 +352,30 @@ def _nonzero_entries(M: Matrix, tol: float | None):
                     yield r, c, v
 
 
+def _charge(index: int, N: int, L: int, additive: bool = False):
+    """Charge of basis word `index` of length L over {1..N}: its sorted
+    letters, or with `additive` their sum."""
+    word = index_to_word(index, N, L)
+    return sum(word) if additive else sorted(word)
+
+
+def _charge_violations(M: Matrix, N: int, additive: bool = False,
+                       tol: float | None = None) -> list:
+    """((row, col), value) of each nonzero entry, in row-major order, whose row
+    and column words differ in charge (``_charge``)."""
+    L = _word_length(M, N)
+    charge = [_charge(k, N, L, additive) for k in range(M.rows)]
+    return [((r, c), v) for r, c, v in _nonzero_entries(M, tol) if charge[r] != charge[c]]
+
+
 def is_charge_conserving(M: Matrix, N: int, tol: float | None = None) -> bool:
     """Entries vanish unless the row word is a permutation of the column word."""
-    L = _word_length(M, N)
-    for r, c, _ in _nonzero_entries(M, tol):
-        if sorted(index_to_word(r, N, L)) != sorted(index_to_word(c, N, L)):
-            return False
-    return True
+    return not _charge_violations(M, N, tol=tol)
 
 
 def is_additive_cc(M: Matrix, N: int, tol: float | None = None) -> bool:
     """Entries vanish unless row and column words have equal symbol sums."""
-    L = _word_length(M, N)
-    for r, c, _ in _nonzero_entries(M, tol):
-        if sum(index_to_word(r, N, L)) != sum(index_to_word(c, N, L)):
-            return False
-    return True
+    return not _charge_violations(M, N, additive=True, tol=tol)
 
 
 def cc_shape_level2(R: Matrix, N: int, tol: float | None = None):
@@ -376,14 +383,11 @@ def cc_shape_level2(R: Matrix, N: int, tol: float | None = None):
 
     The allowed pattern reads basis words of length 4 over the base alphabet
     {1..N}: an entry may be nonzero only when the row word is a permutation
-    of the column word.  Violations are ((row, col), value) triples.
+    of the column word.  Violations are ((row, col), value) pairs.
     """
     if R.rows != N ** 4 or R.cols != N ** 4:
         raise DimensionMismatch("level-2 shape check needs an N^4 x N^4 matrix")
-    violations = []
-    for r, c, v in _nonzero_entries(R, tol):
-        if sorted(index_to_word(r, N, 4)) != sorted(index_to_word(c, N, 4)):
-            violations.append(((r, c), v))
+    violations = _charge_violations(R, N, tol=tol)
     return (not violations, violations)
 
 

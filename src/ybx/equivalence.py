@@ -17,6 +17,8 @@ from itertools import permutations, product
 from .config import DEFAULT_TOL
 from .core import (
     YBObject,
+    _charge,
+    _charge_violations,
     _integral,
     _letter_rows,
     _product_trace,
@@ -34,10 +36,12 @@ from .errors import (
     UnfactoredSpectrum,
     YbxError,
 )
-from .scalars import Backend, format_scalar, one, scalar_abs, to_complex, zero
+from .scalars import Backend, format_scalar, one, to_complex, zero
 from .spectral import eig_to_complex, jordan_structure, spectrum
 from .structure import (
     Rank1Result,
+    _diagonal_rows,
+    _satisfied,
     hom_verify,
     intertwiner_space,
     intertwiner_space_numeric,
@@ -46,7 +50,7 @@ from .structure import (
     _morphism_candidates,
     _rank1_numeric,
 )
-from .tensor import Matrix, kron
+from .tensor import Matrix, kernel, kron
 
 # -- local invariants ---------------------------------------------------------
 
@@ -235,6 +239,7 @@ def _witness_rank1(A: YBObject, B: YBObject, seed: int) -> Rank1Result:
 
 _EXACT_CEILING = 10     # largest slot_dim ** n solved exactly
 _NUMERIC_CEILING = 32   # largest slot_dim ** n solved on the complex backend
+_TRACE_WORD_LEN = 3     # longest word whose traces p_equivalent compares
 
 
 @dataclass
@@ -262,7 +267,7 @@ def _generator_letters(obj: YBObject, inverse: Matrix, n: int) -> dict:
 
 
 def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
-                 trace_word_len: int = 3, tol: float | None = None) -> PEquivCertificate:
+                 tol: float | None = None) -> PEquivCertificate:
     """Decide simultaneous similarity of the braid representations up to n = p.
 
     For each n <= p: compare the traces of short words (an exact invariant, by
@@ -284,9 +289,9 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
-        scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** trace_word_len
+        scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** _TRACE_WORD_LEN
         letters = [_generator_letters(obj, inverse, n) for obj, inverse in zip((A, B), inverses)]
-        words = _trace_words(letters[0], trace_word_len)
+        words = _trace_words(letters[0], _TRACE_WORD_LEN)
         streams = [_word_traces(rows, words, obj.backend, size) for rows, obj in zip(letters, (A, B))]
         classes = set()
         for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
@@ -342,25 +347,14 @@ def _invertible_sample(basis: list, rng: random.Random, bound: int):
 # -- stabilizer theorems -----------------------------------------------------------
 
 
-def random_cc_matrix(N: int, rng: random.Random, backend: Backend = Backend.EXACT_Q) -> Matrix:
-    """Random charge-conserving matrix: nonzero entries exactly on allowed cells."""
-    out = Matrix.zeros(N * N, N * N, backend)
+def random_cc_matrix(N: int, rng: random.Random, additive: bool = False) -> Matrix:
+    """Random exact charge-conserving matrix on two slots (additive with
+    `additive`): a random nonzero rational on every allowed cell."""
+    charge = [_charge(k, N, 2, additive) for k in range(N * N)]
+    out = Matrix.zeros(N * N, N * N)
     for r in range(N * N):
-        rw = sorted((r % N, r // N))
         for c in range(N * N):
-            if sorted((c % N, c // N)) == rw:
-                num = rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1)
-                out.data[r][c] = Fraction(num, rng.randint(1, 9))
-    return out
-
-
-def random_additive_cc_matrix(N: int, rng: random.Random,
-                              backend: Backend = Backend.EXACT_Q) -> Matrix:
-    out = Matrix.zeros(N * N, N * N, backend)
-    for r in range(N * N):
-        sw = (r % N) + (r // N)
-        for c in range(N * N):
-            if (c % N) + (c // N) == sw:
+            if charge[r] == charge[c]:
                 num = rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1)
                 out.data[r][c] = Fraction(num, rng.randint(1, 9))
     return out
@@ -382,7 +376,7 @@ def match_stabilizer_check(Q: Matrix, trials: int = 20, seed: int = 0) -> bool:
     QQ = kron(Q, Q)
     QQ_inv = QQ.inverse()
     for _ in range(trials):
-        R = random_cc_matrix(N, rng, Q.backend)
+        R = random_cc_matrix(N, rng)
         conj = QQ.mul(R).mul(QQ_inv)
         if not is_charge_conserving(conj, N):
             return False
@@ -425,17 +419,10 @@ def match_stabilizer_refute(N: int, seed: int = 0) -> StabilizerRefutation:
     Q.data[0][1] = one(backend)  # unipotent, not monomial
     QQ = kron(Q, Q)
     conj = QQ.inverse().mul(S).mul(QQ)
-    violation = None
-    for r in range(N * N):
-        for c in range(N * N):
-            if conj.data[r][c] and sorted((r % N, r // N)) != sorted((c % N, c // N)):
-                violation = ((r, c), conj.data[r][c])
-                break
-        if violation:
-            break
-    if violation is None:
+    violations = _charge_violations(conj, N)
+    if not violations:
         raise AssertionError("expected a charge-conservation violation")
-    return StabilizerRefutation(S=obj.R, Q=Q, conjugated=conj, violation=violation)
+    return StabilizerRefutation(S=obj.R, Q=Q, conjugated=conj, violation=violations[0])
 
 
 def matcha_stabilizer_check(N: int, trials: int = 10, seed: int = 0) -> dict:
@@ -451,7 +438,7 @@ def matcha_stabilizer_check(N: int, trials: int = 10, seed: int = 0) -> dict:
     P_rev = Matrix.permutation(rev, backend)
     preserved = True
     for _ in range(trials):
-        R = random_additive_cc_matrix(N, rng, backend)
+        R = random_cc_matrix(N, rng, additive=True)
         D = Matrix.diagonal([Fraction(rng.randint(1, 9), rng.randint(1, 9))
                              for _ in range(N)], backend)
         Q = D.mul(P_rev)
@@ -460,11 +447,12 @@ def matcha_stabilizer_check(N: int, trials: int = 10, seed: int = 0) -> dict:
         if not is_additive_cc(conj, N):
             preserved = False
             break
+    charge = [_charge(k, N, 2, additive=True) for k in range(N * N)]
     dense = Matrix.zeros(N * N, N * N, backend)
     counter = 2
     for r in range(N * N):
         for c in range(N * N):
-            if (r % N) + (r // N) == (c % N) + (c // N):
+            if charge[r] == charge[c]:
                 dense.data[r][c] = Fraction(counter)
                 counter += 1
     allowed = []
@@ -500,8 +488,8 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
     braid representations via diagonal intertwiners A_n, for n <= n_max.
 
     N = 2 uses the closed-form local factors A(i) = diag((y/x)^(n-i), 1);
-    general N solves the diagonal intertwining constraints by exact ratio
-    propagation over the transition graph.
+    general N takes A_n from the exact kernel of the diagonal intertwining rows
+    (``structure._diagonal_rows``), which every A_n is checked against.
     """
     N = obj.N
     if obj.level != 1:
@@ -522,89 +510,35 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
         raise NotChargeConserving("X R X^-1 lost charge conservation")
     S = make_ybo(N, S_mat, verify=True, tol=tol)
 
-    per_n = {}
-    certs = {}
-    if N == 2:
-        method = "closed-form"
-        t = X.data[2][2] / X.data[1][1]
-        for n in range(2, n_max + 1):
+    backend = obj.R.backend
+    t = X.data[2][2] / X.data[1][1] if N == 2 else None
+    per_n, certs = {}, {}
+    for n in range(2, n_max + 1):
+        rows = _diagonal_rows(S.R, obj.R, N, n)
+        if N == 2:
             diag = []
             for idx in range(2 ** n):
-                w = idx
-                weight = one(obj.R.backend)
+                weight = one(backend)
                 for pos in range(1, n + 1):
-                    letter = w % 2
-                    w //= 2
-                    if letter == 0:
+                    if not idx >> (pos - 1) & 1:
                         weight = weight * t ** (n - pos)
                 diag.append(weight)
-            ok = _diag_intertwines(obj, S, n, diag, tol)
-            per_n[n] = ok
+        else:
+            diag = _solve_diagonal_intertwiner([dict(row) for row in rows], N ** n, backend)
+        per_n[n] = diag is not None and _satisfied(rows, diag, backend.is_exact, tol)
+        if diag is not None:
             certs[n] = diag
-    else:
-        method = "ratio-propagation"
-        for n in range(2, n_max + 1):
-            diag = _solve_diagonal_intertwiner(obj, S, n)
-            ok = diag is not None and _diag_intertwines(obj, S, n, diag, tol)
-            per_n[n] = ok
-            if diag is not None:
-                certs[n] = diag
     return XSymmetryReport(ok=all(per_n.values()), per_n=per_n,
-                           method=method, certificates=certs)
+                           method="closed-form" if N == 2 else "ratio-propagation",
+                           certificates=certs)
 
 
-def _solve_diagonal_intertwiner(obj: YBObject, S: YBObject, n: int):
-    """Diagonal d with d_r R_i[r][c] = S_i[r][c] d_c for all generators, or None."""
-    size = obj.slot_dim ** n
-    d = [None] * size
-    adj: dict[int, list] = {}
-    for i in range(1, n):
-        S_rows = _letter_rows(S.R, S.slot_dim, n, i)
-        for r, row in enumerate(_letter_rows(obj.R, obj.slot_dim, n, i)):
-            S_row = dict(S_rows[r])
-            for c, v in row:
-                w = S_row.get(c)
-                if w is None:
-                    return None  # transition pattern changed; no diagonal works
-                ratio = w / v  # d_r = ratio * d_c
-                adj.setdefault(c, []).append((r, ratio))
-                adj.setdefault(r, []).append((c, 1 / ratio))
-    o = one(obj.R.backend)
-    for start in range(size):
-        if d[start] is not None:
-            continue
-        d[start] = o
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for other, ratio in adj.get(node, []):
-                val = ratio * d[node]
-                if d[other] is None:
-                    d[other] = val
-                    stack.append(other)
-                elif d[other] != val:
-                    return None
-    return d
-
-
-def _diag_intertwines(obj: YBObject, S: YBObject, n: int, diag, tol) -> bool:
-    """Check d_r R_i[r][c] = S_i[r][c] d_c entrywise for every generator."""
-    for i in range(1, n):
-        S_rows = _letter_rows(S.R, S.slot_dim, n, i)
-        for r, row in enumerate(_letter_rows(obj.R, obj.slot_dim, n, i)):
-            S_row = dict(S_rows[r])
-            if len(S_row) != len(row):
-                return False
-            for c, v in row:
-                w = S_row.get(c)
-                if w is None:
-                    return False
-                lhs = diag[r] * v
-                rhs = w * diag[c]
-                if obj.R.backend.is_exact:
-                    if lhs != rhs:
-                        return False
-                elif scalar_abs(lhs - rhs) > (DEFAULT_TOL if tol is None else tol) * max(
-                        1.0, scalar_abs(lhs)):
-                    return False
-    return True
+def _solve_diagonal_intertwiner(rows: list, size: int, backend: Backend):
+    """The kernel's basis vectors, each scaled to 1 at its first nonzero entry,
+    summed into d; None if an entry of d is 0.  The basis splits along the sets
+    of words the rows link, so d = 1 on the first word of each set."""
+    d = [zero(backend)] * size
+    for vec in kernel(rows, size, backend):
+        lead = next(v for v in vec if v)
+        d = [x + v / lead for x, v in zip(d, vec)]
+    return None if any(not x for x in d) else d

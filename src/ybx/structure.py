@@ -3,17 +3,20 @@ decomposability, and duality verification.
 
 Both notions of morphism are solved here.  Intertwiners of the braid
 representations, T rho_B(sigma_i) = rho_A(sigma_i) T on n strands, form the
-linear space ``intertwiner_space``.  A morphism of Yang-Baxter objects,
+linear space ``intertwiner_space``.  Their equations are laid out once, as
+sparse rows read off the generators' local actions: ``_intertwiner_rows``,
+and ``_diagonal_rows`` for diagonal T (the pair space below, X-symmetry's
+A_n).  The exact kernel, the one SVD and the one checker ``_satisfied`` read
+those rows.  A morphism of Yang-Baxter objects,
 (Q (x) Q) R_A = R_B (Q (x) Q), is quadratic in Q and is attacked in two
 linear steps: first the pencil {X : X R_A = R_B X} (or, for diagonal and
 monomial Q, a pair space), then a search for elements whose *realignment*
 is a symmetric rank-one matrix v v^T; such X are exactly the Kronecker
 squares Q (x) Q.  One generator of candidates, ``_morphism_candidates``,
-serves ``end_search`` and the exact ``local_witness_search``.  Every exact
-linear system is built as sparse rows for ``tensor.kernel``.  Product (Segre)
-eigenvectors R (v (x) v) = lam v (x) v are found the same way.  Both come
-down to the rational zeros of a small polynomial system in at most two
-unknowns, solved by one exact gcd-and-resultant solver: the rank-one
+serves ``end_search`` and the exact ``local_witness_search``.  Product
+(Segre) eigenvectors R (v (x) v) = lam v (x) v are found the same way.
+Both come down to the rational zeros of a small polynomial system in at
+most two unknowns, solved by one exact gcd-and-resultant solver: the rank-one
 search for (symmetrized) pencil dimension <= 3, the Segre search for
 N <= 3.  There the search is complete, and its flag turns False only on an
 irrational zero or a sampled continuum.  Larger pencils fall back to
@@ -25,7 +28,7 @@ there with det(Q) = 1 fixing the scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations
 from math import isqrt
@@ -33,7 +36,7 @@ from math import isqrt
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core import YBObject, _letter_rows, check_dim, generator_image
+from .core import YBObject, _letter_rows, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .scalars import Backend, GaussianRational, join_backend, one, zero
 from .spectral import _extract_verified_roots, poly_divmod
@@ -95,9 +98,9 @@ def _accumulate(p: dict, e, c) -> None:
         p.pop(e, None)
 
 
-def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
-    """Exact basis of {T : T rho_B(sigma_i) = rho_A(sigma_i) T for i < n} on
-    n strands; {X : X R_A = R_B X} is intertwiner_space(B, A).
+def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
+    """Rows of T rho_B(sigma_i) = rho_A(sigma_i) T on n strands: all mA mB
+    equations of each generator in (i, r, c) order, empty ones included.
 
     T[r][k] is unknown r mB + k.  Equation (r, c) takes B_i[k][c] at
     r mB + k and -A_i[r][k] at k mB + c, read off the generators' local
@@ -110,13 +113,58 @@ def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
         eqs = [{} for _ in range(mA * mB)]  # equation (r, c) is eqs[r mB + c]
         for k, row in enumerate(_letter_rows(B.R, B.slot_dim, n, i)):
             for c, v in row:
-                for r in range(mA):
-                    _accumulate(eqs[r * mB + c], r * mB + k, v)
+                for r in range(mA):  # the first entry of each (equation, unknown)
+                    eqs[r * mB + c][r * mB + k] = v
         for r, row in enumerate(_letter_rows(A.R, A.slot_dim, n, i)):
             for k, v in row:
                 for c in range(mB):
                     _accumulate(eqs[r * mB + c], k * mB + c, -v)
-        rows.extend(eq for eq in eqs if eq)
+        rows.extend(eqs)
+    return rows
+
+
+def _diagonal_rows(RA: Matrix, RB: Matrix, w: int, n: int) -> list:
+    """Rows of d_r B_i[r][c] - A_i[r][c] d_c = 0 for i < n, A_i and B_i the
+    generator images of RA and RB on slots of width w, in order of i, then
+    r, then c; empty rows are left out.  Their kernel is the diagonal
+    T = diag(d) of ``_intertwiner_rows``; at n = 2 it is the pair space."""
+    rows = []
+    for i in range(1, n):
+        for r, (a_row, b_row) in enumerate(zip(_letter_rows(RA, w, n, i),
+                                               _letter_rows(RB, w, n, i))):
+            a, b = dict(a_row), dict(b_row)
+            for c in sorted(a.keys() | b.keys()):
+                if c == r:
+                    x = b.get(c, 0) - a.get(c, 0)
+                    if x:
+                        rows.append({r: x})
+                else:
+                    row = {r: b[c]} if c in b else {}
+                    if c in a:
+                        row[c] = -a[c]
+                    rows.append(row)
+    return rows
+
+
+def _satisfied(rows: list, x: list, exact: bool, tol: float | None = None) -> bool:
+    """Every row vanishes at x: exactly, or on complex-f within tol times
+    max(1, the row's largest term)."""
+    if exact:
+        return not any(sum(v * x[c] for c, v in row.items()) for row in rows)
+    tol = DEFAULT_TOL if tol is None else tol
+    for row in rows:
+        terms = [v * x[c] for c, v in row.items()]
+        if abs(sum(terms)) > tol * max([1.0] + [abs(t) for t in terms]):
+            return False
+    return True
+
+
+def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
+    """Exact basis of {T : T rho_B(sigma_i) = rho_A(sigma_i) T for i < n} on
+    n strands, the kernel of ``_intertwiner_rows``; {X : X R_A = R_B X} is
+    intertwiner_space(B, A)."""
+    mA, mB = A.slot_dim ** n, B.slot_dim ** n
+    rows = [row for row in _intertwiner_rows(A, B, n) if row]
     backend = join_backend(A.backend, B.backend)
     return [Matrix(mA, mB, backend, [vec[r * mB:(r + 1) * mB] for r in range(mA)])
             for vec in kernel(rows, mA * mB, backend)]
@@ -124,13 +172,15 @@ def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
 
 def intertwiner_space_numeric(A: YBObject, B: YBObject, n: int = 2,
                               tol: float = DEFAULT_TOL) -> list:
-    """Orthonormal basis of the same space on the complex backend, by one SVD."""
+    """Orthonormal basis of the same space on the complex backend: one SVD of
+    ``_intertwiner_rows`` over the objects promoted to complex-f."""
     mA, mB = A.slot_dim ** n, B.slot_dim ** n
-    blocks = []
-    for i in range(1, n):
-        a, b = generator_image(A, n, i).to_numpy(), generator_image(B, n, i).to_numpy()
-        blocks.append(np.kron(np.eye(mA), b.T) - np.kron(a, np.eye(mB)))
-    u, s, vh = np.linalg.svd(np.vstack(blocks))
+    A, B = (replace(X, R=X.R.promote_to(Backend.COMPLEX_F)) for X in (A, B))
+    rows = _intertwiner_rows(A, B, n)
+    system = np.zeros((len(rows), mA * mB), dtype=complex)
+    system[[k for k, row in enumerate(rows) for _ in row],
+           [c for row in rows for c in row]] = [v for row in rows for v in row.values()]
+    u, s, vh = np.linalg.svd(system)
     cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
     null = vh[int(np.sum(s > cutoff)):].conj()
     return [Matrix.from_numpy(row.reshape(mA, mB)) for row in null]
@@ -556,24 +606,16 @@ class EndSearchResult:
 
 
 def _pair_space_basis(R: Matrix, R_tilde: Matrix, N: int) -> list:
-    """Basis of {p in F^(N^2) : p_u R[u][v] = R~[u][v] p_v}, as N x N matrices.
+    """Basis of {p in F^(N^2) : p_u R[u][v] = R~[u][v] p_v}, as N x N matrices:
+    the kernel of ``_diagonal_rows(R~, R, N, 2)``.
 
     The pair index is u = a + N b and the returned matrices have
     P[a][b] = p_{a + N b}, so Kronecker squares of diagonals correspond to
     symmetric rank-one P.
     """
-    n2 = N * N
-    rows = []
-    for u in range(n2):
-        for v in range(n2):
-            row = {}
-            _accumulate(row, u, R.data[u][v])
-            _accumulate(row, v, -R_tilde.data[u][v])
-            if row:
-                rows.append(row)
     backend = join_backend(R.backend, R_tilde.backend)
     return [Matrix(N, N, backend, [[vec[a + N * b] for b in range(N)] for a in range(N)])
-            for vec in kernel(rows, n2, backend)]
+            for vec in kernel(_diagonal_rows(R_tilde, R, N, 2), N * N, backend)]
 
 
 def _morphism_candidates(A: YBObject, B: YBObject, strategy: str, seed: int):
@@ -800,10 +842,10 @@ def _subspace_invariant(R: Matrix, Q: Matrix) -> bool:
     return combined.rank() == QQ.rank() == m2
 
 
-def _candidate_subspaces(obj: YBObject, R: Matrix, N: int, seed: int = 0):
-    """Invariant subspaces found by Segre vectors, coordinate sets, endo columns."""
+def _candidate_subspaces(R: Matrix, N: int):
+    """Invariant subspaces found by Segre vectors and coordinate sets."""
     found = []
-    if N <= 3 and obj.R.backend.is_exact:
+    if N <= 3 and R.backend.is_exact:
         for v, _ in _segre_charts(R, N).pairs:
             found.append(v)
     backend = R.backend
@@ -817,13 +859,13 @@ def _candidate_subspaces(obj: YBObject, R: Matrix, N: int, seed: int = 0):
     return found
 
 
-def decomposability(obj: YBObject, side: str = "both", seed: int = 0) -> dict:
+def decomposability(obj: YBObject, side: str = "both") -> dict:
     """Search complementary pairs of invariant subspaces; verdict per side."""
     N = obj.slot_dim
     out = {}
     for s in (["right", "left"] if side == "both" else [side]):
         R = obj.R if s == "right" else obj.R.transpose()
-        candidates = _candidate_subspaces(obj, R, N, seed)
+        candidates = _candidate_subspaces(R, N)
         witness = None
         for Q1, Q2 in combinations(candidates, 2):
             if Q1.cols + Q2.cols != N:

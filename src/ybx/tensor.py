@@ -231,20 +231,6 @@ class Matrix:
             t = t + self.data[i][i]
         return t
 
-    def pow_int(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise DimensionMismatch("pow of non-square matrix")
-        if k < 0:
-            return self.inverse().pow_int(-k)
-        result = Matrix.identity(self.rows, self.backend)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
-
     # predicates / comparisons
 
     def is_zero_matrix(self, tol: float | None = None) -> bool:
@@ -543,10 +529,6 @@ def farr(M: Matrix, N: int, src_level: int, tgt_level: int) -> Matrix:
 def pseudo_inverse(Q: Matrix) -> Matrix:
     """Moore-Penrose left inverse (Q'Q)^(-1) Q' for full column rank Q."""
     gram = Q.dagger().mul(Q)
-    if Q.backend.is_exact:
-        if not gram.det():
-            raise RankDeficient("pseudo_inverse: matrix does not have full column rank")
-        return gram.inverse().mul(Q.dagger())
-    if gram.rank(tol=DEFAULT_TOL) < Q.cols:
+    if not gram.is_invertible():
         raise RankDeficient("pseudo_inverse: matrix does not have full column rank")
     return gram.inverse().mul(Q.dagger())

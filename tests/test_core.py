@@ -133,6 +133,17 @@ def test_half_twist_reversal_conjugation(rng):
     assert reversal_conjugation_check(ising, 4, words4)
 
 
+def test_reversal_conjugation_fails_off_the_ybe():
+    # D_3 s_1 = s_2 D_3 holds exactly when R satisfies the YBE
+    bad = Matrix.identity(4)
+    bad.data[1][2] = Fraction(1)
+    bad_obj = YBObject(2, 1, bad)
+    assert not is_ybe(bad_obj).holds
+    words = [BraidWord.of(3, letters) for letters in ([1], [2], [1, -2])]
+    assert not reversal_conjugation_check(bad_obj, 3, words)
+    assert not reversal_conjugation_check(bad_obj, 3, words[:1])
+
+
 def test_cc_predicates():
     slash = sampled_catalog_object("match2:F/", 5)
     assert is_charge_conserving(slash.R, 2)

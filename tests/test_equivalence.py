@@ -27,7 +27,9 @@ from ybx.equivalence import (
     weighted_flip,
     x_symmetry_check,
 )
+from ybx.errors import BackendMismatch
 from ybx.expressions import ParamBinding
+from ybx.scalars import Backend
 from ybx.tensor import Matrix, kron
 
 
@@ -376,6 +378,17 @@ def test_x_symmetry_n3_diagonal_solve(rng):
                              for _ in range(9)])
         report = x_symmetry_check(obj, X, 4)
         assert report.ok and report.method == "ratio-propagation"
+
+
+def test_x_symmetry_general_n_needs_an_exact_backend():
+    # the diagonal A_n at N >= 3 is an exact kernel; float ratios compared
+    # exactly around cycles of words would read as a false "fails"
+    obj = make_ybo(3, weighted_flip(3, [Fraction(2), Fraction(3), Fraction(5)]))
+    X = Matrix.diagonal([Fraction(k + 1) for k in range(9)])
+    assert x_symmetry_check(obj, X, 3).ok
+    complex_obj = make_ybo(3, obj.R.promote_to(Backend.COMPLEX_F))
+    with pytest.raises(BackendMismatch):
+        x_symmetry_check(complex_obj, X.promote_to(Backend.COMPLEX_F), 3)
 
 
 def test_exact_witness_search_across_exact_backends():

@@ -12,15 +12,22 @@ byte for byte, what the implementation returned when they were taken:
 
 The sampled intertwiners are not pinned; each is checked to be invertible
 and to intertwine the dense generator images exactly.
+
+A fourth digest pins ``x_symmetry_check`` reports (ok, per_n, method,
+certificates) for weighted flips at N = 3, seeds 0-5, n_max = 5, whose
+diagonal intertwiners come from the exact kernel; each certificate is also
+checked against dense generator images.
 """
 
 import hashlib
+import random
+from fractions import Fraction
 
 from conftest import sampled_catalog_object
 from ybx.catalog import catalog_ids
 from ybx.constructions import phi_q
-from ybx.core import generator_image
-from ybx.equivalence import local_witness_search, p_equivalent
+from ybx.core import generator_image, make_ybo
+from ybx.equivalence import local_witness_search, p_equivalent, weighted_flip, x_symmetry_check
 from ybx.structure import end_search, hom_verify
 from ybx.tensor import Matrix
 
@@ -31,6 +38,7 @@ ANTI_DIAGONAL_Q = ((0, 3), (2, 0))
 END_SEARCH_SHA256 = "66494124c1bedd121ee8dd6385b95e9ea395fd87e4f5e36dac93e119b0797b3a"
 WITNESS_SHA256 = "e6a51d73afde4e14d0e3c6e1ba9e0181d6034b65be8c8fb3af449522b0a1fc3b"
 P_EQUIVALENT_SHA256 = "282f207d2b1e53f4d462d2b5898211e17c27489d3d522f2854eb7aa8c57da0a5"
+X_SYMMETRY_SHA256 = "592dad03bdbf122aa18bc10207497dddbb8a19ae1fffcea71deb9e3ef94f1b21"
 
 
 def _digest(record) -> str:
@@ -93,3 +101,20 @@ def test_p_equivalent_frozen():
         _check_intertwiners(A, B, cert)
         record.append((name, cert.verdict, cert.failed_n, cert.witness, cert.dims))
     assert _digest(record) == P_EQUIVALENT_SHA256
+
+
+def test_x_symmetry_frozen():
+    record = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
+        obj = make_ybo(3, weighted_flip(3, weights))
+        X = Matrix.diagonal([Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(9)])
+        report = x_symmetry_check(obj, X, 5)
+        S = make_ybo(3, X.mul(obj.R).mul(X.inverse()))
+        for n, d in report.certificates.items():
+            D = Matrix.diagonal(d)
+            for i in range(1, n):
+                assert D.mul(generator_image(obj, n, i)).eq(generator_image(S, n, i).mul(D))
+        record.append((report.ok, report.per_n, report.method, report.certificates))
+    assert _digest(record) == X_SYMMETRY_SHA256

@@ -1,14 +1,18 @@
-"""The exact linear systems of ybx.structure against sympy.
+"""The linear systems of ybx.structure against independent constructions.
 
 ``intertwiner_space`` is compared with sympy's nullspace over Q(i) of the
 stacked dense system I (x) B_i^T - A_i (x) I (T flattened row by row), built
-from ``generator_image``.  The pair-space, symmetrization and span-membership
-helpers are compared with sympy on random sparse rational input.  The one
-exact kernel under them refuses the complex backend.
+from ``generator_image``; the complex array that ``intertwiner_space_numeric``
+fills from the same rows is compared entry for entry with that system built
+by ``np.kron``.  The pair-space (and the diagonal rows on three strands),
+symmetrization and span-membership helpers are compared with sympy on random
+sparse rational input.  The one row checker rejects a perturbed DS
+certificate.  The one exact kernel under them refuses the complex backend.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,17 +20,23 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import ising_unitary, sampled_catalog_object
-from ybx.constructions import phi_q
-from ybx.core import generator_image, make_ybo
+from ybx.catalog import catalog_get, catalog_ids
+from ybx.constructions import ds_intertwiner, ds_transform, phi_q
+from ybx.core import YBObject, generator_image, make_ybo
 from ybx.equivalence import local_witness_search
 from ybx.errors import BackendMismatch, DimensionMismatch
 from ybx.scalars import Backend, GaussianRational
+from ybx.expressions import ParamBinding
 from ybx.structure import (
+    _diagonal_rows,
+    _intertwiner_rows,
     _pair_space_basis,
+    _satisfied,
     _symmetrize_basis,
     _vvT_in_span,
     end_search,
     intertwiner_space,
+    intertwiner_space_numeric,
 )
 from ybx.tensor import Matrix, kernel
 
@@ -129,6 +139,65 @@ def test_intertwiner_space_matches_sympy(n):
     assert 0 in dims and len(set(dims)) > 2
 
 
+def _complex_pairs():
+    """Each catalog entry promoted to complex-f with a complex twin, both orders,
+    and with itself (where equations cancel to empty rows)."""
+    Q = Matrix.from_rows([[complex(1, 2), complex(0.5, 0)], [complex(-1, 0), complex(3, -1)]])
+    out = []
+    for entry_id in catalog_ids():
+        obj = sampled_catalog_object(entry_id, 100)
+        obj = YBObject(obj.N, obj.level, obj.R.promote_to(Backend.COMPLEX_F))
+        twin = phi_q(obj, Q)
+        out += [(obj, twin), (twin, obj), (obj, obj)]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_numeric_system_matches_kron_construction(n):
+    for A, B in _complex_pairs():
+        mA, mB = A.slot_dim ** n, B.slot_dim ** n
+        blocks = []
+        for i in range(1, n):
+            a, b = generator_image(A, n, i).to_numpy(), generator_image(B, n, i).to_numpy()
+            blocks.append(np.kron(np.eye(mA), b.T) - np.kron(a, np.eye(mB)))
+        reference = np.vstack(blocks)
+        rows = _intertwiner_rows(A, B, n)
+        system = np.zeros((len(rows), mA * mB), dtype=complex)
+        for k, row in enumerate(rows):
+            system[k, list(row)] = list(row.values())
+        assert np.array_equal(system, reference)
+        # so the one SVD sees the reference system: its basis is the reference's
+        _, s, vh = np.linalg.svd(reference)
+        null = vh[int(np.sum(s > 1e3 * 1e-9 * max(1.0, float(s[0])))):].conj()
+        basis = intertwiner_space_numeric(A, B, n)
+        assert [T.to_numpy().tolist() for T in basis] == [v.reshape(mA, mB).tolist() for v in null]
+
+
+def test_satisfied_rejects_a_perturbed_ds_certificate():
+    k, c, p, q = Fraction(3), Fraction(4), Fraction(5), Fraction(2)
+    slash = catalog_get("hietarinta:slash", ParamBinding.of(k=k, p=c, q=c, s=k))
+    Q = Matrix.from_rows([[0, p], [q, 0]])
+    S = ds_transform(slash, Q)
+    n = 3
+    rows = _intertwiner_rows(S, slash, n)
+    x = [v for row in ds_intertwiner(Q, n).data for v in row]
+    assert _satisfied(rows, x, True)
+    # the rows are linear: changing entry j is rejected unless the unit matrix
+    # at j intertwines by itself, as 4 of the 64 do here
+    zeros = [Fraction(0)] * len(x)
+    kept = [j for j in range(len(x)) if _satisfied(rows, zeros[:j] + [1] + zeros[j + 1:], True)]
+    assert len(kept) == 4
+    for j in range(len(x)):
+        assert _satisfied(rows, x[:j] + [x[j] + 1] + x[j + 1:], True) == (j in kept)
+    # on complex-f within the tolerance, and not beyond it
+    z = [complex(v) for v in x]
+    crows = [{col: complex(v) for col, v in row.items()} for row in rows]
+    assert _satisfied(crows, z, False)
+    j = next(j for j, v in enumerate(z) if v)
+    assert _satisfied(crows, z[:j] + [z[j] * (1 + 1e-12)] + z[j + 1:], False)
+    assert not _satisfied(crows, z[:j] + [z[j] * (1 + 1e-6)] + z[j + 1:], False)
+
+
 # -- the helpers of the rank-one search --------------------------------------------
 
 
@@ -147,6 +216,22 @@ def test_pair_space_basis_matches_sympy(data):
             system.append([qq_i(x) for x in row])
     got = [[qq_i(P.data[a][b]) for b in range(N) for a in range(N)]
            for P in _pair_space_basis(Matrix.from_rows(R), Matrix.from_rows(R_t), N)]
+    assert same_span(got, domain(system).nullspace().to_list())
+    if N > 2:
+        return
+    # the same rows on three strands: d_r R_i[r][c] = R~_i[r][c] d_c for i = 1, 2
+    objs = [YBObject(N, 1, Matrix.from_rows(M)) for M in (R, R_t)]
+    system = []
+    for i in (1, 2):
+        b, a = (generator_image(obj, 3, i).data for obj in objs)
+        for r in range(N ** 3):
+            for c in range(N ** 3):
+                row = [Fraction(0)] * N ** 3
+                row[r] += b[r][c]
+                row[c] -= a[r][c]
+                system.append([qq_i(x) for x in row])
+    got = [[qq_i(x) for x in vec] for vec in kernel(_diagonal_rows(objs[1].R, objs[0].R, N, 3),
+                                                    N ** 3, Backend.EXACT_Q)]
     assert same_span(got, domain(system).nullspace().to_list())
 
 
