@@ -80,10 +80,7 @@ def make_ybo(N: int, R: Matrix, level: int = 1, verify: bool = True,
              tol: float | None = None) -> YBObject:
     """Construct a Yang-Baxter object, checking invertibility and (optionally) YBE."""
     obj = YBObject(N, level, R)
-    if R.backend.is_exact:
-        if not R.det():
-            raise SingularMatrix("R must be invertible")
-    elif R.rank(tol=DEFAULT_TOL if tol is None else tol) < R.rows:
+    if R.rank(tol=DEFAULT_TOL if tol is None else tol) < R.rows:   # exact: tol unused
         raise SingularMatrix("R must be invertible")
     if verify:
         report = is_ybe(obj, tol=tol)
@@ -463,10 +460,7 @@ def is_group_type(R: Matrix, N: int, tol: float | None = None):
                     raise NotGroupType(f"column |{i+1}{j+1}> hits a word outside g_i|j>(x)|i>")
                 gs[i].data[k][j] = v
     for i, g in enumerate(gs):
-        if g.backend.is_exact:
-            if not g.det():
-                raise NotGroupType(f"g_{i+1} is singular")
-        elif g.rank(tol=DEFAULT_TOL if tol is None else tol) < N:
+        if g.rank(tol=DEFAULT_TOL if tol is None else tol) < N:
             raise NotGroupType(f"g_{i+1} is singular")
     return gs
 

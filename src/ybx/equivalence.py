@@ -237,7 +237,7 @@ def _witness_rank1(A: YBObject, B: YBObject, seed: int) -> Rank1Result:
 
 # -- p-equivalence ----------------------------------------------------------------
 
-_EXACT_CEILING = 10     # largest slot_dim ** n solved exactly
+_EXACT_CEILING = 32     # largest slot_dim ** n solved exactly
 _NUMERIC_CEILING = 32   # largest slot_dim ** n solved on the complex backend
 _TRACE_WORD_LEN = 3     # longest word whose traces p_equivalent compares
 
@@ -539,6 +539,8 @@ def _solve_diagonal_intertwiner(rows: list, size: int, backend: Backend):
     of words the rows link, so d = 1 on the first word of each set."""
     d = [zero(backend)] * size
     for vec in kernel(rows, size, backend):
-        lead = next(v for v in vec if v)
-        d = [x + v / lead for x, v in zip(d, vec)]
+        support = [i for i, v in enumerate(vec) if v]
+        lead = vec[support[0]]
+        for i in support:
+            d[i] += vec[i] / lead
     return None if any(not x for x in d) else d

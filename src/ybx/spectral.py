@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, UnfactoredSpectrum
 from .scalars import Backend, GaussianRational, to_complex
-from .tensor import Matrix
+from .tensor import Matrix, kron
 
 # -- quadratic surds ----------------------------------------------------------
 
@@ -368,25 +368,26 @@ def spectrum(M: Matrix, tol: float | None = None) -> list:
 # -- jordan structure ---------------------------------------------------------
 
 
-def _lift_matrix_rows(M: Matrix, eigenvalue):
-    """Rows of (M - eigenvalue I) over a common exact field."""
+def _lifted(M: Matrix, eigenvalue):
+    """(M - eigenvalue I) over an exact field and the factor its ranks carry.
+
+    For a surd eigenvalue a + b sqrt(d) the matrix is realified over Q, each
+    x + y sqrt(d) acting as [[x, d y], [y, x]] on the pair (1, sqrt(d)), so
+    products stay products and every rank is doubled."""
     n = M.rows
     if isinstance(eigenvalue, QuadSurd):
-        d = eigenvalue.d
-        rows = [
-            [QuadSurd(_as_fraction(v), 0, d) for v in row] for row in M.data
-        ]
-        lam = eigenvalue
-    elif isinstance(eigenvalue, GaussianRational) or M.backend is Backend.EXACT_QI:
+        a, b, d = eigenvalue.a, eigenvalue.b, eigenvalue.d
+        real = Matrix.from_rows([[_as_fraction(v) for v in row] for row in M.data])
+        surd = Matrix.from_rows([[a, b * d], [b, a]])
+        return kron(Matrix.identity(2), real).sub(kron(surd, Matrix.identity(n))), 2
+    if isinstance(eigenvalue, GaussianRational) or M.backend is Backend.EXACT_QI:
         rows = [[GaussianRational(v) if not isinstance(v, GaussianRational) else v
                  for v in row] for row in M.data]
-        lam = eigenvalue if isinstance(eigenvalue, GaussianRational) else GaussianRational(eigenvalue)
     else:
         rows = [list(row) for row in M.data]
-        lam = eigenvalue
     for i in range(n):
-        rows[i][i] = rows[i][i] - lam
-    return rows
+        rows[i][i] = rows[i][i] - eigenvalue
+    return Matrix(n, n, M.backend, rows), 1
 
 
 def _as_fraction(v) -> Fraction:
@@ -409,11 +410,11 @@ def jordan_structure(M: Matrix, tol: float | None = None) -> list:
             if mult == 1:
                 out.append((lam, [1]))
                 continue
-            base = Matrix(n, n, M.backend, _lift_matrix_rows(M, lam))
+            base, scale = _lifted(M, lam)
             ranks = [n]
             power = base
             while len(ranks) <= mult:
-                ranks.append(power.rank())
+                ranks.append(power.rank() // scale)
                 if ranks[-1] == ranks[-2]:
                     break
                 power = power.mul(base)

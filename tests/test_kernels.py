@@ -1,7 +1,9 @@
 """The sparse exact kernels against independent references.
 
 The elimination kernel (behind rref, det, solve_right and nullspace) is
-compared with sympy on random sparse rational matrices.  The braid word
+compared with sympy on random sparse rational and Gaussian-rational
+matrices, and on one tall sparse system whose pivots sit far down and whose
+clearing fills the other rows.  The braid word
 product behind rho, is_ybe and braid_relations_check is compared with a
 dense product of Kronecker generator images built here.
 """
@@ -11,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +105,125 @@ def test_nullspace_matches_sympy(data):
     got = [[v.data[r][0] for r in range(v.rows)] for v in Matrix.from_rows(data).nullspace()]
     expected = [from_sympy(v.T)[0] for v in to_sympy(data).nullspace()]
     assert got == expected
+
+
+# -- exact-qi against sympy's Q(i) --------------------------------------------------
+
+gaussian_entry = st.tuples(st.integers(0, 2),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                           st.fractions(min_value=-4, max_value=4, max_denominator=3)).map(
+    lambda t: GaussianRational(t[1], t[2]) if t[0] == 0 else GaussianRational(0))
+
+
+@st.composite
+def gaussian_matrices(draw, square=False):
+    rows = draw(st.integers(1, 5))
+    cols = rows if square else draw(st.integers(1, 5))
+    return [[draw(gaussian_entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def to_qq_i(data):
+    return DomainMatrix([[QQ_I(QQ(v.re.numerator, v.re.denominator),
+                               QQ(v.im.numerator, v.im.denominator)) for v in row]
+                         for row in data], (len(data), len(data[0])), QQ_I)
+
+
+def from_qq_i(x):
+    return GaussianRational(Fraction(int(x.x.numerator), int(x.x.denominator)),
+                            Fraction(int(x.y.numerator), int(x.y.denominator)))
+
+
+def sympy_rref(data):
+    """(rows of the reduced row echelon form over Q(i), pivot tuple)."""
+    R, pivots = to_qq_i(data).rref()
+    return [[from_qq_i(x) for x in row] for row in R.to_list()], pivots
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gaussian_matrices())
+def test_rref_matches_sympy_over_gaussian_rationals(data):
+    expected, expected_pivots = sympy_rref(data)
+    M, pivots = Matrix.from_rows(data).rref()
+    assert tuple(pivots) == expected_pivots
+    assert M.data == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gaussian_matrices())
+def test_nullspace_matches_sympy_over_gaussian_rationals(data):
+    """Each basis vector is 1 at its free column and minus sympy's reduced
+    rows there at the pivots; their number is sympy's nullity."""
+    R, pivots = sympy_rref(data)
+    cols = len(data[0])
+    expected = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [GaussianRational(0)] * cols
+        vec[f] = GaussianRational(1)
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[f]
+        expected.append(vec)
+    got = [[v.data[r][0] for r in range(v.rows)] for v in Matrix.from_rows(data).nullspace()]
+    assert got == expected
+    assert len(got) == cols - to_qq_i(data).rank()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gaussian_matrices(), st.data())
+def test_solve_right_matches_sympy_over_gaussian_rationals(data, draw):
+    A = Matrix.from_rows(data)
+    k = draw.draw(st.integers(1, 2))
+    if draw.draw(st.booleans()):
+        rhs = [[draw.draw(gaussian_entry) for _ in range(k)] for _ in range(A.rows)]
+    else:   # a consistent right-hand side
+        X0 = Matrix.from_rows([[draw.draw(gaussian_entry) for _ in range(k)]
+                               for _ in range(A.cols)])
+        rhs = A.mul(X0).data
+    R, pivots = sympy_rref([list(a) + list(b) for a, b in zip(data, rhs)])
+    if pivots and pivots[-1] >= A.cols:
+        with pytest.raises(SingularMatrix, match="inconsistent"):
+            A.solve_right(Matrix.from_rows(rhs))
+    elif len(pivots) < A.cols:
+        with pytest.raises(SingularMatrix, match="underdetermined"):
+            A.solve_right(Matrix.from_rows(rhs))
+    else:
+        assert A.solve_right(Matrix.from_rows(rhs)).data == [row[A.cols:] for row in R[:A.cols]]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gaussian_matrices(square=True))
+@example([[GaussianRational(0), GaussianRational(1, 1)],
+          [GaussianRational(0, 2), GaussianRational(0)]])
+def test_det_matches_sympy_over_gaussian_rationals(data):
+    assert Matrix.from_rows(data).det() == from_qq_i(to_qq_i(data).det())
+
+
+def test_tall_sparse_system_with_fill_in_and_row_swaps():
+    """A 36 x 18 system of rank 15: a rank-9 product of sparse factors below 6
+    rows with no entry in the first 6 columns.  The first pivots sit far
+    down and clearing them fills the other rows, so the column index follows
+    row swaps, fill-in and cancellation; the kernel has dimension 3."""
+    rng = random.Random(11)
+
+    def sparse(rows, cols, density):
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+                 else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+
+    B, C = sparse(30, 9, 0.3), sparse(9, 18, 0.3)
+    for c in range(9):
+        C[c][c + 1] = Fraction(c + 2)       # rank 9
+    product = [[sum((b * c for b, c in zip(row, col)), Fraction(0)) for col in zip(*C)]
+               for row in B]
+    data = [[Fraction(0)] * 6 + [Fraction(rng.randint(1, 5)) for _ in range(12)]
+            for _ in range(6)] + product
+    expected, expected_pivots = to_sympy(data).rref()
+    M, pivots = Matrix.from_rows(data).rref()
+    assert tuple(pivots) == expected_pivots and len(pivots) == 15 and pivots[0] < 6
+    assert M.data == from_sympy(expected)
+    got = [[v.data[r][0] for r in range(v.rows)] for v in Matrix.from_rows(data).nullspace()]
+    assert got == [from_sympy(v.T)[0] for v in to_sympy(data).nullspace()] and len(got) == 3
+    square = [row[:14] for row in data[:14]]
+    det = to_sympy(square).det()
+    assert det and Matrix.from_rows(square).det() == Fraction(int(det.p), int(det.q))
 
 
 def test_solve_right_raises_on_inconsistent_and_underdetermined():

@@ -2,7 +2,8 @@
 
 ``intertwiner_space`` is compared with sympy's nullspace over Q(i) of the
 stacked dense system I (x) B_i^T - A_i (x) I (T flattened row by row), built
-from ``generator_image``; the complex array that ``intertwiner_space_numeric``
+from ``generator_image``, and at n = 4 its dimension with the nullity of the
+same system built from sympy's own Kronecker products; the complex array that ``intertwiner_space_numeric``
 fills from the same rows is compared entry for entry with that system built
 by ``np.kron``.  The pair-space (and the diagonal rows on three strands),
 symmetrization and span-membership helpers are compared with sympy on random
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import QQ, QQ_I
+from sympy import QQ, QQ_I, eye
+from sympy import Matrix as SMatrix
+from sympy.matrices.expressions.kronecker import kronecker_product
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import ising_unitary, sampled_catalog_object
@@ -137,6 +140,30 @@ def test_intertwiner_space_matches_sympy(n):
                 assert T.mul(generator_image(B, n, i)).eq(generator_image(A, n, i).mul(T))
         dims.append(len(basis))
     assert 0 in dims and len(set(dims)) > 2
+
+
+def _kron_image(obj, n, i):
+    """sigma_i on n strands as I (x) R (x) I by sympy's Kronecker product, whose
+    first factor varies slowest, so the factors come in reverse order."""
+    R = SMatrix([[QQ_I.to_sympy(qq_i(x)) for x in row] for row in obj.R.data])
+    return kronecker_product(eye(obj.slot_dim ** (n - i - 1)), R, eye(obj.slot_dim ** (i - 1)))
+
+
+def test_intertwiner_dimensions_at_four_strands_match_kronecker_reference():
+    a, glue = (sampled_catalog_object(e, 100) for e in ("hietarinta:a", "hietarinta:slash-glue-1"))
+    ising = sampled_catalog_object("hietarinta:ising", 100)
+    eight = sampled_catalog_object("hietarinta:eight-vertex", 101)
+    eight_twin = phi_q(eight, Matrix.from_rows([[1, 2], [3, 4]]))
+    dims = []
+    for A, B in [(a, a), (a, ising), (glue, glue), (_promoted(eight), _promoted(eight_twin))]:
+        mA, mB = A.slot_dim ** 4, B.slot_dim ** 4
+        system = SMatrix.vstack(*(kronecker_product(eye(mA), _kron_image(B, 4, i).T)
+                                  - kronecker_product(_kron_image(A, 4, i), eye(mB))
+                                  for i in range(1, 4)))
+        expected = mA * mB - DomainMatrix.from_Matrix(system).convert_to(QQ_I).rank()
+        dims.append(len(intertwiner_space(A, B, 4)))
+        assert dims[-1] == expected
+    assert dims == [16, 0, 10, 16]
 
 
 def _complex_pairs():
