@@ -12,6 +12,7 @@ from .errors import (
     DimensionMismatch,
     LevelMismatch,
     NotAnAutomorphism,
+    YbxError,
     ZeroMu,
 )
 from .scalars import join_backend, promote
@@ -145,6 +146,8 @@ def ds_certificates_check(obj: YBObject, Q: Matrix, n_max: int,
                           tol: float | None = None) -> bool:
     """Verify the explicit n-intertwiners between R and its DS transform: A_n
     satisfies the rows of A_n rho_n^R = rho_n^S A_n (``_intertwiner_rows``)."""
+    if n_max < 2:
+        raise YbxError(f"n_max must be at least 2, got {n_max}: n = 2 is the first braid group")
     S = ds_transform(obj, Q, tol)
     for n in range(2, n_max + 1):
         rows = _intertwiner_rows(S, obj, n)  # checks the size before A_n is built

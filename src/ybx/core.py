@@ -5,12 +5,12 @@ invertible matrix R of size N^(2a) acting on two tensor slots of width N^a.
 The braid group representation sends sigma_i to I^(i-1) (x) R (x) I^(n-i-1),
 with slots of width N^a and words multiplying left to right.
 
-Words are multiplied without building any generator image: starting from
-identity rows, each letter acts locally on its two slots through R's (or
-R^-1's) nonzero entries, on sparse ``{col: value}`` rows.  The exact
-backends multiply integer numerators with one common denominator per
-product (``_integral``), exact-qi realified as pairs of integer columns, and
-divide once per entry of the result (``_decoded``).
+Words are multiplied without building any generator image: each letter reads
+R's (or R^-1's) local table u -> {u': R[u][u']} in place for its two slots
+(``_Letters``), on sparse ``{col: value}`` rows, and the linear systems of
+``structure`` read the same table (``_placed``).  The exact backends multiply
+integer numerators with one denominator per product (``_integral``), exact-qi
+realified as for elimination, and divide once per entry (``_decoded``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     SizeCeiling,
 )
 from .scalars import Backend, GaussianRational, one, scalar_abs, zero
-from .tensor import Matrix, dense_rows, index_to_word
+from .tensor import Matrix, _realified, dense_rows, index_to_word
 
 # Largest dimension N^(a n) of a representation space built here.  A dense
 # exact matrix of that size holds a million entries; the largest in use is
@@ -108,46 +108,57 @@ def verified(obj: YBObject, tol: float | None = None) -> YBObject:
 # -- representation -----------------------------------------------------------
 
 
-def _letter_rows(R: Matrix, w: int, n: int, i: int) -> list:
-    """Rows of I^(i-1) (x) R (x) I^(n-i-1) on slots of width w, as [(col, value)]
-    lists over the nonzeros, built from the local action u -> [(u', R[u][u'])].
+def _table(R: Matrix) -> list:
+    """R's local table u -> {u': R[u][u']} over its nonzeros, the one form in
+    which a generator is read (``_placed``, ``_Letters``)."""
+    return [{c: v for c, v in enumerate(row) if v} for row in R.data]
 
-    In the Ab convention row lo + L u + L w^2 hi (L = w^(i-1), u < w^2) holds
-    R[u][u'] in column lo + L u' + L w^2 hi.
-    """
-    table = [[(c, v) for c, v in enumerate(row) if v] for row in R.data]
-    L = w ** (i - 1)
-    w2 = w * w
-    out = []
+
+def _placed(table: list, w: int, n: int, i: int):
+    """Yield the rows of I^(i-1) (x) R (x) I^(n-i-1) on slots of width w in turn,
+    as [(col, value)] lists of R's own values from its table (``_table``): in
+    the Ab convention row lo + L u + L w^2 hi (L = w^(i-1), u < w^2) holds
+    R[u][u'] in column lo + L u' + L w^2 hi."""
+    L, w2 = w ** (i - 1), w * w
     for k in range(w ** n):
         u = k // L % w2
-        base = k - L * u
-        out.append([(base + L * u2, v) for u2, v in table[u]])
-    return out
+        yield [(k + L * (c - u), v) for c, v in table[u].items()]
 
 
-def _integral(rows: list, backend: Backend) -> tuple:
-    """A letter's rows (``_letter_rows``) as integer rows and a denominator d.
-
-    On exact-q the values become int numerators over d, the lcm of their
-    denominators.  On exact-qi the rows are realified over doubled columns:
-    a + b i at (k, c) gives (2c, a), (2c+1, b) in row 2k and (2c, -b),
-    (2c+1, a) in row 2k+1, so integer products do the Gaussian arithmetic
-    exactly.  Complex-f rows pass through with d = 1.
-    """
+def _integral(table: list, backend: Backend) -> tuple:
+    """A table (``_table``) as parts of int rows over one denominator d, the lcm
+    of its values' denominators.  On exact-qi part s holds row 2u + s of the
+    table realified as for elimination (``tensor._realified``), so integer
+    products do the Gaussian arithmetic exactly.  Complex-f has d = 1."""
     if backend is Backend.COMPLEX_F:
-        return rows, 1
-    if backend is Backend.EXACT_Q:
-        d = lcm(*(v.denominator for row in rows for _, v in row))
-        return [[(c, v.numerator * (d // v.denominator)) for c, v in row] for row in rows], d
-    d = lcm(*(x.denominator for row in rows for _, v in row for x in (v.re, v.im)))
-    out = []
-    for row in rows:
-        parts = [(c, v.re.numerator * (d // v.re.denominator),
-                  v.im.numerator * (d // v.im.denominator)) for c, v in row]
-        out.append([e for c, a, b in parts for e in ((2 * c, a), (2 * c + 1, b)) if e[1]])
-        out.append([e for c, a, b in parts for e in ((2 * c, -b), (2 * c + 1, a)) if e[1]])
-    return out, d
+        return [table], 1
+    parts = list(zip(*map(_realified, table))) if backend is Backend.EXACT_QI else [table]
+    d = lcm(*(v.denominator for part in parts for row in part for v in row.values()))
+    return [[{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in part]
+            for part in parts], d
+
+
+class _Letters(dict):
+    """Letter e -> ((parts, L, w^2), d) of word products, built on first use:
+    sigma_e, or sigma_-e^-1 for e < 0, as R's (R^-1's) integer table
+    (``_integral``) with row u's columns u' taken to offsets L (u' - u),
+    L = w^(e-1) (2 w^(e-1) on exact-qi).  Each sign's table is built once,
+    R^-1's only when an inverse letter occurs."""
+
+    def __init__(self, obj: YBObject):
+        self.obj, self.tables = obj, {}
+
+    def __missing__(self, e: int) -> tuple:
+        obj, sign = self.obj, e > 0
+        if sign not in self.tables:
+            self.tables[sign] = _integral(_table(obj.R if sign else obj.R.inverse()), obj.backend)
+        parts, d = self.tables[sign]
+        q = len(parts)
+        L = q * obj.slot_dim ** (abs(e) - 1)
+        shifted = [[[(L * (c // q - u) + c % q - s, v) for c, v in row.items()]
+                    for u, row in enumerate(part)] for s, part in enumerate(parts)]
+        self[e] = (shifted, L, obj.slot_dim ** 2), d
+        return self[e]
 
 
 def _unit_rows(size: int, backend: Backend) -> list:
@@ -161,76 +172,63 @@ def _unit_rows(size: int, backend: Backend) -> list:
 
 def _decoded(rows: list, D: int, backend: Backend) -> list:
     """Sparse rows {col: value} of the integer rows over the denominator D: one
-    division per entry, (re, im) from the column pairs (2c, 2c+1) on exact-qi."""
+    division per entry; on exact-qi the column pair (2c, 2c+1) holds (re, -im)."""
     if backend is Backend.COMPLEX_F:
         return rows
     if backend is Backend.EXACT_Q:
         return [{c: Fraction(v, D) for c, v in row.items()} for row in rows]
-    out = []
-    for row in rows:
-        pairs = {}
-        for c, v in row.items():
-            pairs.setdefault(c >> 1, [0, 0])[c & 1] = v
-        out.append({c: GaussianRational._of(Fraction(a, D), Fraction(b, D))
-                    for c, (a, b) in pairs.items()})
-    return out
+    return [{c: GaussianRational._of(Fraction(row.get(2 * c, 0), D),
+                                     Fraction(-row.get(2 * c + 1, 0), D))
+             for c in dict.fromkeys(k >> 1 for k in row)} for row in rows]
 
 
 def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
-    """Trace of integer rows over D times a letter's (rows, d) (``_integral``),
-    from the diagonal alone, in the order the product adds it; divided once.
-    On exact-qi the diagonal entry of row k is (column 2k, column 2k+1) = (re, im)."""
-    last, d = step
+    """Trace of integer rows over D times a letter (``_Letters``), from the
+    diagonal alone, in the order the product adds it; divided once.  On
+    exact-qi the diagonal entry of row k is (column 2k, column 2k+1) = (re, -im)."""
+    (parts, L, w2), d = step
+    q = len(parts)
+    sums = []
+    for s in range(q):
+        entries = ([v * r for j, v in row.items() for c, r in parts[j % q][j // L % w2]
+                    if c == t - j] for t, row in zip(range(s, q * len(rows), q), rows))
+        sums.append(sum((sum(e[1:], e[0]) for e in entries if e), 0))
     if backend is Backend.EXACT_QI:
-        size = 2 * len(rows)
-        return GaussianRational._of(Fraction(_diagonal_sum(rows, last, range(0, size, 2)), D * d),
-                                    Fraction(_diagonal_sum(rows, last, range(1, size, 2)), D * d))
-    t = _diagonal_sum(rows, last, range(len(rows)))
-    return Fraction(t, D * d) if backend is Backend.EXACT_Q else complex(t)
+        return GaussianRational._of(Fraction(sums[0], D * d), Fraction(-sums[1], D * d))
+    return Fraction(sums[0], D * d) if backend is Backend.EXACT_Q else complex(sums[0])
 
 
-def _diagonal_sum(rows: list, last: list, targets):
-    """sum_k sum_j rows[k][j] last[j][targets[k]]."""
-    entries = ([v * r for j, v in row.items() for c, r in last[j] if c == k]
-               for k, row in zip(targets, rows))
-    return sum((sum(t[1:], t[0]) for t in entries if t), 0)
-
-
-def _word_product(obj: YBObject, n: int, letters) -> tuple:
-    """Integer rows and denominator D (``_integral``) of the product of the letters'
-    generator images on n strands, left to right; D is the product of the
-    letters' denominators."""
-    w = obj.slot_dim
-    size = w ** n
+def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
+    """Integer rows and denominator D (``_integral``) of the product of the
+    word's generator images on n strands, left to right; D is the product of
+    the letters' denominators."""
+    size = obj.slot_dim ** n
     check_dim(size, f"representation on {n} strands")
-    backend = obj.R.backend
-    steps = {}
-    rows, D = _unit_rows(size, backend), 1
-    inverse = None
-    for e in letters:
-        step = steps.get(e)
-        if step is None:
-            if e < 0 and inverse is None:
-                inverse = obj.R.inverse()
-            step = steps[e] = _integral(
-                _letter_rows(inverse if e < 0 else obj.R, w, n, abs(e)), backend)
-        rows, D = _times(rows, step[0]), D * step[1]
+    rows, D = _unit_rows(size, obj.R.backend), 1
+    for e in word:
+        letter, d = letters[e]
+        rows, D = _times(rows, letter), D * d
     return rows, D
 
 
-def _word_rows(obj: YBObject, n: int, letters) -> list:
-    """Sparse rows {col: value} of the product of the letters' generator images
+def _word_rows(obj: YBObject, n: int, word) -> list:
+    """Sparse rows {col: value} of the product of the word's generator images
     on n strands, left to right."""
-    return _decoded(*_word_product(obj, n, letters), obj.R.backend)
+    return _decoded(*_word_product(obj, n, word, _Letters(obj)), obj.R.backend)
 
 
-def _times(rows: list, step: list) -> list:
-    """Sparse rows {col: value} times a letter's [(col, value)] rows (``_integral``)."""
+def _times(rows: list, letter: tuple) -> list:
+    """Integer rows {col: value} times a letter (``_Letters``), read in place: the
+    entry at column k meets row k // L mod w^2 of the letter's table (of its
+    part k mod 2 on exact-qi), its offsets added to k."""
+    parts, L, w2 = letter
+    q = len(parts)
     product = []
     for row in rows:
         out = {}
         for k, v in row.items():
-            for c, r in step[k]:
+            for c, r in parts[k % q][k // L % w2]:
+                c += k
                 if c in out:
                     out[c] += v * r
                 else:
@@ -244,7 +242,8 @@ def _dense(obj: YBObject, rows) -> Matrix:
     return Matrix(size, size, obj.R.backend, dense_rows(rows, size, zero(obj.R.backend)))
 
 
-def _compare_words(obj: YBObject, n: int, left, right, tol) -> YbeReport:
+def _compare_words(obj: YBObject, n: int, left, right, tol,
+                   letters: _Letters | None = None) -> YbeReport:
     """Entrywise comparison of the images of two words on n strands.
 
     The integer rows are compared directly, cross-multiplied by the other
@@ -254,8 +253,9 @@ def _compare_words(obj: YBObject, n: int, left, right, tol) -> YbeReport:
     residual is at most tol times max(1, inf-norms of both images).
     """
     backend = obj.R.backend
-    lhs, Dl = _word_product(obj, n, left)
-    rhs, Dr = _word_product(obj, n, right)
+    letters = _Letters(obj) if letters is None else letters
+    lhs, Dl = _word_product(obj, n, left, letters)
+    rhs, Dr = _word_product(obj, n, right, letters)
     worst = None
     worst_abs = 0.0
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
@@ -293,12 +293,13 @@ def rho(obj: YBObject, word: BraidWord) -> Matrix:
 
 def braid_relations_check(obj: YBObject, n: int, tol: float | None = None) -> bool:
     """Verify B1 (braid) and B2 (far commutation) relations on n strands."""
+    letters = _Letters(obj)
     for i in range(1, n - 1):
-        if not _compare_words(obj, n, (i, i + 1, i), (i + 1, i, i + 1), tol).holds:
+        if not _compare_words(obj, n, (i, i + 1, i), (i + 1, i, i + 1), tol, letters).holds:
             return False
     for i in range(1, n):
         for j in range(i + 2, n):
-            if not _compare_words(obj, n, (i, j), (j, i), tol).holds:
+            if not _compare_words(obj, n, (i, j), (j, i), tol, letters).holds:
                 return False
     return True
 
@@ -309,11 +310,12 @@ def reversal_conjugation_check(obj: YBObject, n: int, words, tol: float | None =
     Checks rho(D_n) rho(w) rho(D_n)^(-1) = rho(fox(w)) for the given words,
     as rho(D_n w) = rho(fox(w) D_n) entrywise (``_compare_words``).
     """
-    delta = half_twist_word(n).letters
+    delta, letters = half_twist_word(n).letters, _Letters(obj)
     for w in words:
         if w.strands != n:
             raise GeneratorOutOfRange("word strand count mismatch")
-        if not _compare_words(obj, n, delta + w.letters, fox(w).letters + delta, tol).holds:
+        if not _compare_words(obj, n, delta + w.letters, fox(w).letters + delta, tol,
+                              letters).holds:
             return False
     return True
 

@@ -19,9 +19,9 @@ from .core import (
     YBObject,
     _charge,
     _charge_violations,
-    _integral,
-    _letter_rows,
+    _Letters,
     _product_trace,
+    _table,
     _times,
     _unit_rows,
     is_additive_cc,
@@ -50,7 +50,7 @@ from .structure import (
     _morphism_candidates,
     _rank1_numeric,
 )
-from .tensor import Matrix, kernel, kron
+from .tensor import Matrix, kernel, kron, swap_matrix
 
 # -- local invariants ---------------------------------------------------------
 
@@ -58,18 +58,18 @@ from .tensor import Matrix, kernel, kron
 def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
     """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap, in
     length order, from sparse rows on two slots: one per cyclic class (``_word_traces``)."""
-    w, o, backend = obj.slot_dim, one(obj.backend), obj.backend
-    letters = {1: _integral(_letter_rows(obj.R, w, 2, 1), backend),
-               2: _integral([[(k // w + w * (k % w), o)] for k in range(w * w)], backend)}
+    w = obj.slot_dim
+    swap = YBObject(obj.N, obj.level, swap_matrix(w, w, obj.backend))
+    letters = {1: _Letters(obj)[1], 2: _Letters(swap)[1]}
     words = [word for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
     return {"".join("RP"[e - 1] for e in word): t
-            for word, t in _word_traces(letters, words, backend, w * w)}
+            for word, t in _word_traces(letters, words, obj.backend, w * w)}
 
 
 def _word_traces(letters: dict, words, backend: Backend, size: int):
     """Yield (word, trace) for each word (a tuple) in turn, one per ``_cyclic_key``,
-    on a space of dimension size, the letters' integer rows and denominators as
-    ``core._integral`` gives them: memoised prefix rows, each with its own
+    on a space of dimension size, the letters as ``core._Letters`` gives them
+    (letter e -> (letter, d)): memoised prefix rows, each with its own
     denominator, times the last letter's diagonal (``core._product_trace``)."""
     prefixes = {(): (_unit_rows(size, backend), 1)}
     traces = {}
@@ -260,12 +260,6 @@ def _trace_words(letters, max_len: int) -> list:
             if all(a != -b for a, b in zip(word, word[1:]))]
 
 
-def _generator_letters(obj: YBObject, inverse: Matrix, n: int) -> dict:
-    return {e: _integral(_letter_rows(obj.R if e > 0 else inverse, obj.slot_dim, n, abs(e)),
-                         obj.backend)
-            for i in range(1, n) for e in (i, -i)}
-
-
 def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                  tol: float | None = None) -> PEquivCertificate:
     """Decide simultaneous similarity of the braid representations up to n = p.
@@ -284,15 +278,14 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                                  witness=f"slot dimensions {A.slot_dim} vs {B.slot_dim}")
     exact = A.R.backend.is_exact and B.R.backend.is_exact
     rng = random.Random(seed)
-    inverses = (A.R.inverse(), B.R.inverse())
+    letters = (_Letters(A), _Letters(B))
     for n in range(2, p + 1):
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
         scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** _TRACE_WORD_LEN
-        letters = [_generator_letters(obj, inverse, n) for obj, inverse in zip((A, B), inverses)]
-        words = _trace_words(letters[0], _TRACE_WORD_LEN)
-        streams = [_word_traces(rows, words, obj.backend, size) for rows, obj in zip(letters, (A, B))]
+        words = _trace_words([e for i in range(1, n) for e in (i, -i)], _TRACE_WORD_LEN)
+        streams = [_word_traces(lets, words, obj.backend, size) for lets, obj in zip(letters, (A, B))]
         classes = set()
         for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
             classes.add(_cyclic_key(word))
@@ -491,6 +484,8 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
     general N takes A_n from the exact kernel of the diagonal intertwining rows
     (``structure._diagonal_rows``), which every A_n is checked against.
     """
+    if n_max < 2:
+        raise YbxError(f"n_max must be at least 2, got {n_max}: n = 2 is the first braid group")
     N = obj.N
     if obj.level != 1:
         raise DimensionMismatch("X-symmetry check is defined at level 1")
@@ -513,8 +508,9 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
     backend = obj.R.backend
     t = X.data[2][2] / X.data[1][1] if N == 2 else None
     per_n, certs = {}, {}
+    tables = _table(S.R), _table(obj.R)
     for n in range(2, n_max + 1):
-        rows = _diagonal_rows(S.R, obj.R, N, n)
+        rows = _diagonal_rows(*tables, N, n)
         if N == 2:
             diag = []
             for idx in range(2 ** n):

@@ -4,7 +4,7 @@ decomposability, and duality verification.
 Both notions of morphism are solved here.  Intertwiners of the braid
 representations, T rho_B(sigma_i) = rho_A(sigma_i) T on n strands, form the
 linear space ``intertwiner_space``.  Their equations are laid out once, as
-sparse rows read off the generators' local actions: ``_intertwiner_rows``,
+sparse rows read off R's local table (``core._placed``): ``_intertwiner_rows``,
 and ``_diagonal_rows`` for diagonal T (the pair space below, X-symmetry's
 A_n).  The exact kernel, the one SVD and the one checker ``_satisfied`` read
 those rows.  A morphism of Yang-Baxter objects,
@@ -36,7 +36,7 @@ from math import isqrt
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core import YBObject, _letter_rows, check_dim
+from .core import YBObject, _placed, _table, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .scalars import Backend, GaussianRational, join_backend, one, zero
 from .spectral import _extract_verified_roots, poly_divmod
@@ -103,19 +103,20 @@ def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
     equations of each generator in (i, r, c) order, empty ones included.
 
     T[r][k] is unknown r mB + k.  Equation (r, c) takes B_i[k][c] at
-    r mB + k and -A_i[r][k] at k mB + c, read off the generators' local
-    actions (``core._letter_rows``) without building their images.
+    r mB + k and -A_i[r][k] at k mB + c, read off R_A's and R_B's tables
+    (``core._placed``) without building the generators' images.
     """
     mA, mB = A.slot_dim ** n, B.slot_dim ** n
     check_dim(max(mA, mB), f"intertwiners on {n} strands")
+    tA, tB = _table(A.R), _table(B.R)
     rows = []
     for i in range(1, n):
         eqs = [{} for _ in range(mA * mB)]  # equation (r, c) is eqs[r mB + c]
-        for k, row in enumerate(_letter_rows(B.R, B.slot_dim, n, i)):
+        for k, row in enumerate(_placed(tB, B.slot_dim, n, i)):
             for c, v in row:
                 for r in range(mA):  # the first entry of each (equation, unknown)
                     eqs[r * mB + c][r * mB + k] = v
-        for r, row in enumerate(_letter_rows(A.R, A.slot_dim, n, i)):
+        for r, row in enumerate(_placed(tA, A.slot_dim, n, i)):
             for k, v in row:
                 for c in range(mB):
                     _accumulate(eqs[r * mB + c], k * mB + c, -v)
@@ -123,26 +124,20 @@ def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
     return rows
 
 
-def _diagonal_rows(RA: Matrix, RB: Matrix, w: int, n: int) -> list:
+def _diagonal_rows(tA: list, tB: list, w: int, n: int) -> list:
     """Rows of d_r B_i[r][c] - A_i[r][c] d_c = 0 for i < n, A_i and B_i the
-    generator images of RA and RB on slots of width w, in order of i, then
-    r, then c; empty rows are left out.  Their kernel is the diagonal
-    T = diag(d) of ``_intertwiner_rows``; at n = 2 it is the pair space."""
+    generator images of the tables tA and tB (``core._table``) on slots of
+    width w, in order of i, then r, then c; empty rows are left out.  Their
+    kernel is the diagonal T = diag(d) of ``_intertwiner_rows``; at n = 2 it
+    is the pair space."""
     rows = []
     for i in range(1, n):
-        for r, (a_row, b_row) in enumerate(zip(_letter_rows(RA, w, n, i),
-                                               _letter_rows(RB, w, n, i))):
-            a, b = dict(a_row), dict(b_row)
-            for c in sorted(a.keys() | b.keys()):
-                if c == r:
-                    x = b.get(c, 0) - a.get(c, 0)
-                    if x:
-                        rows.append({r: x})
-                else:
-                    row = {r: b[c]} if c in b else {}
-                    if c in a:
-                        row[c] = -a[c]
-                    rows.append(row)
+        for r, (a_row, b_row) in enumerate(zip(_placed(tA, w, n, i), _placed(tB, w, n, i))):
+            eqs = {c: {r: v} for c, v in b_row}    # equation (r, c) is eqs[c]
+            for c, v in a_row:
+                eq = eqs.setdefault(c, {})
+                eq[c] = eq.get(c, 0) - v if c == r else -v
+            rows.extend(eqs[c] for c in sorted(eqs) if c != r or eqs[c][r])
     return rows
 
 
@@ -607,7 +602,7 @@ class EndSearchResult:
 
 def _pair_space_basis(R: Matrix, R_tilde: Matrix, N: int) -> list:
     """Basis of {p in F^(N^2) : p_u R[u][v] = R~[u][v] p_v}, as N x N matrices:
-    the kernel of ``_diagonal_rows(R~, R, N, 2)``.
+    the kernel of ``_diagonal_rows`` of the tables of R~ and R at n = 2.
 
     The pair index is u = a + N b and the returned matrices have
     P[a][b] = p_{a + N b}, so Kronecker squares of diagonals correspond to
@@ -615,7 +610,7 @@ def _pair_space_basis(R: Matrix, R_tilde: Matrix, N: int) -> list:
     """
     backend = join_backend(R.backend, R_tilde.backend)
     return [Matrix(N, N, backend, [[vec[a + N * b] for b in range(N)] for a in range(N)])
-            for vec in kernel(_diagonal_rows(R_tilde, R, N, 2), N * N, backend)]
+            for vec in kernel(_diagonal_rows(_table(R_tilde), _table(R), N, 2), N * N, backend)]
 
 
 def _morphism_candidates(A: YBObject, B: YBObject, strategy: str, seed: int):

@@ -115,15 +115,24 @@ def dense_report(obj, left, right):
 
 def integer_path_objects():
     """Objects whose word products run on integer numerators: exact-q at a
-    non-integral binding, exact-qi with non-integral Gaussian parts, and complex-f."""
+    non-integral binding, exact-qi with non-integral Gaussian parts, and complex-f,
+    all at slot width 2; then slot widths 3 and 4: the exact-q object's direct
+    sum with a 1x1 object (rank 3) and the exact-qi object's 2-cable (level 2)."""
+    from ybx.constructions import boxplus, cable
+
     G = GaussianRational
+    q = catalog_get("hietarinta:slash-glue-2", ParamBinding.of(
+        k=Fraction(2, 3), q=Fraction(-3, 2), p=Fraction(1, 2), s=Fraction(-5, 3)))
+    qi = catalog_get("match2:F/", ParamBinding.of(
+        alpha=Fraction(2, 3), beta=G(Fraction(1, 2), Fraction(3, 2)),
+        gamma=G(Fraction(-3, 4), Fraction(1, 3)), chi=Fraction(-3, 2)))
     return [
-        ("exact-q", catalog_get("hietarinta:slash-glue-2", ParamBinding.of(
-            k=Fraction(2, 3), q=Fraction(-3, 2), p=Fraction(1, 2), s=Fraction(-5, 3)))),
-        ("exact-qi", catalog_get("match2:F/", ParamBinding.of(
-            alpha=Fraction(2, 3), beta=G(Fraction(1, 2), Fraction(3, 2)),
-            gamma=G(Fraction(-3, 4), Fraction(1, 3)), chi=Fraction(-3, 2)))),
+        ("exact-q", q),
+        ("exact-qi", qi),
         ("complex-f", make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)),
+        ("exact-q-rank-3", boxplus(q, make_ybo(1, Matrix.from_rows([[Fraction(-2, 3)]])),
+                                   Fraction(3, 4))),
+        ("exact-qi-cable-2", cable(qi, 2)),
     ]
 
 

@@ -297,12 +297,20 @@ def test_given_value_zeroing_a_constraint_is_named_before_sampling(capsys):
     assert "'k'" in err and "tries" not in err
 
 
-def test_vacuous_runs_exit_3(capsys):
+def test_vacuous_runs_exit_3(tmp_path, capsys):
     a = str(DATA / "hietarinta-slash.json")
     for p in ("0", "1"):
         assert "p must be" in assert_input_error(capsys, "equiv", a, a, "--p", p,
                                                  "--bind", "k=1,q=2,p=3,s=4")
     assert "N must be" in assert_input_error(capsys, "count-involutive", "--N", "-1")
+    xfile = write_json(tmp_path, "x.json",
+                       {"kind": "matrix", "rows": 4, "cols": 4,
+                        "entries": [["2", "0", "0", "0"], ["0", "3", "0", "0"],
+                                    ["0", "0", "5", "0"], ["0", "0", "0", "7"]]})
+    for n_max in ("1", "0", "-2"):
+        assert "n_max must be" in assert_input_error(
+            capsys, "x-symmetry", str(DATA / "match2-Fslash.json"), "--x", xfile,
+            "--bind", "alpha=2/3,beta=1+i,gamma=3/2-2*i,chi=-3", "--n-max", n_max, "--json")
 
 
 # -- fuzzing the command line ---------------------------------------------------

@@ -20,7 +20,7 @@ from ybx.constructions import (
     transpose_obj,
 )
 from ybx.core import YBObject, is_group_type, make_ybo, rho
-from ybx.errors import NotAnAutomorphism, SizeCeiling, ZeroMu
+from ybx.errors import NotAnAutomorphism, SizeCeiling, YbxError, ZeroMu
 from ybx.expressions import ParamBinding
 from ybx.spectral import eig_to_complex, spectrum
 from ybx.structure import intertwiner_space, segre_eigenvectors
@@ -237,6 +237,11 @@ def test_ds_certificates_generic_diagonal():
     obj = sampled_catalog_object("match2:F/", 17)
     Q = Matrix.diagonal([Fraction(2), Fraction(5)])
     assert ds_certificates_check(obj, Q, 4)
+    assert ds_certificates_check(obj, Q, 2)
+    # n = 2 is the first braid group: a smaller n_max would certify nothing
+    for n_max in (1, 0, -2):
+        with pytest.raises(YbxError, match="n_max must be at least 2"):
+            ds_certificates_check(obj, Q, n_max)
 
 
 def test_phi_q_and_flip():

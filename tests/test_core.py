@@ -331,7 +331,7 @@ def assert_same_image(label, got, want):
                          ids=[label for label, _ in integer_path_objects()])
 def test_rho_and_generator_image_match_kronecker_products(label, obj):
     rng = random.Random(5)
-    for n in (3, 4, 5):
+    for n in [n for n in (3, 4, 5) if obj.slot_dim ** n <= 81]:   # dense oracle at most 81 x 81
         for i in range(1, n):
             for inverse in (False, True):
                 assert_same_image(label, generator_image(obj, n, i, inverse=inverse),
@@ -369,7 +369,7 @@ def test_long_word_at_seven_digit_denominators_is_exactly_the_identity():
 
 def ybe_failures():
     """The exact objects above with one entry changed, so that YBE fails."""
-    (_, q), (_, qi), _ = integer_path_objects()
+    (_, q), (_, qi), *_ = integer_path_objects()
     Rq, Rqi = Matrix.from_rows(q.R.data), Matrix.from_rows(qi.R.data)
     Rq.data[1][0] = Fraction(1, 7)
     Rqi.data[0][3] = GaussianRational(Fraction(1, 5), Fraction(-2, 3))

@@ -29,7 +29,7 @@ from ybx.equivalence import (
     weighted_flip,
     x_symmetry_check,
 )
-from ybx.errors import BackendMismatch
+from ybx.errors import BackendMismatch, YbxError
 from ybx.expressions import ParamBinding
 from ybx.scalars import Backend
 from ybx.tensor import Matrix, kron
@@ -387,6 +387,16 @@ def test_x_symmetry_identity_X():
     assert report.ok
 
 
+def test_x_symmetry_needs_a_braid_group_to_check():
+    # n = 2 is the first braid group: a smaller n_max would check nothing
+    obj = sampled_catalog_object("match2:F/", 95)
+    X = Matrix.diagonal([Fraction(k + 2) for k in range(4)])
+    assert x_symmetry_check(obj, X, 2).per_n.keys() == {2}
+    for n_max in (1, 0, -2):
+        with pytest.raises(YbxError, match="n_max must be at least 2"):
+            x_symmetry_check(obj, X, n_max)
+
+
 def test_x_symmetry_n3_diagonal_solve(rng):
     for seed in range(3):
         rng2 = random.Random(seed)
@@ -435,11 +445,11 @@ def _rows_trace(obj, n, word):
 
 
 def _shared_prefix_traces(obj, n, max_len):
-    from ybx.equivalence import _generator_letters, _trace_words, _word_traces
+    from ybx.core import _Letters
+    from ybx.equivalence import _trace_words, _word_traces
 
-    letters = _generator_letters(obj, obj.R.inverse(), n)
-    words = _trace_words(letters, max_len)
-    return words, list(_word_traces(letters, words, obj.backend, obj.slot_dim ** n))
+    words = _trace_words([e for i in range(1, n) for e in (i, -i)], max_len)
+    return words, list(_word_traces(_Letters(obj), words, obj.backend, obj.slot_dim ** n))
 
 
 def test_word_traces_match_word_rows_products_exact():

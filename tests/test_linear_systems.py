@@ -22,10 +22,10 @@ from sympy import Matrix as SMatrix
 from sympy.matrices.expressions.kronecker import kronecker_product
 from sympy.polys.matrices import DomainMatrix
 
-from conftest import ising_unitary, sampled_catalog_object
+from conftest import integer_path_objects, ising_unitary, sampled_catalog_object
 from ybx.catalog import catalog_get, catalog_ids
 from ybx.constructions import ds_intertwiner, ds_transform, phi_q
-from ybx.core import YBObject, generator_image, make_ybo
+from ybx.core import YBObject, _table, generator_image, make_ybo
 from ybx.equivalence import local_witness_search
 from ybx.errors import BackendMismatch, DimensionMismatch
 from ybx.scalars import Backend, GaussianRational
@@ -166,6 +166,29 @@ def test_intertwiner_dimensions_at_four_strands_match_kronecker_reference():
     assert dims == [16, 0, 10, 16]
 
 
+@pytest.mark.parametrize("label,obj", integer_path_objects()[3:],
+                         ids=[label for label, _ in integer_path_objects()[3:]])
+def test_rows_at_slot_widths_3_and_4_match_generator_images(label, obj):
+    # the equations of T rho(sigma_i) = rho(sigma_i) T and of a diagonal T, entry
+    # by entry from the generator images, which match Kronecker products
+    n, m = 3, obj.slot_dim ** 3
+    images = [generator_image(obj, n, i).data for i in range(1, n)]
+    want, want_diagonal = [], []
+    for g in images:
+        for r in range(m):
+            for c in range(m):
+                eq = {}
+                for k in range(m):
+                    for unknown, x in ((r * m + k, g[k][c]), (k * m + c, -g[r][k])):
+                        if x:
+                            eq[unknown] = eq.get(unknown, 0) + x
+                want.append({u: x for u, x in eq.items() if x})
+                if g[r][c] and c != r:     # d_r g[r][c] - g[r][c] d_c
+                    want_diagonal.append({r: g[r][c], c: -g[r][c]})
+    assert _intertwiner_rows(obj, obj, n) == want
+    assert _diagonal_rows(_table(obj.R), _table(obj.R), obj.slot_dim, n) == want_diagonal
+
+
 def _complex_pairs():
     """Each catalog entry promoted to complex-f with a complex twin, both orders,
     and with itself (where equations cancel to empty rows)."""
@@ -257,8 +280,8 @@ def test_pair_space_basis_matches_sympy(data):
                 row[r] += b[r][c]
                 row[c] -= a[r][c]
                 system.append([qq_i(x) for x in row])
-    got = [[qq_i(x) for x in vec] for vec in kernel(_diagonal_rows(objs[1].R, objs[0].R, N, 3),
-                                                    N ** 3, Backend.EXACT_Q)]
+    rows = _diagonal_rows(_table(objs[1].R), _table(objs[0].R), N, 3)
+    got = [[qq_i(x) for x in vec] for vec in kernel(rows, N ** 3, Backend.EXACT_Q)]
     assert same_span(got, domain(system).nullspace().to_list())
 
 
