@@ -58,6 +58,8 @@ from .tensor import Matrix, kernel, kron, swap_matrix
 def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
     """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap, in
     length order, from sparse rows on two slots: one per cyclic class (``_word_traces``)."""
+    if L < 1:
+        raise YbxError(f"L must be at least 1, got {L}: no word would be compared")
     w = obj.slot_dim
     swap = YBObject(obj.N, obj.level, swap_matrix(w, w, obj.backend))
     letters = {1: _Letters(obj)[1], 2: _Letters(swap)[1]}

@@ -1,11 +1,13 @@
 """Spectra and Jordan structure.
 
 Exact path: the characteristic polynomial is computed by Faddeev-LeVerrier
-over the matrix's exact field.  Roots are located numerically, reconstructed
-as rationals (or Gaussian rationals), and verified exactly; whatever remains
-is factored into quadratics solved by radicals, producing quadratic surds
-``a + b*sqrt(d)``.  A polynomial that resists this is reported as
-:class:`UnfactoredSpectrum` so the caller may retry on the complex backend.
+over the matrix's exact field.  Its linear factors over Q (or Q(i)), then its
+quadratic factors over Q, are split off by ``poly.rational_factors``, which
+reads numeric roots as rationals and keeps what divides exactly; a quadratic
+left at the end is a factor too.  Quadratics are solved by radicals, giving
+quadratic surds ``a + b*sqrt(d)``.  A polynomial that resists this is
+reported as :class:`UnfactoredSpectrum` so the caller may retry on the
+complex backend.
 
 Complex path: numpy eigenvalues clustered at the global tolerance, with block
 sizes read from numeric ranks of powers of (A - lambda I).
@@ -13,13 +15,15 @@ sizes read from numeric ranks of powers of (A - lambda I).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, UnfactoredSpectrum
-from .scalars import Backend, GaussianRational, to_complex
+from .poly import rational_factors
+from .scalars import Backend, GaussianRational, one, to_complex, zero
 from .tensor import Matrix, kron
 
 # -- quadratic surds ----------------------------------------------------------
@@ -158,31 +162,7 @@ def rational_sqrt(value: Fraction):
     return QuadSurd(0, Fraction(s, den), d)
 
 
-# -- polynomials (dense, low degree first) -------------------------------------
-
-
-def poly_eval(coeffs, x):
-    acc = coeffs[-1] * 1
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def poly_divmod(num, den):
-    num = list(num)
-    dden = len(den) - 1
-    if dden < 0 or not den[-1]:
-        raise ZeroDivisionError
-    quot = [num[0] * 0] * max(len(num) - dden, 0)
-    for k in range(len(num) - 1, dden - 1, -1):
-        factor = num[k] / den[-1]
-        quot[k - dden] = factor
-        if factor:
-            for j in range(dden + 1):
-                num[k - dden + j] = num[k - dden + j] - factor * den[j]
-    while len(num) > 1 and not num[-1]:
-        num.pop()
-    return quot, num
+# -- characteristic polynomial ------------------------------------------------
 
 
 def char_poly(M: Matrix) -> list:
@@ -191,8 +171,6 @@ def char_poly(M: Matrix) -> list:
         raise DimensionMismatch("char_poly of non-square matrix")
     M._require_exact("char_poly")
     n = M.rows
-    from .scalars import one, zero
-
     o, z = one(M.backend), zero(M.backend)
     coeffs = [z] * (n + 1)
     coeffs[n] = o
@@ -209,129 +187,28 @@ def char_poly(M: Matrix) -> list:
 
 # -- exact spectrum -----------------------------------------------------------
 
-_RECON_DEN = 10 ** 8
 
-
-_RECON_LADDER = (_RECON_DEN, 10 ** 4, 100, 10, 1)
-
-
-def _reconstruct_root(z: complex, backend: Backend):
-    """Candidate exact roots near z, tightest reconstruction first.
-
-    False candidates are harmless: every candidate is verified exactly."""
-    out = []
-    for den in _RECON_LADDER:
-        re = Fraction(z.real).limit_denominator(den)
-        if abs(z.imag) < 1e-3:
-            out.append(re)
-        if backend is Backend.EXACT_QI:
-            im = Fraction(z.imag).limit_denominator(den)
-            out.append(GaussianRational(re, im))
-    seen = []
-    for c in out:
-        if c not in seen:
-            seen.append(c)
-    return seen
-
-
-def _extract_verified_roots(coeffs, backend: Backend):
-    """Peel off rational / Gaussian-rational roots, numerically guided."""
-    found = {}
-    while len(coeffs) > 1:
-        arr = [eig_to_complex(c) for c in coeffs]
-        roots = np.roots(list(reversed(arr)))
-        progressed = False
-        for z in roots:
-            for cand in _reconstruct_root(complex(z), backend):
-                if backend is Backend.EXACT_QI and isinstance(cand, Fraction):
-                    cand_val = GaussianRational(cand)
-                else:
-                    cand_val = cand
-                if poly_eval(coeffs, cand_val):
-                    continue
-                coeffs = poly_divmod(coeffs, [-cand_val, 1])[0]
-                found[cand] = found.get(cand, 0) + 1
-                progressed = True
-                break
-            if progressed:
-                break
-        if not progressed:
-            break
-    return found, coeffs
-
-
-def _solve_quadratic(coeffs):
-    """Exact roots of a degree-2 polynomial with rational coefficients."""
-    c0, c1, c2 = coeffs
-    if isinstance(c0, GaussianRational) or isinstance(c1, GaussianRational) or isinstance(c2, GaussianRational):
-        for c in (c0, c1, c2):
-            if isinstance(c, GaussianRational) and c.im != 0:
-                raise UnfactoredSpectrum("quadratic with non-real Gaussian coefficients")
-        c0 = c0.re if isinstance(c0, GaussianRational) else Fraction(c0)
-        c1 = c1.re if isinstance(c1, GaussianRational) else Fraction(c1)
-        c2 = c2.re if isinstance(c2, GaussianRational) else Fraction(c2)
-    b = c1 / c2
-    c = c0 / c2
-    disc = b * b - 4 * c
-    root = rational_sqrt(disc)
-    half = Fraction(1, 2)
-    if isinstance(root, Fraction):
-        return [(-b + root) * half, (-b - root) * half]
-    if isinstance(root, GaussianRational):
-        base = GaussianRational(-b * half)
-        off = GaussianRational(0, root.im * half)
-        return [base + off, base - off]
-    d = root.d
-    return [
-        QuadSurd(-b * half, root.b * half, d),
-        QuadSurd(-b * half, -root.b * half, d),
-    ]
+def _solve_quadratic(c0, c1) -> list:
+    """Exact roots of x^2 + c1 x + c0 with rational coefficients."""
+    b, c = _as_fraction(c1), _as_fraction(c0)
+    root = rational_sqrt(b * b - 4 * c)
+    return [(-b + root) / 2, (-b - root) / 2]
 
 
 def exact_spectrum(M: Matrix) -> list:
-    """Multiset of eigenvalues as (value, algebraic multiplicity) pairs."""
-    coeffs = char_poly(M)
-    found, rest = _extract_verified_roots(coeffs, M.backend)
-    while len(rest) > 1:
-        degree = len(rest) - 1
-        if degree == 2:
-            for root in _solve_quadratic(rest):
-                found[root] = found.get(root, 0) + 1
-            rest = rest[-1:]
-        elif degree % 2 == 0:
-            rest = _split_into_quadratic(rest, found)
-        else:
-            raise UnfactoredSpectrum(f"cannot factor residual of degree {degree}")
-    out = sorted(found.items(), key=lambda kv: _eig_sort_key(kv[0]))
-    return out
-
-
-def _split_into_quadratic(coeffs, found):
-    """Factor out one rational quadratic, numerically guided; else raise."""
-    arr = [eig_to_complex(c) for c in coeffs]
-    roots = [complex(z) for z in np.roots(list(reversed(arr)))]
-    n = len(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = roots[i] + roots[j]
-            p = roots[i] * roots[j]
-            if abs(s.imag) > 1e-3 or abs(p.imag) > 1e-3:
-                continue
-            for den in _RECON_LADDER:
-                sq = Fraction(s.real).limit_denominator(den)
-                pq = Fraction(p.real).limit_denominator(den)
-                quad = [pq * 1, -sq, Fraction(1)]
-                if isinstance(coeffs[0], GaussianRational):
-                    quad = [GaussianRational(q) for q in quad]
-                try:
-                    quot, rem = poly_divmod(list(coeffs), quad)
-                except ZeroDivisionError:
-                    continue
-                if len(rem) == 1 and not rem[0]:
-                    for root in _solve_quadratic(quad):
-                        found[root] = found.get(root, 0) + 1
-                    return quot
-    raise UnfactoredSpectrum("no rational quadratic factor found")
+    """Multiset of eigenvalues as (value, algebraic multiplicity) pairs: the
+    rational (or Gaussian-rational) roots of the characteristic polynomial,
+    then the roots of its rational quadratic factors."""
+    linear, rest = rational_factors(char_poly(M), 1)
+    if len(rest) % 2 == 0:
+        raise UnfactoredSpectrum(f"cannot factor residual of degree {len(rest) - 1}")
+    quadratic, rest = rational_factors(rest, 2)
+    if len(rest) == 3:  # a last quadratic is a factor, whatever its denominators
+        quadratic, rest = quadratic + [rest], rest[2:]
+    if len(rest) > 1:
+        raise UnfactoredSpectrum("no rational quadratic factor found")
+    roots = [-f[0] for f in linear] + [r for f in quadratic for r in _solve_quadratic(*f[:2])]
+    return sorted(Counter(roots).items(), key=lambda kv: _eig_sort_key(kv[0]))
 
 
 def _eig_sort_key(value):

@@ -16,14 +16,14 @@ squares Q (x) Q.  One generator of candidates, ``_morphism_candidates``,
 serves ``end_search`` and the exact ``local_witness_search``.  Product
 (Segre) eigenvectors R (v (x) v) = lam v (x) v are found the same way.
 Both come down to the rational zeros of a small polynomial system in at
-most two unknowns, solved by one exact gcd-and-resultant solver: the rank-one
-search for (symmetrized) pencil dimension <= 3, the Segre search for
-N <= 3.  There the search is complete, and its flag turns False only on an
-irrational zero or a sampled continuum.  Larger pencils fall back to
-structured exact candidates and seeded Gauss-Newton over the entries of v
-with exact reconstruction, flagged incomplete.  The same Gauss-Newton
-solver serves the complex backend and the numeric local witness search,
-there with det(Q) = 1 fixing the scale.
+most two unknowns, ``_rational_zeros``, a gcd-and-resultant solver on the
+helpers of ``poly``: the rank-one search for (symmetrized) pencil dimension
+<= 3, the Segre search for N <= 3.  There the search is complete, and its
+flag turns False only on an irrational zero or a sampled continuum.  Larger
+pencils fall back to structured exact candidates and seeded Gauss-Newton
+over the entries of v with exact reconstruction, flagged incomplete.  The
+same Gauss-Newton solver serves the complex backend and the numeric local
+witness search, there with det(Q) = 1 fixing the scale.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .core import YBObject, _placed, _table, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
+from .poly import _accumulate, _padd, _pmul, _psubst, _resultant, _unit, poly_gcd, rational_factors
 from .scalars import Backend, GaussianRational, join_backend, one, zero
-from .spectral import _extract_verified_roots, poly_divmod
 from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse, reduced_rows
 
 # -- realignment ----------------------------------------------------------------
@@ -87,15 +87,6 @@ def end_verify(obj: YBObject, A: Matrix, tol: float | None = None) -> bool:
 
 
 # -- linear pencils ----------------------------------------------------------------
-
-
-def _accumulate(p: dict, e, c) -> None:
-    """p[e] += c in a dict of nonzero values: a sparse row or a polynomial."""
-    x = p.get(e, 0) + c
-    if x:
-        p[e] = x
-    else:
-        p.pop(e, None)
 
 
 def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
@@ -181,93 +172,7 @@ def intertwiner_space_numeric(A: YBObject, B: YBObject, n: int = 2,
     return [Matrix.from_numpy(row.reshape(mA, mB)) for row in null]
 
 
-# -- rational zeros of small polynomial systems ---------------------------------------
-#
-# A polynomial is a dict {exponent tuple: nonzero coefficient}.  The rank-one
-# search and the product eigenvector search both come down to the rational
-# common zeros of such a system in at most two unknowns.
-
-
-def _unit(j: int, k: int) -> tuple:
-    """Exponent of the j-th of k unknowns; of the constant for j = -1."""
-    return tuple(int(i == j) for i in range(k))
-
-
-def _padd(a: dict, b: dict, scale=1) -> dict:
-    """a + scale * b."""
-    out = dict(a)
-    for e, c in b.items():
-        _accumulate(out, e, scale * c)
-    return out
-
-
-def _pmul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            _accumulate(out, tuple(i + j for i, j in zip(ea, eb)), ca * cb)
-    return out
-
-
-def _psubst(p: dict, x) -> dict:
-    """p with the value x put in for its first unknown."""
-    out = {}
-    for e, c in p.items():
-        _accumulate(out, e[1:], c * x ** e[0])
-    return out
-
-
-def _resultant(a: dict, b: dict) -> dict:
-    """Sylvester resultant of a and b in their second unknown, a polynomial in
-    the first; by cofactor expansion along the rows, each minor once."""
-    def coefficients(p):  # of t^0, t^1, ... as polynomials in s
-        out = [{} for _ in range(max(e[1] for e in p) + 1)]
-        for (i, j), c in p.items():
-            out[j][(i,)] = c
-        return out
-
-    ca, cb = coefficients(a), coefficients(b)
-    da, db = len(ca) - 1, len(cb) - 1
-    rows = [{k + da - j: c for j, c in enumerate(ca) if c} for k in range(db)]
-    rows += [{k + db - j: c for j, c in enumerate(cb) if c} for k in range(da)]
-    minors = {(): {(0,): 1}}
-
-    def minor(cols):  # the rows below len(rows) - len(cols), on the columns cols
-        if cols not in minors:
-            row = rows[len(rows) - len(cols)]
-            acc = {}
-            for pos, col in enumerate(cols):
-                if col in row:
-                    term = _pmul(row[col], minor(cols[:pos] + cols[pos + 1:]))
-                    acc = _padd(acc, term, -1 if pos % 2 else 1)
-            minors[cols] = acc
-        return minors[cols]
-
-    return minor(tuple(range(da + db)))
-
-
-def _poly_gcd(a: list, b: list) -> list:
-    a, b = list(a), list(b)
-    while len(b) > 1 or (b and b[0]):
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-        if len(b) == 1 and not b[0]:
-            break
-    if len(a) > 1 and a[-1] != 1 and a[-1]:
-        lead = a[-1]
-        a = [v / lead for v in a]
-    return a
-
-
-def _rational_poly_roots(coeffs):
-    """Rational (Gaussian-rational) roots with multiplicity, and the rest."""
-    gaussian = any(isinstance(c, GaussianRational) for c in coeffs)
-    found, rest = _extract_verified_roots(
-        list(coeffs), Backend.EXACT_QI if gaussian else Backend.EXACT_Q)
-    roots = []
-    for root, mult in found.items():
-        roots.extend([root] * mult)
-    return roots, rest
+# -- rational zeros of small polynomial systems (``poly``'s sparse dicts) -------------
 
 
 _SAMPLES = {1: (0, 1, 2), 2: (0, 1, -1, 2)}  # the first unknown on a continuum
@@ -305,12 +210,13 @@ def _rational_zeros(polys: list, k: int):
         z = next(iter(p.values())) * 0
         coeffs = [p.get((i,), z) for i in range(max(p)[0] + 1)]
         degree = len(g)
-        g = _poly_gcd(g, coeffs) if g else coeffs
+        g = poly_gcd(g, coeffs) if g else coeffs
         if len(g) == 1:
             return [], True
         if len(g) == degree:  # a gcd of the same degree is the same polynomial
             continue
-        roots, rest = _rational_poly_roots(g)
+        factors, rest = rational_factors(g, 1)
+        roots = [-f[0] for f in factors]
         if k == 2:  # a plane's first coordinates in increasing order, a line's as found
             roots.sort(key=lambda x: (getattr(x, "re", x), getattr(x, "im", 0)))
         complete = len(rest) == 1

@@ -338,22 +338,21 @@ class Matrix:
             raise SingularMatrix("inverse of singular matrix")
 
     def det(self):
-        """Determinant: exact-q from the elimination, exact-qi as det(X + iY) =
-        f(i) with f(t) = det(X + tY) interpolated at t = 0..n, complex-f numpy's."""
+        """Determinant: exact-q from the elimination, exact-qi as f(i), f(t) =
+        det(X + tY) in Newton's form over Q at t = 0..n; complex-f numpy's."""
         if not self.is_square():
             raise DimensionMismatch("det of non-square matrix")
         if not self.backend.is_exact:
             return complex(np.linalg.det(self.to_numpy()))
         n = self.rows
         if self.backend is Backend.EXACT_QI:
+            f = [Matrix(n, n, Backend.EXACT_Q, [[getattr(v, "re", v) + k * getattr(v, "im", 0)
+                 for v in row] for row in self.data]).det() for k in range(n + 1)]
+            for m in range(1, n + 1):  # divided differences
+                f[m:] = [(b - a) / m for a, b in zip(f[m - 1:], f[m:])]
             total = zero(self.backend)
-            for k in range(n + 1):
-                w = GaussianRational(Matrix(n, n, Backend.EXACT_Q, [
-                    [getattr(v, "re", v) + k * getattr(v, "im", 0) for v in row]
-                    for row in self.data]).det())
-                for j in set(range(n + 1)) - {k}:
-                    w = w * (I_QI - j) / (k - j)
-                total += w
+            for k in range(n, -1, -1):
+                total = total * (I_QI - k) + f[k]
             return total
         rows = sparse_rows(self.data)
         pivots, factor = _eliminate(rows, self.cols, track=True)

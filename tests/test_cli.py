@@ -303,6 +303,10 @@ def test_vacuous_runs_exit_3(tmp_path, capsys):
         assert "p must be" in assert_input_error(capsys, "equiv", a, a, "--p", p,
                                                  "--bind", "k=1,q=2,p=3,s=4")
     assert "N must be" in assert_input_error(capsys, "count-involutive", "--N", "-1")
+    for words in ("0", "-3"):  # no word to compare: the traces would say nothing
+        assert "L must be" in assert_input_error(
+            capsys, "invariants", str(DATA / "hietarinta-eight-vertex.json"),
+            "--bind", "p=2,q=3", "--words", words)
     xfile = write_json(tmp_path, "x.json",
                        {"kind": "matrix", "rows": 4, "cols": 4,
                         "entries": [["2", "0", "0", "0"], ["0", "3", "0", "0"],

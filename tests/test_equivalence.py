@@ -20,6 +20,7 @@ from ybx.core import is_charge_conserving, make_ybo
 from ybx.equivalence import (
     flip_word_traces,
     local_distinguish,
+    local_invariants,
     local_witness_search,
     match_stabilizer_check,
     match_stabilizer_refute,
@@ -134,6 +135,15 @@ def test_local_distinguish_same_under_phi_q(rng):
         conj = phi_q(obj, random_invertible(rng, 2))
         verdict, witness = local_distinguish(obj, conj, L=4)
         assert verdict == "same"
+
+
+def test_word_traces_need_a_word():
+    obj = sampled_catalog_object("hietarinta:eight-vertex", 7)
+    for L in (0, -3):
+        with pytest.raises(YbxError, match="L must be at least 1"):
+            local_invariants(obj, L)
+        with pytest.raises(YbxError, match="L must be at least 1"):
+            local_distinguish(obj, obj, L=L)
 
 
 def test_local_distinguish_slash_vs_f():
