@@ -395,30 +395,52 @@ class PermEnumeration:
 
 def _braid_solutions(N: int) -> list:
     """The permutations p of the N^2 points with (p x 1)(1 x p)(p x 1) = (1 x p)(p x 1)(1 x p),
-    in lexicographic order, by backtracking: p[0], p[1], ... are assigned in turn from the
-    unused points, and a branch is cut where both sides are defined on a triple and differ."""
+    in lexicographic order: backtracking on a partial p (-1 = unassigned) that takes the values
+    the triples force at each node, branching on its lowest unassigned index in ascending order."""
     n2 = N * N
 
-    def side(p: list, k: int, low: bool) -> int:
-        # triple k under three alternating factors, the first p x 1 if low; -1 where a
-        # factor needs a point past the end of p
-        for _ in range(3):
-            i = k % n2 if low else k // N
-            if i >= len(p):
-                return -1
-            k = p[i] + n2 * (k // n2) if low else k % N + N * p[i]
-            low = not low
-        return k
+    def settle(p: list) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for k in range(n2 * N):
+                ends = []  # per side: factors applied (3 = defined), point reached, next is p x 1
+                for low in (True, False):
+                    m = k
+                    for step in (0, 1, 2):
+                        i = m % n2 if low else m // N
+                        if p[i] < 0:
+                            break
+                        m += p[i] - i if low else N * (p[i] - i)
+                        low = not low
+                    else:
+                        step = 3
+                    ends.append((step, m, low))
+                (s, v, _), (t, m, low) = ends if ends[0][0] == 3 else ends[::-1]
+                if s < 3 or t < 2 or (t == 3 and v == m):
+                    continue
+                # both sides defined and unequal, or the other side's last factor keeps one base-N
+                # digit, which must agree, and the other two name p[i], which must be unused
+                fixed, i, value = ((v // n2 == m // n2, m % n2, v % n2) if low
+                                   else (v % N == m % N, m // N, v // N))
+                if t == 3 or not fixed or value in p:
+                    return False
+                p[i] = value
+                changed = True
+        return True
 
     def extend(p: list):
-        if len(p) == n2:
+        if not settle(p):
+            return
+        if -1 not in p:
             yield tuple(p)
-        for q in ([*p, v] for v in range(n2) if v not in p):
-            lefts = ((k, side(q, k, True)) for k in range(n2 * N))
-            if all(side(q, k, False) in (-1, a) for k, a in lefts if a >= 0):
-                yield from extend(q)
+            return
+        i = p.index(-1)
+        for v in range(n2):
+            if v not in p:
+                yield from extend(p[:i] + [v] + p[i + 1:])
 
-    return list(extend([]))
+    return list(extend([-1] * n2))
 
 
 def _relabel(p, pi, N: int):

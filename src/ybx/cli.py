@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .braid import parse_word
 from .catalog import (
@@ -408,7 +409,9 @@ class _Parser(argparse.ArgumentParser):
         raise YbxError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parsing leaves it unchanged."""
     parser = _Parser(prog="ybx", description="Yang-Baxter matrix toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -487,11 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?")
     p.set_defaults(func=_cmd_catalog)
 
-    p = sub.add_parser("enum-perm");  common(p, bind=False)
+    about = "permutation solutions, N = 2, 3; nondegenerate_involutive_classes is the ESS count"
+    p = sub.add_parser("enum-perm", help=about, description=about);  common(p, bind=False)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=_cmd_enum_perm)
 
-    p = sub.add_parser("count-involutive");  common(p, bind=False)
+    about = "sum of p(k) p(N-k), 20 at N = 4; not Etingof-Schedler-Soloviev's count (23)"
+    p = sub.add_parser("count-involutive", help=about, description=about);  common(p, bind=False)
     p.add_argument("--N", type=int, required=True)
     p.set_defaults(func=_cmd_count_involutive)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .tensor import Matrix, kron
 
 
 def _square_part(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d free of square factors up to the trial bound."""
+    """n = s^2 * d, d free of square factors up to the trial bound and 1 if n is a square."""
     s, d = 1, n
     f = 2
     while f * f <= min(d, 10 ** 6):
@@ -38,7 +39,8 @@ def _square_part(n: int) -> tuple[int, int]:
             d //= f * f
             s *= f
         f += 1
-    return s, d
+    r = isqrt(d)
+    return (s * r, 1) if r * r == d else (s, d)
 
 
 class QuadSurd:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybx.cli import main
+from ybx.cli import build_parser, main
 from ybx.expressions import eval_expr
 from ybx.tensor import Matrix
 
@@ -89,6 +89,19 @@ def test_enum_perm_n2(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["counts"]["solutions"] == 5
+
+
+def test_shared_parser_carries_no_state(capsys):
+    # the parser is built once per process; a usage error or a --json call before a
+    # call must not change what that call does
+    build_parser.cache_clear()
+    alone = run(capsys, "enum-perm", "--N", "2", "--json")
+    build_parser.cache_clear()
+    assert run(capsys, "enum-perm")[0] == 3
+    assert run(capsys, "enum-perm", "--N", "2", "--json")[:2] == alone[:2]
+    code, out, _ = run(capsys, "enum-perm", "--N", "2")
+    assert code == 0
+    assert out == "N=2: 5 solutions, 5 classes under relabeling\n"
 
 
 def test_catalog_list_and_get(capsys):

@@ -43,6 +43,15 @@ def test_rational_sqrt():
     assert u * u == Fraction(8)
 
 
+def test_rational_sqrt_of_squares_past_the_trial_bound():
+    prime = 10 ** 9 + 7
+    for value, root in ((Fraction(4, prime ** 2), Fraction(2, prime)),
+                        (Fraction(prime ** 2), Fraction(prime)),
+                        (Fraction(-9, prime ** 2), GaussianRational(0, Fraction(3, prime)))):
+        s = rational_sqrt(value)
+        assert type(s) is type(root) and s == root
+
+
 def test_char_poly_against_sympy():
     rng = random.Random(0)
     for _ in range(20):
