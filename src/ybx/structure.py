@@ -194,10 +194,13 @@ def _rational_zeros(polys: list, k: int):
     if k == 0:
         return ([] if polys else [()]), True
     monomials = sorted({e for p in polys for e in p}, key=lambda e: (e[1:], e), reverse=True)
-    column = {e: j for j, e in enumerate(monomials)}
-    rows = [{column[e]: c for e, c in p.items()} for p in polys]
-    polys = [{monomials[j]: c for j, c in row.items()}
-             for row in reduced_rows(rows, _eliminate(rows, len(monomials))[0])]
+    if len(polys) == 1:  # one row is its own reduced basis once its leading entry is 1
+        polys = [{e: c / polys[0][monomials[0]] for e, c in polys[0].items()}]
+    else:
+        column = {e: j for j, e in enumerate(monomials)}
+        rows = [{column[e]: c for e, c in p.items()} for p in polys]
+        polys = [{monomials[j]: c for j, c in row.items()}
+                 for row in reduced_rows(rows, _eliminate(rows, len(monomials))[0])]
     free = [p for p in polys if not any(any(e[1:]) for e in p)]
     bound = [p for p in reversed(polys) if any(any(e[1:]) for e in p)]  # lowest degree first
     confining = chain(({e[:1]: c for e, c in p.items()} for p in free),
@@ -330,9 +333,9 @@ def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
 
     Higher-dimensional spans fall back to structured exact candidates
     (pencils through basis pairs and triples, 0/1 and sign patterns) plus
-    64 seeded Gauss-Newton solves with exact reconstruction; every
-    returned vector is verified, and the completeness flag is dropped.  On
-    the complex backend the Gauss-Newton solves are the whole search.
+    64 seeded Gauss-Newton starts in lockstep, with exact reconstruction;
+    every returned vector is verified, and the completeness flag is
+    dropped.  On the complex backend those starts are the whole search.
     """
     basis = [B for B in basis if not B.is_zero_matrix()]
     if not basis:
@@ -419,7 +422,7 @@ _LINEAR_STARTS = 64  # starts of rank1_symmetric_elements, in a linear chart
 
 
 def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):
-    """Seeded Gauss-Newton for v with v v^T in span(basis), one start at a time.
+    """Seeded Gauss-Newton for v with v v^T in span(basis), starts in lockstep.
 
     With W an orthonormal basis of the span's orthogonal complement in
     C^(n^2) (one SVD), membership is the quadratic system
@@ -428,10 +431,13 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
     (Wh + Wh^T) v.  The system is homogeneous; one more row fixes the scale:
     a seeded linear chart c^T v = 1, or with ``det_chart`` (n = N^2)
     det(vec^-1 v) = 1, whose gradient is the cofactor matrix and which also
-    excludes the singular matrices.  Yields (v, residual, converged) for
-    each start, lazily: the residual is |W^H vec(v v^T)| / |v|^2, and a
-    start converges when it and the chart residual fall below 1e-12 within
-    50 steps.
+    excludes the singular matrices.  Starts are drawn and stepped in blocks
+    of 1, 1, 2, 4, ..., one stacked SVD per step taking each start to the
+    minimum-norm solution at ``lstsq``'s cutoff (twinned pairs make
+    Jacobians near-singular).  Yields each start's (v, residual, converged)
+    in order, once all before it are done: the residual is
+    |W^H vec(v v^T)| / |v|^2; a start converges, and leaves its block, when
+    it and the chart residual fall below 1e-12 within 50 steps.
     """
     n = basis[0].rows
     stack = np.array([B.to_numpy().ravel() for B in basis]).T
@@ -439,43 +445,55 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
     rank = int(np.sum(s > 1e-10 * s[0]))
     Wh = u[:, rank:].conj().T.reshape(-1, n, n)
     S = Wh + Wh.transpose(0, 2, 1)  # v^T Wh v = v^T S v / 2; Jacobian S v
+    cutoff = np.finfo(float).eps * max(len(S) + 1, n)
     rng = np.random.default_rng(seed)
     if det_chart:
         N = degree = isqrt(n)
-        others = np.array([[k for k in range(N) if k != i] for i in range(N)], dtype=int)
-        signs = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
+        # entry i + N j of v is Q[i, j], and minors[i + N j] indexes v at Q[i, j]'s minor
+        minors = np.array([[[a + N * b for b in range(N) if b != j] for a in range(N) if a != i]
+                           for j in range(N) for i in range(N)], dtype=int).reshape(n, N - 1, N - 1)
+        signs = np.array([(-1.0) ** (i + j) for j in range(N) for i in range(N)])
 
-        def chart(v):  # det Q by the first row, and the cofactors as gradient
-            Q = v.reshape(N, N, order="F")
-            cof = signs * np.linalg.det(Q[others[:, None, :, None], others[None, :, None, :]])
-            return Q[0] @ cof[0], cof.ravel(order="F")
+        def gradient(V):  # the cofactors of Q, per row of V
+            return signs * np.linalg.det(V[:, minors])
     else:
         degree = 1
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
 
-        def chart(v):
-            return c @ v, c
+        def gradient(V):
+            return np.broadcast_to(c, V.shape)
 
-    for _ in range(starts):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        v = v / chart(v)[0] ** (1 / degree)  # start on the chart
+    scale, shift = np.full(len(S) + 1, 0.5), np.zeros(len(S) + 1)
+    scale[-1], shift[-1] = 1 / degree, 1  # J v = (v^T S v, degree * chart value)
+    done = 0
+    while done < starts:
+        z = rng.normal(size=(min(starts - done, done or 1), 2, n))  # each start's two draws
+        X = z[:, 0] + 1j * z[:, 1]
+        X = X / ((X * gradient(X)).sum(1) / degree)[:, None] ** (1 / degree)  # on the chart
+        live, finished = np.arange(done, done + len(X)), {}
         for step in range(_GN_STEPS + 1):
-            Sv = S @ v
-            value, grad = chart(v)
-            r = np.append(0.5 * (Sv @ v), value - 1)
-            resid = np.linalg.norm(r[:-1]) / np.linalg.norm(v) ** 2
-            ok = resid <= _GN_TOL and abs(r[-1]) <= _GN_TOL
-            if ok or step == _GN_STEPS:
-                break
-            delta, *_ = np.linalg.lstsq(np.vstack([Sv, grad]), -r, rcond=None)
-            v = v + delta
-        yield v, resid, ok
+            J = np.concatenate(((S @ X[:, None, :, None])[..., 0], gradient(X)[:, None]), 1)
+            r = (J @ X[:, :, None])[..., 0] * scale - shift
+            res = np.hypot.reduce(abs(r[:, :-1]), 1) / np.hypot.reduce(abs(X), 1) ** 2
+            conv = np.maximum(res, abs(r[:, -1])) <= _GN_TOL
+            if step == _GN_STEPS or conv.any():
+                leave = conv | (step == _GN_STEPS)
+                finished.update(zip(live[leave].tolist(), zip(X[leave], res[leave], conv[leave])))
+                live, X, J, r = live[~leave], X[~leave], J[~leave], r[~leave]
+                while done in finished:
+                    yield finished.pop(done)
+                    done += 1
+                if not len(live):
+                    break
+            U, s, Vh = np.linalg.svd(J, full_matrices=False)
+            s[s <= cutoff * s[:, :1]] = np.inf  # lstsq's cutoff: no step along these
+            X = X - ((r.conj()[:, None] @ U) / s[:, None] @ Vh).conj()[:, 0]
 
 
 def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False) -> Rank1Result:
     """Every start of `_gauss_newton_starts`: each converged ray once, with
     the number of starts that converged and the smallest residual."""
-    rays: list[np.ndarray] = []
+    rays = np.empty((0, basis[0].rows), dtype=complex)
     found = []
     converged = 0
     best = np.inf
@@ -485,8 +503,8 @@ def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False)
             continue
         converged += 1
         ray = v / v[np.argmax(np.abs(v))]
-        if not any(np.allclose(ray, other, atol=1e-6) for other in rays):
-            rays.append(ray)
+        if not (abs(ray - rays) <= 1e-6 + 1e-5 * abs(rays)).all(1).any():  # np.allclose per row
+            rays = np.vstack((rays, ray))
             found.append(Matrix.from_numpy(v.reshape(-1, 1)))
     return Rank1Result(found, False, starts, converged, float(best))
 

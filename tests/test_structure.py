@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 import sympy
 
 from conftest import (
@@ -481,3 +482,133 @@ def test_segre_irrational_eigenvectors_leave_search_incomplete():
     obj = boxplus(sampled_catalog_object("hietarinta:eight-vertex", 200),
                   YBObject(1, 1, Matrix.from_rows([[Fraction(3)]])), 2)
     assert not segre_eigenvectors(obj).complete
+
+
+# -- the lockstep Gauss-Newton starts against the per-start loop --------------------
+
+
+def _per_start_gauss_newton(basis, seed, starts, det_chart=False):
+    """The reference for ``_gauss_newton_starts``: the same seeded starts and
+    steps, one start at a time, each step one ``np.linalg.lstsq`` solve."""
+    from math import isqrt
+
+    import numpy as np
+
+    from ybx import structure
+
+    n = basis[0].rows
+    stack = np.array([B.to_numpy().ravel() for B in basis]).T
+    u, s, _ = np.linalg.svd(stack)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    Wh = u[:, rank:].conj().T.reshape(-1, n, n)
+    S = Wh + Wh.transpose(0, 2, 1)
+    rng = np.random.default_rng(seed)
+    if det_chart:
+        N = degree = isqrt(n)
+        others = np.array([[k for k in range(N) if k != i] for i in range(N)], dtype=int)
+        signs = (-1.0) ** np.add.outer(np.arange(N), np.arange(N))
+
+        def chart(v):
+            Q = v.reshape(N, N, order="F")
+            cof = signs * np.linalg.det(Q[others[:, None, :, None], others[None, :, None, :]])
+            return Q[0] @ cof[0], cof.ravel(order="F")
+    else:
+        degree = 1
+        c = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        def chart(v):
+            return c @ v, c
+
+    for _ in range(starts):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = v / chart(v)[0] ** (1 / degree)
+        for step in range(structure._GN_STEPS + 1):
+            Sv = S @ v
+            value, grad = chart(v)
+            r = np.append(0.5 * (Sv @ v), value - 1)
+            resid = np.linalg.norm(r[:-1]) / np.linalg.norm(v) ** 2
+            ok = resid <= structure._GN_TOL and abs(r[-1]) <= structure._GN_TOL
+            if ok or step == structure._GN_STEPS:
+                break
+            delta, *_ = np.linalg.lstsq(np.vstack([Sv, grad]), -r, rcond=None)
+            v = v + delta
+        yield v, resid, ok
+
+
+@pytest.fixture(scope="module")
+def pencils():
+    """Realigned pencils of the twinned pairs of ``TWIN_CASES`` and of the
+    two negative pairs, by name."""
+    from conftest import fa_matrix, gaussian_pair, ising_unitary, zeta8
+    from test_equivalence import TWIN_CASES, _twinned_pair
+    from ybx.equivalence import _realigned_pencil_numeric
+
+    twins = {f"{entry_id}#{seed}":
+             _realigned_pencil_numeric(*_twinned_pair(entry_id, params, seed))
+             for entry_id, params, seeds in TWIN_CASES for seed in seeds}
+    R, S = gaussian_pair()
+    ising = make_ybo(2, ising_unitary(), tol=1e-9)
+    fa = make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)
+    negatives = {"gaussian-pair": _realigned_pencil_numeric(YBObject(3, 1, R), YBObject(3, 1, S)),
+                 "ising~case-a": _realigned_pencil_numeric(ising, fa)}
+    return twins, negatives
+
+
+def test_gauss_newton_blocks_converge_like_the_per_start_loop(pencils):
+    # The batched SVD step is lstsq's solution up to rounding, and on the
+    # eight-vertex twin (det chart) rounding decides whether a start meets
+    # the 1e-12 chart tolerance, so counts differ a little there.  A step
+    # from the normal equations, which square the condition number, fails.
+    from ybx.structure import _gauss_newton_starts
+
+    for name, pencil in pencils[0].items():
+        for det_chart in (True, False):
+            want = sum(ok for *_, ok in _per_start_gauss_newton(pencil, 5, 64, det_chart))
+            got = sum(ok for *_, ok in _gauss_newton_starts(pencil, 5, 64, det_chart))
+            assert want > 0 and got >= 0.8 * want, (name, det_chart, got, want)
+
+
+def test_gauss_newton_negative_pairs_converge_at_no_start(pencils):
+    from ybx.structure import _gauss_newton_starts
+
+    for name, pencil in pencils[1].items():
+        for search in (_per_start_gauss_newton, _gauss_newton_starts):
+            items = list(search(pencil, 5, 128, det_chart=True))
+            assert len(items) == 128 and not any(ok for *_, ok in items), (name, search)
+
+
+def test_gauss_newton_starts_draw_the_per_start_points(pencils, monkeypatch):
+    import numpy as np
+
+    from ybx import structure
+
+    monkeypatch.setattr(structure, "_GN_STEPS", 0)
+    for pencil in (pencils[0]["hietarinta:f#0"], pencils[1]["gaussian-pair"]):
+        for det_chart in (True, False):
+            want = np.array([v for v, *_ in _per_start_gauss_newton(pencil, 3, 20, det_chart)])
+            got = np.array([v for v, *_ in
+                            structure._gauss_newton_starts(pencil, 3, 20, det_chart)])
+            assert got.shape == want.shape and np.all(abs(got - want) <= 1e-12 * abs(want))
+
+
+def test_gauss_newton_starts_yield_in_order_and_lazily(pencils):
+    from itertools import islice
+
+    import numpy as np
+
+    from ybx.structure import _gauss_newton_starts
+
+    # On this twin (det chart) a quarter of the first 40 starts run all 50
+    # steps, so starts leave their blocks at different steps; each still
+    # ends where the per-start loop ends it.
+    pencil = pencils[0]["hietarinta:a-glue#0"]
+    want = list(_per_start_gauss_newton(pencil, 5, 40, det_chart=True))
+    drained = list(_gauss_newton_starts(pencil, 5, 40, det_chart=True))
+    assert len(drained) == 40 and len({ok for *_, ok in want}) == 2
+    for (v, _, ok), (w, _, ok_w) in zip(drained, want):
+        assert ok == ok_w and np.abs(v - w).max() <= 1e-9 * np.abs(w).max()
+    for k in (1, 2, 3, 5, 11, 40):
+        prefix = list(islice(_gauss_newton_starts(pencil, 5, 40, det_chart=True), k))
+        assert len(prefix) == k
+        for (v, resid, ok), (w, resid_w, ok_w) in zip(prefix, drained):
+            assert np.array_equal(v, w) and resid == resid_w and ok == ok_w
