@@ -269,7 +269,9 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
     For each n <= p: compare the traces of short words (an exact invariant, by
     ``_word_traces``), then solve the intertwiner space and sample five random
     combinations for invertibility (``_invertible_sample``).  All-singular
-    sampling yields "inconclusive_singular".
+    sampling yields "inconclusive_singular".  The spaces are solved as the
+    commutant tower: the basis at n - 1 is carried to n, where only
+    sigma_(n-1)'s equations are solved on it (``intertwiner_space``).
     """
     if p < 2:
         raise YbxError(f"p must be at least 2, got {p}: n = 2 is the first braid group compared")
@@ -296,10 +298,9 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                 return replace(cert, verdict="not_equivalent", failed_n=n,
                                witness=f"trace of word {list(word)} differs "
                                        f"({format_scalar(ta)} vs {format_scalar(tb)})")
-        if exact:
-            basis = intertwiner_space(A, B, n)
-        else:
-            basis = intertwiner_space_numeric(A, B, n, tol)
+        below = cert.bases.get(n - 1)
+        basis = (intertwiner_space(A, B, n, below) if exact
+                 else intertwiner_space_numeric(A, B, n, tol, below))
         cert.dims[n] = len(basis)
         cert.bases[n] = basis
         if not basis:

@@ -6,14 +6,16 @@ representations, T rho_B(sigma_i) = rho_A(sigma_i) T on n strands, form the
 linear space ``intertwiner_space``.  Their equations are laid out once, as
 sparse rows read off R's local table (``core._placed``): ``_intertwiner_rows``,
 and ``_diagonal_rows`` for diagonal T (the pair space below, X-symmetry's
-A_n).  The exact kernel, the one SVD and the one checker ``_satisfied`` read
-those rows.  A morphism of Yang-Baxter objects,
-(Q (x) Q) R_A = R_B (Q (x) Q), is quadratic in Q and is attacked in two
-linear steps: first the pencil {X : X R_A = R_B X} (or, for diagonal and
-monomial Q, a pair space), then a search for elements whose *realignment*
-is a symmetric rank-one matrix v v^T; such X are exactly the Kronecker
-squares Q (x) Q.  One generator of candidates, ``_morphism_candidates``,
-serves ``end_search`` and the exact ``local_witness_search``.  Product
+A_n).  The exact kernel and the one SVD solve those rows at n = 2, and above
+it only sigma_(n-1)'s, on the span of H_(n-1) (x) E_kl (the commutant
+tower, ``_tower_units``); the one checker ``_satisfied`` reads them at any
+n.  A morphism of Yang-Baxter objects, (Q (x) Q) R_A = R_B (Q (x) Q), is
+quadratic in Q and is attacked in two linear steps: first the pencil
+{X : X R_A = R_B X} (or, for diagonal and monomial Q, a pair space), then a
+search for elements whose *realignment* is a symmetric rank-one matrix
+v v^T; such X are exactly the Kronecker squares Q (x) Q.  One generator of
+candidates, ``_morphism_candidates``, serves ``end_search`` and the exact
+``local_witness_search``.  Product
 (Segre) eigenvectors R (v (x) v) = lam v (x) v are found the same way.
 Both come down to the rational zeros of a small polynomial system in at
 most two unknowns, ``_rational_zeros``, a gcd-and-resultant solver on the
@@ -30,8 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, combinations, permutations
-from math import isqrt
+from itertools import chain, combinations, permutations, product
+from math import isqrt, lcm
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .config import DEFAULT_TOL
 from .core import YBObject, _placed, _table, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .poly import _accumulate, _padd, _pmul, _psubst, _resultant, _unit, poly_gcd, rational_factors
-from .scalars import Backend, GaussianRational, join_backend, one, zero
+from .scalars import Backend, GaussianRational, _gr, join_backend, one, zero
 from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse, reduced_rows
 
 # -- realignment ----------------------------------------------------------------
@@ -53,22 +55,13 @@ def realign(X: Matrix, N: int) -> Matrix:
     """
     if X.rows != N * N or X.cols != N * N:
         raise DimensionMismatch("realign expects an N^2 x N^2 matrix")
-    out = Matrix.zeros(N * N, N * N, X.backend)
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for d in range(N):
-                    out.data[a + N * c][b + N * d] = X.data[a + N * b][c + N * d]
-    return out
+    return Matrix(N * N, N * N, X.backend, [[X.data[r % N + N * (c % N)][r // N + N * (c // N)]
+                                             for c in range(N * N)] for r in range(N * N)])
 
 
 def vec_to_matrix(v: Matrix, N: int) -> Matrix:
     """Inverse of vec: A[a][c] = v[a + Nc]."""
-    out = Matrix.zeros(N, N, v.backend)
-    for a in range(N):
-        for c in range(N):
-            out.data[a][c] = v.data[a + N * c][0]
-    return out
+    return Matrix(N, N, v.backend, [[v.data[a + N * c][0] for c in range(N)] for a in range(N)])
 
 
 # -- morphism checks --------------------------------------------------------------
@@ -89,9 +82,10 @@ def end_verify(obj: YBObject, A: Matrix, tol: float | None = None) -> bool:
 # -- linear pencils ----------------------------------------------------------------
 
 
-def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
+def _intertwiner_rows(A: YBObject, B: YBObject, n: int, first: int = 1) -> list:
     """Rows of T rho_B(sigma_i) = rho_A(sigma_i) T on n strands: all mA mB
-    equations of each generator in (i, r, c) order, empty ones included.
+    equations of each generator i >= first in (i, r, c) order, empty ones
+    included.
 
     T[r][k] is unknown r mB + k.  Equation (r, c) takes B_i[k][c] at
     r mB + k and -A_i[r][k] at k mB + c, read off R_A's and R_B's tables
@@ -101,7 +95,7 @@ def _intertwiner_rows(A: YBObject, B: YBObject, n: int) -> list:
     check_dim(max(mA, mB), f"intertwiners on {n} strands")
     tA, tB = _table(A.R), _table(B.R)
     rows = []
-    for i in range(1, n):
+    for i in range(first, n):
         eqs = [{} for _ in range(mA * mB)]  # equation (r, c) is eqs[r mB + c]
         for k, row in enumerate(_placed(tB, B.slot_dim, n, i)):
             for c, v in row:
@@ -145,31 +139,96 @@ def _satisfied(rows: list, x: list, exact: bool, tol: float | None = None) -> bo
     return True
 
 
-def intertwiner_space(A: YBObject, B: YBObject, n: int = 2) -> list:
+def intertwiner_space(A: YBObject, B: YBObject, n: int = 2, below: list | None = None) -> list:
     """Exact basis of {T : T rho_B(sigma_i) = rho_A(sigma_i) T for i < n} on
-    n strands, the kernel of ``_intertwiner_rows``; {X : X R_A = R_B X} is
-    intertwiner_space(B, A)."""
+    n strands; {X : X R_A = R_B X} is intertwiner_space(B, A).  At n = 2 the
+    kernel of ``_intertwiner_rows``; above, of sigma_(n-1)'s rows alone in the
+    x_u of T = sum x_u U_u (``_tower_units`` of ``below``, H_(n-1)'s basis,
+    solved when not given), on integer rows (``_integral``)."""
     mA, mB = A.slot_dim ** n, B.slot_dim ** n
-    rows = [row for row in _intertwiner_rows(A, B, n) if row]
     backend = join_backend(A.backend, B.backend)
-    return [Matrix(mA, mB, backend, [vec[r * mB:(r + 1) * mB] for r in range(mA)])
-            for vec in kernel(rows, mA * mB, backend)]
+    rows = _intertwiner_rows(A, B, n, n - 1)
+    if n == 2:
+        return [Matrix(mA, mB, backend, [vec[r * mB:(r + 1) * mB] for r in range(mA)])
+                for vec in kernel([row for row in rows if row], mA * mB, backend)]
+    below = intertwiner_space(A, B, n - 1) if below is None else below
+    units = _tower_units(below, A.slot_dim, B.slot_dim, n, exact=True)
+    at = {}                                  # entry t of T -> [(u, U_u's entry t)]
+    for u, unit in enumerate(units):
+        for t, y in unit.items():
+            at.setdefault(t, []).append((u, y))
+    eqs = []
+    for row in rows:
+        eq = {}
+        for t, v in _integral(row)[0].items():
+            for u, y in at.get(t, ()):
+                eq[u] = eq.get(u, 0) + v * y
+        eqs.append({u: v for u, v in eq.items() if v})
+    out = []
+    for x in kernel([eq for eq in eqs if eq], len(units), backend):
+        x, d = _integral({u: c for u, c in enumerate(x) if c})
+        T = {}
+        for u, c in x.items():
+            for t, y in units[u].items():
+                T[t] = T.get(t, 0) + c * y
+        data = [[zero(backend)] * mB for _ in range(mA)]
+        for t, v in T.items():
+            data[t // mB][t % mB] = (_gr(Fraction(v.re, d), Fraction(v.im, d))
+                                     if isinstance(v, GaussianRational) else Fraction(v, d))
+        out.append(Matrix(mA, mB, backend, data))
+    return out
+
+
+def _tower_units(below: list, wA: int, wB: int, n: int, exact: bool = False) -> list:
+    """The commutant tower: T = sum T_kl (x) E_kl, E_kl on the top slot,
+    intertwines sigma_1 .. sigma_(n-2) exactly when every T_kl lies in
+    H_(n-1), spanned by the Y_j of ``below`` (scaled to integers if exact).
+    So T = sum x_u U_u, U_u = Y_j (x) E_kl over u = (k wB + l) h + j, as
+    {r mB + c: entry}."""
+    mB = wB ** n
+    ys = [{r * mB + c: y for r, row in enumerate(Y.data) for c, y in enumerate(row) if y}
+          for Y in below]
+    ys = [_integral(Y)[0] for Y in ys] if exact else ys
+    return [{t + wA ** (n - 1) * k * mB + wB ** (n - 1) * l: y for t, y in Y.items()}
+            for k in range(wA) for l in range(wB) for Y in ys]
+
+
+def _integral(row: dict) -> tuple:
+    """A sparse exact row {key: value} as ints, or as Gaussian integers over
+    Q(i), over one denominator d: (row, d)."""
+    d = lcm(*(x.denominator for v in row.values()
+              for x in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))))
+    return {key: _gr(v.re.numerator * (d // v.re.denominator),
+                     v.im.numerator * (d // v.im.denominator))
+            if isinstance(v, GaussianRational) else v.numerator * (d // v.denominator)
+            for key, v in row.items()}, d
+
+
+def _dense(rows: list, ncols: int):
+    """Sparse rows {col: value} as a complex array."""
+    out = np.zeros((len(rows), ncols), dtype=complex)
+    out[[k for k, row in enumerate(rows) for _ in row],
+        [c for row in rows for c in row]] = [v for row in rows for v in row.values()]
+    return out
 
 
 def intertwiner_space_numeric(A: YBObject, B: YBObject, n: int = 2,
-                              tol: float = DEFAULT_TOL) -> list:
-    """Orthonormal basis of the same space on the complex backend: one SVD of
-    ``_intertwiner_rows`` over the objects promoted to complex-f."""
+                              tol: float = DEFAULT_TOL, below: list | None = None) -> list:
+    """Orthonormal basis of the same space on the complex backend, over the
+    objects promoted to complex-f: one SVD of ``_intertwiner_rows`` at n = 2;
+    above, of sigma_(n-1)'s rows times the tower's units (orthonormal, as the
+    Y_j are), whose null vectors the units lift."""
     mA, mB = A.slot_dim ** n, B.slot_dim ** n
     A, B = (replace(X, R=X.R.promote_to(Backend.COMPLEX_F)) for X in (A, B))
-    rows = _intertwiner_rows(A, B, n)
-    system = np.zeros((len(rows), mA * mB), dtype=complex)
-    system[[k for k, row in enumerate(rows) for _ in row],
-           [c for row in rows for c in row]] = [v for row in rows for v in row.values()]
+    system = _dense(_intertwiner_rows(A, B, n, n - 1), mA * mB)
+    if n > 2:
+        below = intertwiner_space_numeric(A, B, n - 1, tol) if below is None else below
+        lift = _dense(_tower_units(below, A.slot_dim, B.slot_dim, n), mA * mB)
+        system = system @ lift.T
     u, s, vh = np.linalg.svd(system)
     cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
     null = vh[int(np.sum(s > cutoff)):].conj()
-    return [Matrix.from_numpy(row.reshape(mA, mB)) for row in null]
+    return [Matrix.from_numpy(row.reshape(mA, mB)) for row in (null @ lift if n > 2 else null)]
 
 
 # -- rational zeros of small polynomial systems (``poly``'s sparse dicts) -------------
@@ -289,11 +348,10 @@ def _extract_rank1_symmetric(S: Matrix):
 
 
 def _rank1_chart(basis: list):
-    """Rank-one symmetric points of span(B0, ..., Bk), k <= 2: the rational
-    zeros of the 2x2 minors of the chart B0 + sum_j u_j B_j, then
-    span(B1, ..., Bk) for the points at infinity.  Returns (vectors, complete)."""
-    if not basis:
-        return [], True
+    """Rank-one symmetric points of the chart B0 + sum_j u_j B_j of
+    span(B0, ..., Bk), k <= 2: the rational zeros of its 2x2 minors.  The
+    points at infinity are those of the chart of span(B1, ..., Bk).
+    Returns (vectors, complete)."""
     B0, rest = basis[0], basis[1:]
     k, n = len(rest), B0.rows
     entry = [[{_unit(j, k): B.data[r][c] for j, B in enumerate(basis, -1) if B.data[r][c]}
@@ -310,20 +368,17 @@ def _rank1_chart(basis: list):
         v = _extract_rank1_symmetric(M)
         if v is not None:
             out.append(v)
-    vectors, rest_complete = _rank1_chart(rest)
-    return out + vectors, complete and rest_complete
+    return out, complete
 
 
 def _pattern_vectors(n: int, backend: Backend):
     """0/1 support patterns and +-1 sign patterns as exact candidates."""
-    from itertools import product as iproduct
-
     o, z = one(backend), zero(backend)
     out = []
     if n <= 9:
         for bits in range(1, 2 ** n):
             out.append(Matrix(n, 1, backend, [[o if bits >> i & 1 else z] for i in range(n)]))
-        for signs in iproduct((1, -1), repeat=n - 1):
+        for signs in product((1, -1), repeat=n - 1):
             out.append(Matrix(n, 1, backend, [[o]] + [[o if s > 0 else -o] for s in signs]))
     return out
 
@@ -347,17 +402,18 @@ def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
     sym = [B for B in sym if not B.is_zero_matrix()]
     if not sym:
         return Rank1Result([], True)
-    if len(sym) <= 3:
-        out, complete = _rank1_chart(sym)
-        return Rank1Result(_dedupe_rays(out), complete)
-    out = []
-    cap = min(len(sym), 5)
-    for i in range(cap):
-        out.extend(_rank1_chart([sym[i]])[0])
-        for j in range(i + 1, cap):
-            out.extend(_rank1_chart([sym[i], sym[j]])[0])
-            for k in range(j + 1, cap):
-                out.extend(_rank1_chart([sym[i], sym[j], sym[k]])[0])
+    if len(sym) <= 3:  # the chart of the span, then those at infinity
+        charts = [_rank1_chart(sym[s:]) for s in range(len(sym))]
+        return Rank1Result(_dedupe_rays([v for vectors, _ in charts for v in vectors]),
+                           all(complete for _, complete in charts))
+    out, charts = [], {}
+    # the pencils through the first five elements' singles, pairs and triples in
+    # order, each followed by its points at infinity; each chart solved once
+    for span in sorted(chain(*(combinations(range(min(len(sym), 5)), m) for m in (1, 2, 3)))):
+        for s in range(len(span)):
+            if span[s:] not in charts:
+                charts[span[s:]] = _rank1_chart([sym[i] for i in span[s:]])[0]
+            out.extend(charts[span[s:]])
     numeric = _rank1_numeric([B.promote_to(Backend.COMPLEX_F) for B in sym], seed,
                              _LINEAR_STARTS)
     exact = (_rationalize_vector(v, backend) for v in numeric.vectors)
@@ -421,8 +477,8 @@ _GN_TOL = 1e-12  # residual at which a start counts as converged
 _LINEAR_STARTS = 64  # starts of rank1_symmetric_elements, in a linear chart
 
 
-def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):
-    """Seeded Gauss-Newton for v with v v^T in span(basis), starts in lockstep.
+def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
+    """Seeded Gauss-Newton for v with v v^T in span(basis): (draw, lockstep).
 
     With W an orthonormal basis of the span's orthogonal complement in
     C^(n^2) (one SVD), membership is the quadratic system
@@ -431,13 +487,14 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
     (Wh + Wh^T) v.  The system is homogeneous; one more row fixes the scale:
     a seeded linear chart c^T v = 1, or with ``det_chart`` (n = N^2)
     det(vec^-1 v) = 1, whose gradient is the cofactor matrix and which also
-    excludes the singular matrices.  Starts are drawn and stepped in blocks
-    of 1, 1, 2, 4, ..., one stacked SVD per step taking each start to the
-    minimum-norm solution at ``lstsq``'s cutoff (twinned pairs make
-    Jacobians near-singular).  Yields each start's (v, residual, converged)
-    in order, once all before it are done: the residual is
-    |W^H vec(v v^T)| / |v|^2; a start converges, and leaves its block, when
-    it and the chart residual fall below 1e-12 within 50 steps.
+    excludes the singular matrices.  draw(k) takes the next k starts from the
+    seeded stream, on the chart.  lockstep(X) steps those starts together,
+    one stacked SVD per step taking each start to the minimum-norm solution
+    at ``lstsq``'s cutoff (twinned pairs make Jacobians near-singular), and
+    yields each start's (v, residual, converged) in order, once all before
+    it are done: the residual is |W^H vec(v v^T)| / |v|^2; a start
+    converges, and leaves the block, when it and the chart residual fall
+    below 1e-12 within 50 steps.
     """
     n = basis[0].rows
     stack = np.array([B.to_numpy().ravel() for B in basis]).T
@@ -465,12 +522,14 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
 
     scale, shift = np.full(len(S) + 1, 0.5), np.zeros(len(S) + 1)
     scale[-1], shift[-1] = 1 / degree, 1  # J v = (v^T S v, degree * chart value)
-    done = 0
-    while done < starts:
-        z = rng.normal(size=(min(starts - done, done or 1), 2, n))  # each start's two draws
+
+    def draw(k):
+        z = rng.normal(size=(k, 2, n))  # each start's two draws
         X = z[:, 0] + 1j * z[:, 1]
-        X = X / ((X * gradient(X)).sum(1) / degree)[:, None] ** (1 / degree)  # on the chart
-        live, finished = np.arange(done, done + len(X)), {}
+        return X / ((X * gradient(X)).sum(1) / degree)[:, None] ** (1 / degree)
+
+    def lockstep(X):
+        live, finished, done = np.arange(len(X)), {}, 0
         for step in range(_GN_STEPS + 1):
             J = np.concatenate(((S @ X[:, None, :, None])[..., 0], gradient(X)[:, None]), 1)
             r = (J @ X[:, :, None])[..., 0] * scale - shift
@@ -484,20 +543,34 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
                     yield finished.pop(done)
                     done += 1
                 if not len(live):
-                    break
+                    return
             U, s, Vh = np.linalg.svd(J, full_matrices=False)
             s[s <= cutoff * s[:, :1]] = np.inf  # lstsq's cutoff: no step along these
             X = X - ((r.conj()[:, None] @ U) / s[:, None] @ Vh).conj()[:, 0]
 
+    return draw, lockstep
+
+
+def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):
+    """The starts of ``_gauss_newton`` in lockstep blocks of 1, 1, 2, 4, ...,
+    each start's (v, residual, converged) yielded in order, so that a search
+    that stops at an early start spares the later blocks' draws and steps."""
+    draw, lockstep = _gauss_newton(basis, seed, det_chart)
+    done = 0
+    while done < starts:
+        k = min(starts - done, done or 1)
+        yield from lockstep(draw(k))
+        done += k
+
 
 def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False) -> Rank1Result:
-    """Every start of `_gauss_newton_starts`: each converged ray once, with
-    the number of starts that converged and the smallest residual."""
+    """Every start of ``_gauss_newton``, in one lockstep block: each converged
+    ray once, with the number of starts that converged and the smallest
+    residual."""
+    draw, lockstep = _gauss_newton(basis, seed, det_chart)
     rays = np.empty((0, basis[0].rows), dtype=complex)
-    found = []
-    converged = 0
-    best = np.inf
-    for v, resid, ok in _gauss_newton_starts(basis, seed, starts, det_chart):
+    found, converged, best = [], 0, np.inf
+    for v, resid, ok in lockstep(draw(starts)):
         best = min(best, resid)
         if not ok:
             continue
@@ -586,17 +659,12 @@ def end_search(obj: YBObject, strategy: str = "diagonal", seed: int = 0) -> EndS
         for bits in range(1, 2 ** N - 1):
             vals = [one(backend) if bits >> i & 1 else zero(backend) for i in range(N)]
             elements.append(Matrix.diagonal(vals, backend))
-    out = []
-    seen = set()
+    out = {}
     for A in elements:
-        if not end_verify(obj, A):
-            continue
         key = tuple(str(x) for row in A.data for x in row)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(EndoElement(A, A.rank()))
-    return EndSearchResult(out, complete)
+        if key not in out and end_verify(obj, A):
+            out[key] = EndoElement(A, A.rank())
+    return EndSearchResult(list(out.values()), complete)
 
 
 # -- subobjects and quotients ---------------------------------------------------------
@@ -734,8 +802,6 @@ def segre_eigenvectors(obj: YBObject, side: str = "right", complete: bool = True
         Rw = R.mul(w)
         lead = next((r for r in range(N * N) if w.data[r][0]), None)
         if lead is None:
-            continue
-        if not w.data[lead][0]:
             continue
         lam = Rw.data[lead][0] / w.data[lead][0]
         pairs.append((v, lam))

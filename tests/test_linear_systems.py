@@ -5,9 +5,12 @@ stacked dense system I (x) B_i^T - A_i (x) I (T flattened row by row), built
 from ``generator_image``, and at n = 4 its dimension with the nullity of the
 same system built from sympy's own Kronecker products; the complex array that ``intertwiner_space_numeric``
 fills from the same rows is compared entry for entry with that system built
-by ``np.kron``.  The pair-space (and the diagonal rows on three strands),
-symmetrization and span-membership helpers are compared with sympy on random
-sparse rational input.  The one row checker rejects a perturbed DS
+by ``np.kron``, and its basis (above n = 2 the commutant tower's) spans the
+null space of the SVD of that system.  The exact tower spans the kernel of
+every generator's rows at once on the catalog at n = 3, 4 and 5, on unequal
+slot widths and on a Gaussian twin.  The pair-space (and the diagonal rows
+on three strands), symmetrization and span-membership helpers are compared
+with sympy on random sparse rational input.  The one row checker rejects a perturbed DS
 certificate.  The one exact kernel under them refuses the complex backend.
 """
 
@@ -24,7 +27,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import integer_path_objects, ising_unitary, sampled_catalog_object
 from ybx.catalog import catalog_get, catalog_ids
-from ybx.constructions import ds_intertwiner, ds_transform, phi_q
+from ybx.constructions import boxplus, ds_intertwiner, ds_transform, phi_q
 from ybx.core import YBObject, _table, generator_image, make_ybo
 from ybx.equivalence import local_witness_search
 from ybx.errors import BackendMismatch, DimensionMismatch
@@ -41,7 +44,7 @@ from ybx.structure import (
     intertwiner_space,
     intertwiner_space_numeric,
 )
-from ybx.tensor import Matrix, kernel
+from ybx.tensor import Matrix, _eliminate, kernel
 
 # two entries in three are zero
 entry = st.sampled_from([Fraction(0)] * 12
@@ -202,7 +205,7 @@ def _complex_pairs():
     return out
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_numeric_system_matches_kron_construction(n):
     for A, B in _complex_pairs():
         mA, mB = A.slot_dim ** n, B.slot_dim ** n
@@ -216,11 +219,63 @@ def test_numeric_system_matches_kron_construction(n):
         for k, row in enumerate(rows):
             system[k, list(row)] = list(row.values())
         assert np.array_equal(system, reference)
-        # so the one SVD sees the reference system: its basis is the reference's
-        _, s, vh = np.linalg.svd(reference)
+        _, s, vh = np.linalg.svd(reference, full_matrices=n == 2)
         null = vh[int(np.sum(s > 1e3 * 1e-9 * max(1.0, float(s[0])))):].conj()
         basis = intertwiner_space_numeric(A, B, n)
-        assert [T.to_numpy().tolist() for T in basis] == [v.reshape(mA, mB).tolist() for v in null]
+        if n == 2:  # the one SVD sees the reference system: its basis is the reference's
+            assert [T.to_numpy().tolist() for T in basis] == [v.reshape(mA, mB).tolist()
+                                                              for v in null]
+            continue
+        # the tower's orthonormal basis spans the reference's null space
+        V = np.array([T.to_numpy().ravel() for T in basis]).reshape(-1, mA * mB)
+        assert len(V) == len(null)
+        assert np.abs(V @ V.conj().T - np.eye(len(V))).max() <= 1e-9
+        assert np.abs(V.T @ V.conj() - null.T @ null.conj()).max() <= 1e-9
+
+
+# -- the tower against the direct kernel of every generator's rows ------------------
+
+
+def _same_space(tower, A, B, n):
+    """The tower's basis and the kernel of all of ``_intertwiner_rows`` at n
+    have the same dimension, and together the same rank (by the one exact
+    elimination on the flattened matrices)."""
+    mA, mB = A.slot_dim ** n, B.slot_dim ** n
+    backend = A.backend if A.backend is B.backend else Backend.EXACT_QI
+    direct = kernel([row for row in _intertwiner_rows(A, B, n) if row], mA * mB, backend)
+    flat_tower = [[x for row in T.data for x in row] for T in tower]
+
+    def rank(vectors):
+        return len(_eliminate([{c: x for c, x in enumerate(v) if x} for v in vectors], mA * mB)[0])
+
+    return len(tower) == len(direct) == rank(flat_tower) == rank(flat_tower + direct)
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_tower_spans_the_direct_kernel_on_the_catalog(seed):
+    for entry_id in catalog_ids():
+        obj = sampled_catalog_object(entry_id, seed)
+        for B in (obj, phi_q(obj, Matrix.from_rows([[2, 0], [0, -3]]))):
+            below = intertwiner_space(obj, B, 2)
+            for n in (3, 4, 5):
+                below = intertwiner_space(obj, B, n, below)
+                assert _same_space(below, obj, B, n), (entry_id, n)
+
+
+def test_tower_on_unequal_slot_widths_and_a_gaussian_twin():
+    eight = sampled_catalog_object("hietarinta:eight-vertex", 101)
+    wide = boxplus(eight, YBObject(1, 1, Matrix.from_rows([[Fraction(3)]])), 2)   # width 3
+    gaussian_Q = Matrix.from_rows([[1, GaussianRational(0, 1)], [2, GaussianRational(1, 1)]])
+    twin = (phi_q(_promoted(eight), gaussian_Q), _promoted(eight))
+    dims = []
+    for A, B in ((eight, wide), (wide, eight), twin):
+        for n in (3, 4):
+            basis = intertwiner_space(A, B, n)
+            assert basis and _same_space(basis, A, B, n), n
+            assert len({(T.rows, T.cols) for T in basis}) == 1
+            assert (basis[0].rows, basis[0].cols) == (A.slot_dim ** n, B.slot_dim ** n)
+            dims.append(len(basis))
+    assert dims[:2] == dims[2:4]   # Hom(B, A) and Hom(A, B) have one dimension here
 
 
 def test_satisfied_rejects_a_perturbed_ds_certificate():

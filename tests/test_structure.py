@@ -612,3 +612,28 @@ def test_gauss_newton_starts_yield_in_order_and_lazily(pencils):
         assert len(prefix) == k
         for (v, resid, ok), (w, resid_w, ok_w) in zip(prefix, drained):
             assert np.array_equal(v, w) and resid == resid_w and ok == ok_w
+
+
+def test_rank1_numeric_is_the_drained_generator_in_one_block(pencils):
+    import numpy as np
+
+    from ybx.structure import _gauss_newton, _gauss_newton_starts, _rank1_numeric
+
+    # One lockstep block of every start ends each start where the blocks of
+    # 1, 1, 2, 4, ... end it, bit for bit; so the rays, the number of
+    # converged starts and the best residual are those of the drained blocks.
+    for name, pencil in [*pencils[0].items(), *pencils[1].items()]:
+        for det_chart in (True, False):
+            draw, lockstep = _gauss_newton(pencil, 5, det_chart)
+            one_block = list(lockstep(draw(64)))
+            drained = list(_gauss_newton_starts(pencil, 5, 64, det_chart))
+            assert len(one_block) == len(drained) == 64
+            for (v, resid, ok), (w, resid_w, ok_w) in zip(one_block, drained):
+                assert np.array_equal(v, w) and resid == resid_w and ok == ok_w, name
+            result = _rank1_numeric(pencil, 5, 64, det_chart)
+            assert result.converged == sum(ok for *_, ok in drained)
+            assert result.best_residual == min(resid for _, resid, _ in drained)
+            rays = [v / v[np.argmax(np.abs(v))] for v, _, ok in drained if ok]
+            for found in result.vectors:
+                v = found.to_numpy()[:, 0]
+                assert any(np.allclose(v / v[np.argmax(np.abs(v))], ray) for ray in rays)
