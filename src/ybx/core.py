@@ -7,17 +7,20 @@ with slots of width N^a and words multiplying left to right.
 
 Words are multiplied without building any generator image: each letter reads
 R's (or R^-1's) local table u -> {u': R[u][u']} in place for its two slots
-(``_Letters``), on sparse ``{col: value}`` rows, and the linear systems of
-``structure`` read the same table (``_placed``).  The exact backends multiply
-integer numerators with one denominator per product (``_integral``), exact-qi
-realified as for elimination, and divide once per entry (``_decoded``).
+(``_Letters``), on sparse ``{col: value}`` rows or, for exact products from
+``_COO_ROWS`` rows on, on numpy arrays of all their nonzeros, and the linear
+systems of ``structure`` read the same table (``_placed``).  The exact backends
+multiply integer numerators with one denominator per product (``_integral``),
+exact-qi realified as for elimination, and divide once per entry (``_decoded``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
 
 from .braid import BraidWord, fox, half_twist_word
 from .config import DEFAULT_TOL
@@ -36,6 +39,11 @@ from .tensor import Matrix, _realified, dense_rows, index_to_word
 # exact matrix of that size holds a million entries; the largest in use is
 # the 512-dimensional is_ybe of a 3-cable at slot width 8.
 MAX_DIM = 1024
+
+# Rows from which an exact word product runs on arrays (``_coo_times``):
+# below, numpy's cost per call outweighs the dict loop of ``_times`` (the half
+# twist of hietarinta:a: 0.22 against 0.12 ms at 16 rows, even at 32).
+_COO_ROWS = 32
 
 
 def check_dim(size: int, what: str) -> None:
@@ -146,7 +154,7 @@ class _Letters(dict):
     R^-1's only when an inverse letter occurs."""
 
     def __init__(self, obj: YBObject):
-        self.obj, self.tables = obj, {}
+        self.obj, self.tables, self.arrays = obj, {}, {}
 
     def __missing__(self, e: int) -> tuple:
         obj, sign = self.obj, e > 0
@@ -159,6 +167,20 @@ class _Letters(dict):
                     for u, row in enumerate(part)] for s, part in enumerate(parts)]
         self[e] = (shifted, L, obj.slot_dim ** 2), d
         return self[e]
+
+    def coo(self, e: int, width: int) -> tuple:
+        """Letter e for ``_coo_times`` on products of the given width: per
+        column k, the start and count of its table row's entries in the flat
+        offsets and values (ints in an object array) of all the rows."""
+        if (e, width) not in self.arrays:
+            (parts, L, w2), _ = self[e]
+            table = [row for part in parts for row in part]
+            count, k = np.array([len(row) for row in table]), np.arange(width)
+            t = k % len(parts) * w2 + k // L % w2
+            self.arrays[e, width] = ((np.cumsum(count) - count)[t], count[t],
+                                     np.array([c for row in table for c, _ in row]),
+                                     np.array([v for row in table for _, v in row], dtype=object))
+        return self.arrays[e, width]
 
 
 def _unit_rows(size: int, backend: Backend) -> list:
@@ -201,14 +223,24 @@ def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
 def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
     """Integer rows and denominator D (``_integral``) of the product of the
     word's generator images on n strands, left to right; D is the product of
-    the letters' denominators."""
-    size = obj.slot_dim ** n
+    the letters' denominators.  Exact products of ``_COO_ROWS`` rows or more
+    run on arrays (``_coo_times``), converted back to rows at the end."""
+    size, backend = obj.slot_dim ** n, obj.R.backend
     check_dim(size, f"representation on {n} strands")
-    rows, D = _unit_rows(size, obj.R.backend), 1
+    D = prod(letters[e][1] for e in word)
+    if size < _COO_ROWS or backend is Backend.COMPLEX_F:
+        rows = _unit_rows(size, backend)
+        for e in word:
+            rows = _times(rows, letters[e][0])
+        return rows, D
+    q = 2 if backend is Backend.EXACT_QI else 1           # row k starts as 1 at column q k
+    width = q * size
+    keys, values = np.arange(size) * (width + q), np.ones(size, dtype=object)
     for e in word:
-        letter, d = letters[e]
-        rows, D = _times(rows, letter), D * d
-    return rows, D
+        keys, values = _coo_times(keys, values, width, letters.coo(e, width))
+    bounds = np.searchsorted(keys, np.arange(size + 1) * width).tolist()
+    cols, values = (keys % width).tolist(), values.tolist()
+    return [dict(zip(cols[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])], D
 
 
 def _word_rows(obj: YBObject, n: int, word) -> list:
@@ -220,7 +252,8 @@ def _word_rows(obj: YBObject, n: int, word) -> list:
 def _times(rows: list, letter: tuple) -> list:
     """Integer rows {col: value} times a letter (``_Letters``), read in place: the
     entry at column k meets row k // L mod w^2 of the letter's table (of its
-    part k mod 2 on exact-qi), its offsets added to k."""
+    part k mod 2 on exact-qi), its offsets added to k.  Products below
+    ``_COO_ROWS`` rows and on complex-f, and shared prefixes, run on it."""
     parts, L, w2 = letter
     q = len(parts)
     product = []
@@ -235,6 +268,25 @@ def _times(rows: list, letter: tuple) -> list:
                     out[c] = v * r
         product.append({c: x for c, x in out.items() if x})
     return product
+
+
+def _coo_times(keys, values, width: int, letter: tuple) -> tuple:
+    """Sorted keys row * width + col and int values of a product's nonzeros
+    times a letter (``_Letters.coo``), as ``_times`` does row by row: each
+    entry repeated once per entry of its table row, offsets added, values
+    multiplied, then equal keys summed after one stable sort, zeros dropped."""
+    start, count, offsets, table = letter
+    c = keys % width
+    n = count[c]
+    rep = np.repeat(np.arange(len(keys)), n)
+    j = np.arange(len(rep)) + np.repeat(start[c] - np.cumsum(n) + n, n)
+    keys, values = keys[rep] + offsets[j], values[rep] * table[j]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    keys, values = keys[first], np.add.reduceat(values[order], first)
+    nonzero = values.astype(bool)
+    return keys[nonzero], values[nonzero]
 
 
 def _dense(obj: YBObject, rows) -> Matrix:

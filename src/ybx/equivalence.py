@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from .config import DEFAULT_TOL
 from .core import (
@@ -41,6 +42,7 @@ from .spectral import eig_to_complex, jordan_structure, spectrum
 from .structure import (
     Rank1Result,
     _diagonal_rows,
+    _integral,
     _satisfied,
     hom_verify,
     intertwiner_space,
@@ -321,22 +323,27 @@ def _invertible_sample(basis: list, rng: random.Random, bound: int):
     det T is a polynomial of degree m = T.rows in the coefficients, so when
     some combination is invertible a draw is singular with probability at
     most m / (2 bound + 1) (Schwartz-Zippel).  Each draw is one pass over the
-    basis elements' nonzero entries.
+    basis elements' nonzero entries, on integers over one denominator D on
+    exact backends (``structure._integral``); the accepted draw is divided by D.
     """
-    first = basis[0]
-    z = zero(first.backend)
-    entries = [[(r, c, v) for r, row in enumerate(M.data) for c, v in enumerate(row) if v]
-               for M in basis]
+    first, backend = basis[0], basis[0].backend
+    cells = [{(r, c): v for r, row in enumerate(M.data) for c, v in enumerate(row) if v}
+             for M in basis]
+    if backend.is_exact:
+        cells = [_integral(M) for M in cells]
+        D = lcm(*(d for _, d in cells))
+        cells = [{k: v * (D // d) for k, v in M.items()} for M, d in cells]
+    z = 0 if backend.is_exact else zero(backend)
     for _ in range(5):
         data = [[z] * first.cols for _ in range(first.rows)]
-        for nonzeros in entries:
+        for nonzeros in cells:
             coeff = rng.randint(-bound, bound)
             if coeff:
-                for r, c, v in nonzeros:
+                for (r, c), v in nonzeros.items():
                     data[r][c] += coeff * v
-        T = Matrix(first.rows, first.cols, first.backend, data)
+        T = Matrix(first.rows, first.cols, backend, data)
         if T.is_invertible():
-            return T
+            return T.scale(Fraction(1, D)) if backend.is_exact else T
     return None
 
 

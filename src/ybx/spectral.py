@@ -32,15 +32,16 @@ from .tensor import Matrix, kron
 
 def _square_part(n: int) -> tuple[int, int]:
     """n = s^2 * d, d free of square factors up to the trial bound and 1 if n is a square."""
-    s, d = 1, n
+    s, d, rest = 1, 1, n
     f = 2
-    while f * f <= min(d, 10 ** 6):
-        while d % (f * f) == 0:
-            d //= f * f
-            s *= f
+    while f * f <= min(rest, 10 ** 6):
+        e = 0
+        while rest % f == 0:
+            rest, e = rest // f, e + 1
+        s, d = s * f ** (e // 2), d * f ** (e % 2)
         f += 1
-    r = isqrt(d)
-    return (s * r, 1) if r * r == d else (s, d)
+    r = isqrt(rest)
+    return (s * r, d) if r * r == rest else (s, d * rest)
 
 
 class QuadSurd:

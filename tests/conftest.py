@@ -1,13 +1,23 @@
-import random
-from fractions import Fraction
+import os
 
-import pytest
+# One BLAS/OpenMP thread, as perfbench/steady.py sets for the benchmark: an
+# unbounded OpenBLAS pool spins against any other busy process on the host
+# (on 2 vCPUs one SVD of test_linear_systems took 14 s instead of 0.15 s).
+# Set before numpy is first imported, which the imports below do.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from ybx.catalog import catalog_get, sample_entry_binding
-from ybx.core import make_ybo
-from ybx.expressions import ParamBinding
-from ybx.scalars import Backend, GaussianRational, scalar_abs
-from ybx.tensor import Matrix, kron
+import random  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+import pytest  # noqa: E402
+
+from ybx.catalog import catalog_get, sample_entry_binding  # noqa: E402
+from ybx.core import make_ybo  # noqa: E402
+from ybx.expressions import ParamBinding  # noqa: E402
+from ybx.scalars import Backend, GaussianRational, scalar_abs  # noqa: E402
+from ybx.tensor import Matrix, kron  # noqa: E402
 
 
 def random_rational(rng, lo=-9, hi=9):

@@ -15,12 +15,17 @@ from conftest import (
     sampled_catalog_object,
     zeta8,
 )
-from ybx.braid import BraidWord
-from ybx.catalog import catalog_get, sample_entry_binding
+import ybx.core as core
+from ybx.braid import BraidWord, half_twist_word
+from ybx.catalog import catalog_get, catalog_ids, sample_entry_binding
 from ybx.constructions import flip_conj, inverse_obj, phi_q, scale_obj, transpose_obj
 from ybx.core import (
     YBObject,
     _compare_words,
+    _Letters,
+    _times,
+    _unit_rows,
+    _word_product,
     _word_rows,
     braid_relations_check,
     cc_shape_level2,
@@ -40,7 +45,7 @@ from ybx.core import (
     rho,
     strip_to_permutation,
 )
-from ybx.errors import NotGroupType, NotMonomial
+from ybx.errors import NotGroupType, NotMonomial, SizeCeiling
 from ybx.expressions import ParamBinding
 from ybx.scalars import GaussianRational
 from ybx.tensor import Matrix, kron, swap_matrix
@@ -337,8 +342,9 @@ def test_rho_and_generator_image_match_kronecker_products(label, obj):
                 assert_same_image(label, generator_image(obj, n, i, inverse=inverse),
                                   dense_generator(obj, n, i, inverse=inverse))
         gens = [g for i in range(1, n) for g in (i, -i)]
-        for _ in range(3):
-            letters = [rng.choice(gens) for _ in range(rng.randint(1, 6))] + [-rng.randint(1, n - 1)]
+        words = [[rng.choice(gens) for _ in range(rng.randint(1, 6))] + [-rng.randint(1, n - 1)]
+                 for _ in range(3)]
+        for letters in words + [half_twist_word(n).letters]:  # n = 5 on arrays (_coo_times)
             assert_same_image(label, rho(obj, BraidWord.of(n, letters)),
                               dense_word(obj, n, letters))
 
@@ -365,6 +371,54 @@ def test_long_word_at_seven_digit_denominators_is_exactly_the_identity():
     assert len(letters) == 120
     assert _word_rows(obj, 5, letters) == [{k: 1} for k in range(32)]
     assert rho(obj, BraidWord.of(5, letters)).data == Matrix.identity(32).data
+
+
+# -- the product over all nonzeros at once against the row loop ----------------------
+
+
+def row_loop_product(obj, n, word):
+    """Integer rows and denominator of the word's product by ``_times`` alone."""
+    letters = _Letters(obj)
+    rows, D = _unit_rows(obj.slot_dim ** n, obj.backend), 1
+    for e in word:
+        letter, d = letters[e]
+        rows, D = _times(rows, letter), D * d
+    return rows, D
+
+
+def exact_objects():
+    """Every catalog entry at both sampled bindings, and the exact-qi F/."""
+    objects = [(f"{e}@{seed}", sampled_catalog_object(e, seed))
+               for seed in (100, 101) for e in catalog_ids()]
+    return objects + [integer_path_objects()[1]]
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_coo_product_matches_the_row_loop(n):
+    rng = random.Random(n)
+    for label, obj in exact_objects():
+        seeded = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(8)]
+        for word in (half_twist_word(n).letters, tuple(seeded), ()):
+            rows, D = _word_product(obj, n, word, _Letters(obj))
+            assert (rows, D) == row_loop_product(obj, n, word), (label, word)
+            assert all(type(v) is int for row in rows for v in row.values())
+
+
+def test_word_products_route_by_size_and_backend(monkeypatch):
+    calls = []
+    for name in ("_times", "_coo_times"):
+        monkeypatch.setattr(core, name, lambda *args, kernel=getattr(core, name), name=name:
+                            calls.append(name) or kernel(*args))
+    (_, q), (_, qi), (_, f), *_ = integer_path_objects()
+    for obj, n, kernel in ((q, 4, "_times"), (qi, 4, "_times"), (q, 5, "_coo_times"),
+                           (qi, 5, "_coo_times"), (f, 5, "_times"), (f, 6, "_times")):
+        calls.clear()
+        _word_product(obj, n, (1, -2, 3), _Letters(obj))
+        assert calls == [kernel] * 3, (obj.backend, n)
+    calls.clear()
+    with pytest.raises(SizeCeiling):
+        _word_product(q, 11, (1,), _Letters(q))      # 2^11 rows > MAX_DIM
+    assert not calls
 
 
 def ybe_failures():

@@ -52,6 +52,14 @@ def test_rational_sqrt_of_squares_past_the_trial_bound():
         assert type(s) is type(root) and s == root
 
 
+def test_rational_sqrt_of_a_large_square_beside_a_small_prime():
+    prime = 10 ** 9 + 7
+    for small, s, d in ((2, 1, 2), (12, 2, 3)):
+        root = rational_sqrt(Fraction(small * prime ** 2))
+        assert isinstance(root, QuadSurd) and (root.a, root.b, root.d) == (0, s * prime, d)
+        assert root == prime * rational_sqrt(Fraction(small))
+
+
 def test_char_poly_against_sympy():
     rng = random.Random(0)
     for _ in range(20):
