@@ -394,10 +394,25 @@ class PermEnumeration:
 
 
 def _braid_solutions(N: int) -> list:
-    """The permutations p of the N^2 points with (p x 1)(1 x p)(p x 1) = (1 x p)(p x 1)(1 x p),
-    in lexicographic order: backtracking on a partial p (-1 = unassigned) that takes the values
-    the triples force at each node, branching on its lowest unassigned index in ascending order."""
+    """The lexicographically least member of each relabeling orbit of the permutations p of
+    the N^2 points with (p x 1)(1 x p)(p x 1) = (1 x p)(p x 1)(1 x p), in lexicographic order:
+    backtracking on a partial p (-1 = unassigned) that takes the values the triples force at
+    each node, branching on its lowest unassigned index in ascending order.  A node is dropped
+    when a relabeling sigma puts sigma.p below p on every completion: at the first position
+    where p and sigma.p are both known and differ, sigma.p is smaller, and every earlier
+    position is known in both and equal."""
     n2 = N * N
+    moves = _relabelings(N)[1:]
+
+    def dominated(p: list) -> bool:
+        for sig, inv in moves:
+            for j in range(n2):
+                a, q = p[j], p[inv[j]]
+                if a < 0 or q < 0 or sig[q] > a:
+                    break
+                if sig[q] < a:
+                    return True
+        return False
 
     def settle(p: list) -> bool:
         changed = True
@@ -430,7 +445,7 @@ def _braid_solutions(N: int) -> list:
         return True
 
     def extend(p: list):
-        if not settle(p):
+        if dominated(p) or not settle(p) or dominated(p):
             return
         if -1 not in p:
             yield tuple(p)
@@ -443,13 +458,14 @@ def _braid_solutions(N: int) -> list:
     return list(extend([-1] * n2))
 
 
-def _relabel(p, pi, N: int):
-    n2 = N * N
-    sig = [pi[i % N] + N * pi[i // N] for i in range(n2)]
-    inv = [0] * n2
-    for i, v in enumerate(sig):
-        inv[v] = i
-    return tuple(sig[p[inv[i]]] for i in range(n2))
+def _relabelings(N: int) -> list:
+    """Each relabeling pi of the N symbols, the identity first, as (sigma, sigma^-1):
+    sigma sends the point x + N y to pi[x] + N pi[y]."""
+    out = []
+    for pi in permutations(range(N)):
+        sig = [pi[i % N] + N * pi[i // N] for i in range(N * N)]
+        out.append((sig, sorted(range(N * N), key=sig.__getitem__)))
+    return out
 
 
 def _nondegenerate(p, N: int) -> bool:
@@ -463,23 +479,19 @@ def _nondegenerate(p, N: int) -> bool:
 
 
 def enumerate_permutation_solutions(N: int) -> PermEnumeration:
-    """All permutation solutions on N^2 points, N = 2 or 3, found by backtracking.
+    """All permutation solutions on N^2 points, N = 2 or 3, in lexicographic order.
 
     Solutions are grouped under simultaneous relabeling (conjugation by
-    P_pi (x) P_pi); flags mark non-degenerate and involutive solutions.
+    P_pi (x) P_pi): the backtracking search lists only each orbit's least
+    member (the classes), and the solutions are the union of their orbits.
+    Flags mark non-degenerate and involutive solutions.
     """
     if N not in (2, 3):
         raise UnsupportedRank("permutation enumeration supports N = 2 and 3")
     n2 = N * N
-    solutions = _braid_solutions(N)
-    seen = set()
-    classes = []
-    for p in solutions:
-        if p in seen:
-            continue
-        orbit = {_relabel(p, pi, N) for pi in permutations(range(N))}
-        classes.append(min(orbit))
-        seen |= orbit
+    classes = _braid_solutions(N)
+    solutions = sorted({tuple(sig[p[inv[i]]] for i in range(n2))
+                        for p in classes for sig, inv in _relabelings(N)})
     flags = {p: {"nondegenerate": _nondegenerate(p, N),
                  "involutive": all(p[p[i]] == i for i in range(n2))}
              for p in solutions}

@@ -38,7 +38,7 @@ from .errors import (
     YbxError,
 )
 from .scalars import Backend, format_scalar, one, to_complex, zero
-from .spectral import eig_to_complex, jordan_structure, spectrum
+from .spectral import _jordan_blocks, complexf_spectrum, eig_to_complex, spectrum
 from .structure import (
     Rank1Result,
     _diagonal_rows,
@@ -109,18 +109,21 @@ class InvariantReport:
 
 
 def local_invariants(obj: YBObject, L: int = 4) -> InvariantReport:
-    """Quantities invariant under R -> (Q (x) Q) R (Q (x) Q)^-1."""
-    from .spectral import complexf_spectrum
+    """Quantities invariant under R -> (Q (x) Q) R (Q (x) Q)^-1.
 
-    try:
-        jordan = jordan_structure(obj.R)
-    except UnfactoredSpectrum:
-        jordan = None
+    The spectrum is computed once and the Jordan data from it.  An exact
+    spectrum that does not factor gives the clustered complex spectrum and
+    ``jordan=None``; a rank step that fails gives ``jordan=None`` alone."""
     try:
         spec = spectrum(obj.R)
     except UnfactoredSpectrum:
         # numeric fallback with clustering, so multiplicities stay comparable
-        spec = complexf_spectrum(obj.R.promote_to(Backend.COMPLEX_F))
+        spec, jordan = complexf_spectrum(obj.R.promote_to(Backend.COMPLEX_F)), None
+    else:
+        try:
+            jordan = _jordan_blocks(obj.R, spec)
+        except UnfactoredSpectrum:
+            jordan = None
     return InvariantReport(
         size=obj.R.rows,
         spectrum=spec,
@@ -535,7 +538,7 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
         if diag is not None:
             certs[n] = diag
     return XSymmetryReport(ok=all(per_n.values()), per_n=per_n,
-                           method="closed-form" if N == 2 else "ratio-propagation",
+                           method="closed-form" if N == 2 else "diagonal-kernel",
                            certificates=certs)
 
 

@@ -282,46 +282,37 @@ def jordan_structure(M: Matrix, tol: float | None = None) -> list:
     """Jordan data as (eigenvalue, sorted block sizes descending) pairs."""
     if not M.is_square():
         raise DimensionMismatch("jordan_structure of non-square matrix")
-    n = M.rows
-    if M.backend.is_exact:
-        spec = exact_spectrum(M)
-        out = []
-        for lam, mult in spec:
-            if mult == 1:
-                out.append((lam, [1]))
-                continue
-            base, scale = _lifted(M, lam)
-            ranks = [n]
-            power = base
-            while len(ranks) <= mult:
-                ranks.append(power.rank() // scale)
-                if ranks[-1] == ranks[-2]:
-                    break
-                power = power.mul(base)
-            out.append((lam, _blocks_from_ranks(ranks, mult)))
-        return out
-    tol = DEFAULT_TOL if tol is None else tol
-    arr = M.to_numpy()
-    spec = complexf_spectrum(M, tol)
-    scale = max(1.0, float(np.max(np.abs(arr))))
+    return _jordan_blocks(M, spectrum(M, tol), tol)
+
+
+def _jordan_blocks(M: Matrix, spec: list, tol: float | None = None) -> list:
+    """Block sizes for each (eigenvalue, multiplicity) of M's spectrum spec, from the
+    ranks of the powers of M - eigenvalue I: exact ranks on an exact backend, SVD ranks
+    with a cutoff scaled from tol otherwise."""
+    n, exact = M.rows, M.backend.is_exact
+    if not exact:
+        tol = DEFAULT_TOL if tol is None else tol
+        arr = M.to_numpy()
+        scale = max(1.0, float(np.max(np.abs(arr))))
     out = []
     for lam, mult in spec:
         if mult == 1:
             out.append((lam, [1]))
             continue
-        base = arr - lam * np.eye(n)
-        ranks = [n]
-        power = base.copy()
+        base, factor = _lifted(M, lam) if exact else (arr - lam * np.eye(n), 1)
+        ranks, power = [n], base
         while len(ranks) <= mult:
-            sv = np.linalg.svd(power, compute_uv=False)
-            cutoff = 1e3 * tol * max(scale, float(sv[0]) if len(sv) else 1.0)
-            r = int(np.sum(sv > cutoff))
-            ranks.append(r)
+            ranks.append((power.rank() if exact else _svd_rank(power, scale, tol)) // factor)
             if ranks[-1] == ranks[-2]:
                 break
             power = power @ base
         out.append((lam, _blocks_from_ranks(ranks, mult)))
     return out
+
+
+def _svd_rank(A, scale: float, tol: float) -> int:
+    sv = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(sv > 1e3 * tol * max(scale, float(sv[0]) if len(sv) else 1.0)))
 
 
 def _blocks_from_ranks(ranks: list, mult: int) -> list:

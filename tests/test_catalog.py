@@ -246,3 +246,30 @@ def test_enumeration_rank3_is_complete_near_every_solution():
             q = list(p)
             q[i], q[j] = q[j], q[i]
             assert tuple(q) in listed or not _braid_holds(q, 3)
+
+
+def _relabeled(p, pi, N: int):
+    # the point (x, y) at index x + N*y goes to (pi[x], pi[y]), and p to its conjugate by
+    # that map: the image of i goes to the image of p[i]
+    def move(i):
+        return pi[i % N] + N * pi[i // N]
+
+    q = [None] * (N * N)
+    for i, v in enumerate(p):
+        q[move(i)] = move(v)
+    return tuple(q)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_enumeration_classes_are_least_members_of_disjoint_orbits(N):
+    # relabeled here, without catalog code: each class is the least member of its orbit,
+    # the orbits of the classes are pairwise disjoint, and they cover the solutions
+    result = enumerate_permutation_solutions(N)
+    orbits = [{_relabeled(p, pi, N) for pi in itertools.permutations(range(N))}
+              for p in result.classes]
+    for p, orbit in zip(result.classes, orbits):
+        assert p == min(orbit)
+    union = set().union(*orbits)
+    assert sum(len(orbit) for orbit in orbits) == len(union)
+    assert sorted(union) == result.solutions
+    assert result.classes == sorted(result.classes)

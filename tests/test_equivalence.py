@@ -14,9 +14,10 @@ from conftest import (
     sampled_catalog_object,
     zeta8,
 )
-from ybx.catalog import catalog_get
+from ybx import spectral
+from ybx.catalog import catalog_get, catalog_ids
 from ybx.constructions import phi_q
-from ybx.core import is_charge_conserving, make_ybo
+from ybx.core import YBObject, is_charge_conserving, make_ybo
 from ybx.equivalence import (
     flip_word_traces,
     local_distinguish,
@@ -30,9 +31,10 @@ from ybx.equivalence import (
     weighted_flip,
     x_symmetry_check,
 )
-from ybx.errors import BackendMismatch, YbxError
+from ybx.errors import BackendMismatch, UnfactoredSpectrum, YbxError
 from ybx.expressions import ParamBinding
-from ybx.scalars import Backend
+from ybx.scalars import Backend, GaussianRational
+from ybx.spectral import char_poly, complexf_spectrum, jordan_structure, spectrum
 from ybx.tensor import Matrix, kron
 
 
@@ -144,6 +146,51 @@ def test_word_traces_need_a_word():
             local_invariants(obj, L)
         with pytest.raises(YbxError, match="L must be at least 1"):
             local_distinguish(obj, obj, L=L)
+
+
+def _separate_invariants(obj):
+    # the spectrum and the Jordan data as separate spectral calls give them, None where
+    # the Jordan call raises, and the clustered complex spectrum where the exact one does
+    try:
+        spec = spectrum(obj.R)
+    except UnfactoredSpectrum:
+        spec = complexf_spectrum(obj.R.promote_to(Backend.COMPLEX_F))
+    try:
+        jordan = jordan_structure(obj.R)
+    except UnfactoredSpectrum:
+        jordan = None
+    return spec, jordan
+
+
+@pytest.mark.parametrize("seed", [100, 101])
+def test_local_invariants_factor_each_spectrum_once(seed, monkeypatch):
+    i = GaussianRational(0, 1)
+    objects = [sampled_catalog_object(e, seed) for e in catalog_ids()]
+    objects += [
+        make_ybo(2, ising_unitary(), tol=1e-9),
+        # x^3 - 2 has no rational factor: the exact spectrum raises
+        YBObject(2, 1, Matrix.from_rows([[0, 0, 2, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])),
+        # +-sqrt(2) twice with Gaussian entries: the spectrum factors, the rank step raises
+        YBObject(2, 1, Matrix.from_rows([[0, 2, i, 0], [1, 0, 0, i], [0, 0, 0, 2], [0, 0, 1, 0]])),
+    ]
+    calls = []
+
+    def counted(M):
+        calls.append(M)
+        return char_poly(M)
+
+    for obj in objects:
+        spec, jordan = _separate_invariants(obj)
+        monkeypatch.setattr(spectral, "char_poly", counted)
+        calls.clear()
+        report = local_invariants(obj)
+        monkeypatch.undo()
+        assert report.spectrum == spec and report.jordan == jordan
+        assert len(calls) == (1 if obj.R.backend.is_exact else 0)
+    unfactored, unranked = (local_invariants(obj) for obj in objects[-2:])
+    assert unfactored.jordan is None and unranked.jordan is None
+    assert all(isinstance(z, complex) for z, _ in unfactored.spectrum)
+    assert not any(isinstance(z, complex) for z, _ in unranked.spectrum)
 
 
 def test_local_distinguish_slash_vs_f():
@@ -415,7 +462,7 @@ def test_x_symmetry_n3_diagonal_solve(rng):
         X = Matrix.diagonal([Fraction(rng2.randint(1, 9), rng2.randint(1, 9))
                              for _ in range(9)])
         report = x_symmetry_check(obj, X, 4)
-        assert report.ok and report.method == "ratio-propagation"
+        assert report.ok and report.method == "diagonal-kernel"
 
 
 def test_x_symmetry_general_n_needs_an_exact_backend():

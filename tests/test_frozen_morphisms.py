@@ -38,7 +38,7 @@ ANTI_DIAGONAL_Q = ((0, 3), (2, 0))
 END_SEARCH_SHA256 = "66494124c1bedd121ee8dd6385b95e9ea395fd87e4f5e36dac93e119b0797b3a"
 WITNESS_SHA256 = "e6a51d73afde4e14d0e3c6e1ba9e0181d6034b65be8c8fb3af449522b0a1fc3b"
 P_EQUIVALENT_SHA256 = "282f207d2b1e53f4d462d2b5898211e17c27489d3d522f2854eb7aa8c57da0a5"
-X_SYMMETRY_SHA256 = "592dad03bdbf122aa18bc10207497dddbb8a19ae1fffcea71deb9e3ef94f1b21"
+X_SYMMETRY_SHA256 = "db9fd65d1337e1bad9ca865d07928778df3319945ab4764f2a458471deffdcc3"
 
 
 def _digest(record) -> str:
