@@ -196,9 +196,9 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
     (``structure._morphism_candidates``); on the complex backend "full" solves
     W^H vec(v v^T) = 0, det(vec^-1 v) = 1 by Gauss-Newton over the N^2
     entries of v, W spanning the complement of the realigned pencil, from
-    128 seeded starts in lockstep blocks of 1, 1, 2, 4, ..., and stops at
-    the block of the first start that gives a verified Q.  Any returned Q is
-    invertible and verified at `tol`; None means not found.
+    128 seeded starts in lockstep blocks of 1, 1, 2, 4, ... (a stacked QR, or
+    at N = 2 an SVD, per step) up to the block of the first verified Q.  Any
+    returned Q is invertible and verified at `tol`; None means not found.
     """
     N = A.slot_dim
     if B.slot_dim != N:

@@ -489,12 +489,12 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
     det(vec^-1 v) = 1, whose gradient is the cofactor matrix and which also
     excludes the singular matrices.  draw(k) takes the next k starts from the
     seeded stream, on the chart.  lockstep(X) steps those starts together,
-    one stacked SVD per step taking each start to the minimum-norm solution
-    at ``lstsq``'s cutoff (twinned pairs make Jacobians near-singular), and
-    yields each start's (v, residual, converged) in order, once all before
-    it are done: the residual is |W^H vec(v v^T)| / |v|^2; a start
-    converges, and leaves the block, when it and the chart residual fall
-    below 1e-12 within 50 steps.
+    one stacked QR or SVD per step (``_lstsq_steps``) taking each start to
+    the minimum-norm solution at ``lstsq``'s cutoff (twinned pairs make
+    Jacobians near-singular), and yields each start's (v, residual,
+    converged) in order, once all before it are done: the residual is
+    |W^H vec(v v^T)| / |v|^2; a start converges, and leaves the block, when
+    it and the chart residual fall below 1e-12 within 50 steps.
     """
     n = basis[0].rows
     stack = np.array([B.to_numpy().ravel() for B in basis]).T
@@ -544,11 +544,31 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
                     done += 1
                 if not len(live):
                     return
-            U, s, Vh = np.linalg.svd(J, full_matrices=False)
-            s[s <= cutoff * s[:, :1]] = np.inf  # lstsq's cutoff: no step along these
-            X = X - ((r.conj()[:, None] @ U) / s[:, None] @ Vh).conj()[:, 0]
+            X = X - _lstsq_steps(J, r, cutoff)
 
     return draw, lockstep
+
+
+def _lstsq_steps(J, r, cutoff, qr=True):
+    """Each start's minimum-norm least-squares x of J_k x = r_k at ``lstsq``'s
+    cutoff: x = R^-1 (Q^H r)[:n] from one stacked QR of [J | r] where J is wider
+    than 4 columns, R's pivots pass the cutoff and |R|_F |R^-1|_F cutoff < 1 (so
+    lstsq drops nothing), else from the SVD; chosen per start, never per block."""
+    m, n = J.shape[1:]
+    if qr and m >= n > 4:
+        T = np.linalg.qr(np.concatenate((J, r[..., None]), 2), mode="raw")[0].swapaxes(1, 2)
+        R = np.triu(T[:, :n, :n])
+        d = abs(R.diagonal(0, 1, 2))
+        ok = d.min(1) > cutoff * d.max(1)
+        Rinv = np.linalg.inv(np.where(ok[:, None, None], R, np.eye(n)))
+        ok &= np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(Rinv, axis=(1, 2)) * cutoff < 1
+        x = (Rinv @ T[:, :n, n:])[..., 0]
+        if not ok.all():
+            x[~ok] = _lstsq_steps(J[~ok], r[~ok], cutoff, qr=False)
+        return x
+    U, s, Vh = np.linalg.svd(J, full_matrices=False)
+    s[s <= cutoff * s[:, :1]] = np.inf  # lstsq's cutoff: no step along these
+    return ((r.conj()[:, None] @ U) / s[:, None] @ Vh).conj()[:, 0]
 
 
 def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):

@@ -555,8 +555,8 @@ def pencils():
 
 
 def test_gauss_newton_blocks_converge_like_the_per_start_loop(pencils):
-    # The batched SVD step is lstsq's solution up to rounding, and on the
-    # eight-vertex twin (det chart) rounding decides whether a start meets
+    # The batched step (QR or SVD) is lstsq's solution up to rounding, and on
+    # the eight-vertex twin (det chart) rounding decides whether a start meets
     # the 1e-12 chart tolerance, so counts differ a little there.  A step
     # from the normal equations, which square the condition number, fails.
     from ybx.structure import _gauss_newton_starts
@@ -637,3 +637,61 @@ def test_rank1_numeric_is_the_drained_generator_in_one_block(pencils):
             for found in result.vectors:
                 v = found.to_numpy()[:, 0]
                 assert any(np.allclose(v / v[np.argmax(np.abs(v))], ray) for ray in rays)
+
+
+def _mixed_steps(m, n):
+    """A stack of four m x n least-squares problems J_k x = r_k: well
+    conditioned, a repeated column, a zero column (an exactly zero pivot of
+    R), and R = [[e, 1], [0, e]] (+) I whose pivots pass lstsq's cutoff while
+    |R|_F |R^-1|_F does not, with a singular value e^2 below it."""
+    import numpy as np
+
+    rng = np.random.default_rng(m + n)
+    Q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+    J = np.stack([rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)) for _ in range(3)]
+                 + [Q[:, :n]])
+    J[1, :, -1] = J[1, :, 0]
+    J[2, :, 1] = 0
+    J[3, :, 1] = J[3, :, 0] + 1e-8 * J[3, :, 1]
+    J[3, :, 0] *= 1e-8
+    r = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+    return J, r, np.finfo(float).eps * max(m, n)
+
+
+def test_lstsq_steps_are_lstsq_per_start_whatever_the_block(monkeypatch):
+    import numpy as np
+
+    from ybx.structure import _lstsq_steps
+
+    for m, n in ((13, 4), (37, 9)):
+        J, r, cutoff = _mixed_steps(m, n)
+        block = _lstsq_steps(J, r, cutoff)
+        for k in range(4):
+            want = np.linalg.lstsq(J[k], r[k], rcond=None)[0]
+            assert np.linalg.norm(block[k] - want) <= 1e-10 * np.linalg.norm(want), (n, k)
+            assert np.array_equal(_lstsq_steps(J[k:k + 1], r[k:k + 1], cutoff)[0], block[k])
+        if n == 4:  # narrow Jacobians keep the SVD step, bit for bit
+            U, s, Vh = np.linalg.svd(J, full_matrices=False)
+            s[s <= cutoff * s[:, :1]] = np.inf
+            assert np.array_equal(block, ((r.conj()[:, None] @ U) / s[:, None] @ Vh).conj()[:, 0])
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda A, **kw: calls.append(len(A)) or svd(A, **kw))
+    _lstsq_steps(J, r, cutoff)
+    assert calls == [3]  # at width 9 only the well-conditioned start takes the QR route
+
+
+def test_witness_rank1_negative_landscape_is_pinned():
+    # Best residuals over the 128 det-chart starts of seed 5, as the SVD
+    # step left them: the QR step may move them by rounding only.
+    from conftest import fa_matrix, gaussian_pair, ising_unitary, zeta8
+    from ybx.equivalence import _witness_rank1
+
+    R, S = gaussian_pair()
+    ising = make_ybo(2, ising_unitary(), tol=1e-9)
+    fa = make_ybo(2, fa_matrix(zeta8(), 1 / zeta8()), tol=1e-9)
+    for (A, B), best in (((YBObject(3, 1, R), YBObject(3, 1, S)), 0.39363888615877246),
+                         ((ising, fa), 0.5743122065535193)):
+        result = _witness_rank1(A, B, seed=5)
+        assert (result.starts, result.converged, result.vectors) == (128, 0, [])
+        assert abs(result.best_residual - best) <= 1e-12 * best
