@@ -72,9 +72,8 @@ from .equivalence import (
     local_invariants,
     local_witness_search,
     match_stabilizer_check,
-    match_stabilizer_refute,
-    matcha_stabilizer_check,
     p_equivalent,
+    target_stabilizer,
     weighted_flip,
     x_symmetry_check,
 )

@@ -1,6 +1,6 @@
 """Equivalence procedures: local invariants, p-equivalence certificates,
-local witness search, the charge-conservation stabilizer theorems, and the
-X-symmetry intertwiner checks.
+local witness search, the exact stabilizers of the charge-conserving targets
+(the paper's inner equivalence), and the X-symmetry intertwiner checks.
 
 Negative verdicts are only ever produced from dimension-zero intertwiner
 spaces or exact invariant mismatches; failed random invertibility sampling
@@ -10,6 +10,7 @@ yields an inconclusive verdict, never a refutation.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -19,7 +20,6 @@ from .config import DEFAULT_TOL
 from .core import (
     YBObject,
     _charge,
-    _charge_violations,
     _Letters,
     _product_trace,
     _table,
@@ -27,7 +27,9 @@ from .core import (
     _unit_rows,
     is_additive_cc,
     is_charge_conserving,
+    is_monomial,
     make_ybo,
+    strip_to_permutation,
 )
 from .errors import (
     DimensionMismatch,
@@ -35,6 +37,7 @@ from .errors import (
     NotDiagonal,
     SizeCeiling,
     UnfactoredSpectrum,
+    UnsupportedRank,
     YbxError,
 )
 from .scalars import Backend, format_scalar, one, to_complex, zero
@@ -52,7 +55,7 @@ from .structure import (
     _morphism_candidates,
     _rank1_numeric,
 )
-from .tensor import Matrix, kernel, kron, swap_matrix
+from .tensor import Matrix, kernel, swap_matrix
 
 # -- local invariants ---------------------------------------------------------
 
@@ -103,7 +106,7 @@ class InvariantReport:
     spectrum: list
     traces: dict
     jordan: list | None
-    charge_conserving: bool
+    charge_conserving: bool   # this flag and the next describe R, not its class
     additive_cc: bool
     backend: Backend
 
@@ -154,16 +157,12 @@ def local_distinguish(A: YBObject, B: YBObject, L: int = 4,
                       tol: float | None = None):
     """Compare invariant reports; returns ("same", None) or ("distinguished", witness).
 
-    "same" is inconclusive; "distinguished" certifies local inequivalence.
-    """
+    "same" is inconclusive; "distinguished" certifies local inequivalence, so the
+    charge-conservation flags, which a non-monomial Q can change, are not compared."""
     tol = DEFAULT_TOL if tol is None else tol
     ra, rb = local_invariants(A, L), local_invariants(B, L)
     if ra.size != rb.size:
         return ("distinguished", f"sizes {ra.size} vs {rb.size}")
-    if ra.charge_conserving != rb.charge_conserving:
-        return ("distinguished", "charge conservation flag differs")
-    if ra.additive_cc != rb.additive_cc:
-        return ("distinguished", "additive charge conservation flag differs")
     if not _spectra_match(ra.spectrum, rb.spectrum, tol):
         return ("distinguished", "spectrum multisets differ")
     if ra.jordan is not None and rb.jordan is not None:
@@ -350,131 +349,63 @@ def _invertible_sample(basis: list, rng: random.Random, bound: int):
     return None
 
 
-# -- stabilizer theorems -----------------------------------------------------------
+# -- the restricted targets' stabilizers --------------------------------------------
 
 
-def random_cc_matrix(N: int, rng: random.Random, additive: bool = False) -> Matrix:
-    """Random exact charge-conserving matrix on two slots (additive with
-    `additive`): a random nonzero rational on every allowed cell."""
-    charge = [_charge(k, N, 2, additive) for k in range(N * N)]
-    out = Matrix.zeros(N * N, N * N)
-    for r in range(N * N):
-        for c in range(N * N):
-            if charge[r] == charge[c]:
-                num = rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1)
-                out.data[r][c] = Fraction(num, rng.randint(1, 9))
-    return out
+def _pair_action(N: int) -> dict:
+    """D_X = X (x) 1 + 1 (x) X in ``kron``'s order: {(row, col): {a + N b: X[a][b]'s coeff}}."""
+    D = defaultdict(Counter)
+    for a, b, j in product(range(N), repeat=3):
+        D[a + N * j, b + N * j][a + N * b] += 1
+        D[j + N * a, j + N * b][a + N * b] += 1
+    return D
 
 
-def random_monomial(N: int, rng: random.Random, backend: Backend = Backend.EXACT_Q) -> Matrix:
-    perm = list(range(N))
-    rng.shuffle(perm)
-    P = Matrix.permutation(perm, backend)
-    D = Matrix.diagonal([Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                         * (1 if rng.random() < 0.5 else -1) for _ in range(N)], backend)
-    return P.mul(D)
+def target_stabilizer(N: int, additive: bool = False) -> tuple:
+    """The stabilizer G of the span V of the charge-conserving matrices on two
+    slots (additive with `additive`) under conjugation by Q (x) Q, as (an exact
+    basis of Lie(G), N x N; the sorted permutations pi, tuples of images, whose
+    P_pi (x) P_pi keeps V's charge pattern).
+
+    Lie(G) = {X : [D_X, E] in V for each unit E spanning V} (``_pair_action``),
+    that is D_X in V: [D_X, E_rc] holds D_X's column r and row c, r and c of
+    one charge.  Checked to be the diagonal (else YbxError), it makes the
+    diagonal torus T the identity component of G, which G normalizes: G lies
+    in N(T) = T x| S_N, the monomial matrices (Borel, Linear Algebraic Groups,
+    IV.13).  As (D (x) D) E_rc (D (x) D)^-1 = (d_r / d_c) E_rc, T lies in G and
+    G = T x| {those P_pi}.  N > 6 is refused (UnsupportedRank) before N! tries."""
+    if N > 6:
+        raise UnsupportedRank(f"target_stabilizer tries N! permutations; N = {N} exceeds 6")
+    n2 = N * N
+    charge = [_charge(k, N, 2, additive) for k in range(n2)]
+    rows = [form for (s, t), form in _pair_action(N).items() if charge[s] != charge[t]]
+    lie = kernel(rows, n2, Backend.EXACT_Q)
+    if lie != [[int(k == a * (N + 1)) for k in range(n2)] for a in range(N)]:
+        raise YbxError(f"Lie algebra of the rank-{N} target's stabilizer is not the diagonal")
+    cells = [(r, c) for r, c in product(range(n2), repeat=2) if charge[r] == charge[c]]
+    perms = [p for p in permutations(range(N))
+             if all(charge[p[r % N] + N * p[r // N]] == charge[p[c % N] + N * p[c // N]]
+                    for r, c in cells)]
+    return [Matrix(N, N, Backend.EXACT_Q, [v[a::N] for a in range(N)]) for v in lie], perms
 
 
-def match_stabilizer_check(Q: Matrix, trials: int = 20, seed: int = 0) -> bool:
-    """Conjugation by Q (x) Q preserves charge conservation on random cc matrices."""
-    N = Q.rows
-    rng = random.Random(seed)
-    QQ = kron(Q, Q)
-    QQ_inv = QQ.inverse()
-    for _ in range(trials):
-        R = random_cc_matrix(N, rng)
-        conj = QQ.mul(R).mul(QQ_inv)
-        if not is_charge_conserving(conj, N):
-            return False
-    return True
-
-
-@dataclass
-class StabilizerRefutation:
-    S: Matrix          # cc Yang-Baxter matrix with distinct diagonal weights
-    Q: Matrix          # non-monomial conjugator
-    conjugated: Matrix
-    violation: tuple   # ((row, col), value) breaking charge conservation
+def match_stabilizer_check(Q: Matrix, additive: bool = False) -> bool:
+    """Whether Q lies in the stabilizer of the (additive) Match target: Q is
+    monomial and its permutation is one of ``target_stabilizer``'s."""
+    if not is_monomial(Q):
+        return False
+    image = tuple(row.index(one(Q.backend)) for row in strip_to_permutation(Q)[1].data)
+    return image in target_stabilizer(Q.rows, additive)[1]
 
 
 def weighted_flip(N: int, diagonal_weights, off_weight=None,
                   backend: Backend = Backend.EXACT_Q) -> Matrix:
     """Generalised flip S|ij> = c_ij |ji>; always a Yang-Baxter solution."""
+    off = one(backend) if off_weight is None else off_weight
     out = Matrix.zeros(N * N, N * N, backend)
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                c = diagonal_weights[i]
-            else:
-                c = off_weight if off_weight is not None else one(backend)
-            out.data[j + N * i][i + N * j] = c
+    for i, j in product(range(N), repeat=2):
+        out.data[j + N * i][i + N * j] = diagonal_weights[i] if i == j else off
     return out
-
-
-def match_stabilizer_refute(N: int, seed: int = 0) -> StabilizerRefutation:
-    """Exhibit a non-monomial Q whose conjugate of a cc solution is not cc.
-
-    Uses a generalised flip with distinct diagonal weights; the theorem's
-    proof shows any Q preserving charge conservation on it must be monomial.
-    """
-    backend = Backend.EXACT_Q
-    S = weighted_flip(N, [Fraction(i + 2) for i in range(N)], backend=backend)
-    obj = make_ybo(N, S)
-    assert is_charge_conserving(S, N)
-    Q = Matrix.identity(N, backend)
-    Q.data[0][1] = one(backend)  # unipotent, not monomial
-    QQ = kron(Q, Q)
-    conj = QQ.inverse().mul(S).mul(QQ)
-    violations = _charge_violations(conj, N)
-    if not violations:
-        raise AssertionError("expected a charge-conservation violation")
-    return StabilizerRefutation(S=obj.R, Q=Q, conjugated=conj, violation=violations[0])
-
-
-def matcha_stabilizer_check(N: int, trials: int = 10, seed: int = 0) -> dict:
-    """Evidence for the additive-cc stabilizer conjecture at rank N.
-
-    Verifies that diagonal-times-reversal conjugations preserve additive
-    charge conservation on random additive-cc matrices, and that on a dense
-    additive-cc witness only the identity and reversal permutations survive.
-    """
-    rng = random.Random(seed)
-    backend = Backend.EXACT_Q
-    rev = list(reversed(range(N)))
-    P_rev = Matrix.permutation(rev, backend)
-    preserved = True
-    for _ in range(trials):
-        R = random_cc_matrix(N, rng, additive=True)
-        D = Matrix.diagonal([Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                             for _ in range(N)], backend)
-        Q = D.mul(P_rev)
-        QQ = kron(Q, Q)
-        conj = QQ.mul(R).mul(QQ.inverse())
-        if not is_additive_cc(conj, N):
-            preserved = False
-            break
-    charge = [_charge(k, N, 2, additive=True) for k in range(N * N)]
-    dense = Matrix.zeros(N * N, N * N, backend)
-    counter = 2
-    for r in range(N * N):
-        for c in range(N * N):
-            if charge[r] == charge[c]:
-                dense.data[r][c] = Fraction(counter)
-                counter += 1
-    allowed = []
-    for perm in permutations(range(N)):
-        P = Matrix.permutation(list(perm), backend)
-        PP = kron(P, P)
-        conj = PP.mul(dense).mul(PP.inverse())
-        if is_additive_cc(conj, N):
-            allowed.append(perm)
-    return {
-        "preserved_on_random": preserved,
-        "allowed_permutations": allowed,
-        "expected": [tuple(range(N)), tuple(rev)],
-        "conjecture_consistent": preserved and sorted(allowed) == sorted(
-            [tuple(range(N)), tuple(rev)]),
-    }
 
 
 # -- X-symmetry -----------------------------------------------------------------

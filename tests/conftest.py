@@ -10,6 +10,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import random  # noqa: E402
 from fractions import Fraction  # noqa: E402
+from itertools import product  # noqa: E402
 
 import pytest  # noqa: E402
 
@@ -34,6 +35,26 @@ def random_invertible(rng, n):
         M = random_matrix(rng, n, n)
         if M.det():
             return M
+
+
+def random_cc_matrix(rng, N):
+    """A random exact charge-conserving matrix on two slots: a random nonzero
+    rational on every cell whose row and column words have the same letters."""
+    charge = [sorted((k % N, k // N)) for k in range(N * N)]
+    out = Matrix.zeros(N * N, N * N)
+    for r, c in product(range(N * N), repeat=2):
+        if charge[r] == charge[c]:
+            num = rng.randint(1, 9) * (1 if rng.random() < 0.5 else -1)
+            out.data[r][c] = Fraction(num, rng.randint(1, 9))
+    return out
+
+
+def random_monomial(rng, N):
+    """P D for a random permutation P and a random invertible diagonal D."""
+    perm = list(range(N))
+    rng.shuffle(perm)
+    D = Matrix.diagonal([random_rational(rng, 1, 9) * rng.choice((1, -1)) for _ in range(N)])
+    return Matrix.permutation(perm).mul(D)
 
 
 def sampled_catalog_object(entry_id, seed):

@@ -10,8 +10,9 @@ import pathlib
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
-from conftest import fa_matrix, gaussian_pair, ising_exact, zeta8
+from conftest import fa_matrix, gaussian_pair, ising_exact, random_monomial, zeta8
 from ybx.braid import BraidWord
 from ybx.catalog import (
     catalog_get,
@@ -23,21 +24,20 @@ from ybx.catalog import (
     sample_entry_binding,
 )
 from ybx.constructions import cable, ds_certificates_check, ds_transform, is_automorphism
-from ybx.core import YBObject, is_unitary, is_ybe, make_ybo, rho
+from ybx.core import YBObject, is_charge_conserving, is_unitary, is_ybe, make_ybo, rho
 from ybx.equivalence import (
     local_distinguish,
     local_invariants,
     match_stabilizer_check,
-    match_stabilizer_refute,
     p_equivalent,
-    random_monomial,
+    target_stabilizer,
     weighted_flip,
     x_symmetry_check,
 )
 from ybx.expressions import ParamBinding
 from ybx.spectral import eig_to_complex, spectrum
 from ybx.structure import end_verify, extract_from_endo, duality_verify
-from ybx.tensor import Matrix, pseudo_inverse
+from ybx.tensor import Matrix, kron, pseudo_inverse
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 TOL = 1e-9
@@ -235,20 +235,26 @@ def test_criterion_07_x_symmetry():
 
 def test_criterion_08_stabilizer_theorem():
     rng = random.Random(8)
-    # 100 random cc matrices per rank, monomial conjugations preserve cc
     for N in (2, 3):
-        for trial in range(10):
-            Q = random_monomial(N, rng)
-            assert match_stabilizer_check(Q, trials=10, seed=trial)
-    for N in (2, 3):
-        refut = match_stabilizer_refute(N)
-        from ybx.core import is_charge_conserving
-
-        assert not is_charge_conserving(refut.conjugated, N)
-        assert not any(
-            sum(1 for v in row if v) == 1 for row in refut.Q.data) or True
-    print("\nACCEPT 08 stabilizer theorem: PASS (100 cc matrices per rank preserved; "
-          "distinct-weight refutation breaks cc)")
+        # the exact groups: T x| S_N for Match, T x| {id, reversal} for additive Match
+        for additive, count in ((False, factorial(N)), (True, 2)):
+            lie, perms = target_stabilizer(N, additive)
+            assert [X.data for X in lie] == [[[int(i == j == a) for j in range(N)]
+                                              for i in range(N)] for a in range(N)]
+            assert len(perms) == count
+        # random P D, drawn here, lies in G; the unipotent Q does not
+        for _ in range(10):
+            assert match_stabilizer_check(random_monomial(rng, N))
+        U = Matrix.identity(N)
+        U.data[0][1] = Fraction(1)
+        assert not match_stabilizer_check(U)
+        # the witness: U conjugates a distinct-weight flip out of charge conservation
+        S = weighted_flip(N, [Fraction(k + 2) for k in range(N)])
+        UU = kron(U, U)
+        assert is_charge_conserving(S, N)
+        assert not is_charge_conserving(UU.inverse().mul(S).mul(UU), N)
+    print("\nACCEPT 08 stabilizer theorem: PASS (exact G = T x| S_N, additive T x| {id, rev}, "
+          "N = 2, 3; 10 random P D per rank in G, unipotent Q not; its conjugate breaks cc)")
 
 
 def test_criterion_09_involutive_count():

@@ -11,6 +11,7 @@ from conftest import (
     integer_path_objects,
     ising_exact,
     ising_unitary,
+    random_cc_matrix,
     random_invertible,
     sampled_catalog_object,
     zeta8,
@@ -161,16 +162,14 @@ def test_cc_predicates():
 
 
 def test_cc_closure_properties(rng):
-    from ybx.equivalence import random_cc_matrix
-
     for _ in range(50):
-        A = random_cc_matrix(2, rng)
-        B = random_cc_matrix(2, rng)
+        A = random_cc_matrix(rng, 2)
+        B = random_cc_matrix(rng, 2)
         assert is_charge_conserving(A.mul(B), 2)
         assert is_charge_conserving(kron(A, B), 2)
     for _ in range(10):
-        A = random_cc_matrix(3, rng)
-        B = random_cc_matrix(3, rng)
+        A = random_cc_matrix(rng, 3)
+        B = random_cc_matrix(rng, 3)
         assert is_charge_conserving(A.mul(B), 3)
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -11,6 +12,8 @@ from conftest import (
     integer_path_objects,
     ising_unitary,
     random_invertible,
+    random_matrix,
+    random_monomial,
     sampled_catalog_object,
     zeta8,
 )
@@ -19,19 +22,18 @@ from ybx.catalog import catalog_get, catalog_ids
 from ybx.constructions import phi_q
 from ybx.core import YBObject, is_charge_conserving, make_ybo
 from ybx.equivalence import (
+    _pair_action,
     flip_word_traces,
     local_distinguish,
     local_invariants,
     local_witness_search,
     match_stabilizer_check,
-    match_stabilizer_refute,
-    matcha_stabilizer_check,
     p_equivalent,
-    random_monomial,
+    target_stabilizer,
     weighted_flip,
     x_symmetry_check,
 )
-from ybx.errors import BackendMismatch, UnfactoredSpectrum, YbxError
+from ybx.errors import BackendMismatch, UnfactoredSpectrum, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
 from ybx.scalars import Backend, GaussianRational
 from ybx.spectral import char_poly, complexf_spectrum, jordan_structure, spectrum
@@ -132,11 +134,19 @@ def test_ds_outputs_infinity_equivalent():
 
 
 def test_local_distinguish_same_under_phi_q(rng):
-    for seed in range(3):
-        obj = sampled_catalog_object("hietarinta:eight-vertex", 85 + seed)
-        conj = phi_q(obj, random_invertible(rng, 2))
-        verdict, witness = local_distinguish(obj, conj, L=4)
-        assert verdict == "same"
+    # a Q outside the targets' stabilizers changes the charge-conservation
+    # flags, which are not invariants and must not distinguish
+    Q = Matrix.from_rows([[1, 2], [3, 4]])
+    assert not match_stabilizer_check(Q)
+    flags_changed = 0
+    for entry in catalog_ids():
+        for seed in (3, 85):
+            obj = sampled_catalog_object(entry, seed)
+            assert obj.R.backend.is_exact
+            for conj in (phi_q(obj, Q), phi_q(obj, random_invertible(rng, 2))):
+                assert local_distinguish(obj, conj, L=4) == ("same", None)
+                flags_changed += is_charge_conserving(obj.R, 2) != is_charge_conserving(conj.R, 2)
+    assert flags_changed >= 8
 
 
 def test_word_traces_need_a_word():
@@ -395,37 +405,101 @@ def test_witness_search_diagnostics_separate_negatives_from_controls():
         assert result.best_residual <= 1e-12
 
 
+def _preserves_target(Q, additive):
+    # V is spanned by its unit matrices E_rc, so conjugation by Q (x) Q keeps V
+    # exactly when it keeps each E_rc in V: read off entrywise, word by word
+    N = Q.rows
+    charge = [(sum if additive else sorted)((k % N, k // N)) for k in range(N * N)]
+    QQ = kron(Q, Q)
+    QQ_inv = QQ.inverse()
+    for r, c in product(range(N * N), repeat=2):
+        if charge[r] == charge[c]:
+            E = Matrix.zeros(N * N, N * N)
+            E.data[r][c] = Fraction(1)
+            conj = QQ.mul(E).mul(QQ_inv)
+            if any(conj.data[s][t] for s, t in product(range(N * N), repeat=2)
+                   if charge[s] != charge[t]):
+                return False
+    return True
+
+
+def _unipotent(N):
+    U = Matrix.identity(N)
+    U.data[0][1] = Fraction(1)
+    return U
+
+
 def test_match_stabilizer_preservation(rng):
+    # T x| S_N for Match: every monomial P D; for additive Match D times the
+    # identity or the reversal only
     for N in (2, 3):
-        for seed in range(5):
-            Q = random_monomial(N, rng)
-            assert match_stabilizer_check(Q, trials=10, seed=seed)
-        P = Matrix.permutation(list(reversed(range(N))))
-        assert match_stabilizer_check(P, trials=10, seed=0)
-        assert match_stabilizer_check(Matrix.identity(N), trials=5, seed=1)
+        for _ in range(25):
+            assert match_stabilizer_check(random_monomial(rng, N))
+        reversal = Matrix.permutation(list(reversed(range(N))))
+        D = Matrix.diagonal([Fraction(k + 2) for k in range(N)])
+        for Q in (Matrix.identity(N), reversal, D, D.mul(reversal), reversal.mul(D)):
+            assert match_stabilizer_check(Q) and match_stabilizer_check(Q, additive=True)
+    cycle = Matrix.permutation([1, 2, 0])
+    assert match_stabilizer_check(cycle) and not match_stabilizer_check(cycle, additive=True)
 
 
 def test_match_stabilizer_non_monomial_breaks(rng):
-    Q = Matrix.from_rows([[1, 1], [0, 1]])
-    assert not match_stabilizer_check(Q, trials=10, seed=2)
+    for N in (2, 3):
+        for Q in (_unipotent(N), random_invertible(rng, N)):
+            assert not match_stabilizer_check(Q)
+            assert not match_stabilizer_check(Q, additive=True)
 
 
 def test_match_stabilizer_refutation():
+    # the witness that a non-monomial Q leaves the target: the unipotent
+    # conjugate of a flip with distinct diagonal weights is not charge-conserving
     for N in (2, 3):
-        refut = match_stabilizer_refute(N)
-        assert is_charge_conserving(refut.S, N)
-        assert not is_charge_conserving(refut.conjugated, N)
-        (r, c), value = refut.violation
-        assert refut.conjugated.data[r][c] == value
+        S = weighted_flip(N, [Fraction(k + 2) for k in range(N)])
+        UU = kron(_unipotent(N), _unipotent(N))
+        assert is_charge_conserving(S, N)
+        assert not is_charge_conserving(UU.inverse().mul(S).mul(UU), N)
 
 
 def test_matcha_stabilizer():
-    rep2 = matcha_stabilizer_check(2)
-    assert rep2["conjecture_consistent"]
-    assert sorted(rep2["allowed_permutations"]) == [(0, 1), (1, 0)]
-    rep3 = matcha_stabilizer_check(3)
-    assert rep3["conjecture_consistent"]
-    assert sorted(rep3["allowed_permutations"]) == [(0, 1, 2), (2, 1, 0)]
+    for N in range(1, 6):
+        for additive in (False, True):
+            lie, perms = target_stabilizer(N, additive)
+            units = [Matrix.diagonal([Fraction(int(k == a)) for k in range(N)]) for a in range(N)]
+            assert len(lie) == N and all(X.eq(E) for X, E in zip(lie, units))
+            expected = ([tuple(range(N)), tuple(reversed(range(N)))] if additive
+                        else list(permutations(range(N))))
+            assert perms == sorted(set(expected))
+            # the permutation matrices that the unit-matrix oracle keeps in the target
+            assert perms == [p for p in permutations(range(N))
+                             if _preserves_target(Matrix.permutation(p), additive)]
+    for additive in (False, True):
+        with pytest.raises(UnsupportedRank):
+            target_stabilizer(7, additive)
+
+
+def test_pair_action_is_x_tensor_one_plus_one_tensor_x(rng):
+    for N in (1, 2, 3):
+        X = random_matrix(rng, N, N)
+        x = [X.data[k % N][k // N] for k in range(N * N)]
+        D = Matrix.zeros(N * N, N * N)
+        for (r, c), form in _pair_action(N).items():
+            D.data[r][c] = sum(coeff * x[u] for u, coeff in form.items())
+        assert D.eq(kron(X, Matrix.identity(N)).add(kron(Matrix.identity(N), X)))
+
+
+def test_stabilizer_check_agrees_with_unit_conjugation_oracle(rng):
+    seen = set()
+    for N in (2, 3):
+        shift = Matrix.permutation([(k + 1) % N for k in range(N)])
+        candidates = [random_monomial(rng, N), Matrix.permutation(list(reversed(range(N)))),
+                      shift, _unipotent(N), random_invertible(rng, N)]
+        for Q in candidates:
+            for additive in (False, True):
+                verdict = match_stabilizer_check(Q, additive)
+                assert verdict == _preserves_target(Q, additive)
+                seen.add((N, additive, verdict))
+    # each target and rank has members and non-members among the candidates
+    assert len(seen) == 8
 
 
 def test_x_symmetry_n2_formula(rng):
