@@ -484,17 +484,19 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
     C^(n^2) (one SVD), membership is the quadratic system
     W^H vec(v v^T) = 0 in the n entries of v.  It is holomorphic in v, so a
     Gauss-Newton step is one complex least-squares solve, with Jacobian
-    (Wh + Wh^T) v.  The system is homogeneous; one more row fixes the scale:
-    a seeded linear chart c^T v = 1, or with ``det_chart`` (n = N^2)
-    det(vec^-1 v) = 1, whose gradient is the cofactor matrix and which also
-    excludes the singular matrices.  draw(k) takes the next k starts from the
-    seeded stream, on the chart.  lockstep(X) steps those starts together,
-    one stacked QR or SVD per step (``_lstsq_steps``) taking each start to
-    the minimum-norm solution at ``lstsq``'s cutoff (twinned pairs make
-    Jacobians near-singular), and yields each start's (v, residual,
-    converged) in order, once all before it are done: the residual is
-    |W^H vec(v v^T)| / |v|^2; a start converges, and leaves the block, when
-    it and the chart residual fall below 1e-12 within 50 steps.
+    (Wh + Wh^T) v, built for a block as one stacked row product over all of
+    S = Wh + Wh^T's rows.  The system is homogeneous; one more row fixes the
+    scale: a seeded linear chart c^T v = 1, or with ``det_chart`` (n = N^2)
+    det(vec^-1 v) = 1, whose gradient is the cofactor matrix (Leibniz terms,
+    no LAPACK det) and which also excludes the singular matrices.  draw(k)
+    takes the next k starts from the seeded stream, on the chart.
+    lockstep(X) steps those starts together, one stacked QR or SVD per step
+    (``_lstsq_steps``) taking each start to the minimum-norm solution at
+    ``lstsq``'s cutoff (twinned pairs make Jacobians near-singular), and
+    yields each start's (v, residual, converged) in order, once all before
+    it are done: the residual is |W^H vec(v v^T)| / |v|^2; a start
+    converges, and leaves the block, when it and the chart residual fall
+    below 1e-12 within 50 steps.  A start's steps do not depend on its block.
     """
     n = basis[0].rows
     stack = np.array([B.to_numpy().ravel() for B in basis]).T
@@ -502,17 +504,24 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
     rank = int(np.sum(s > 1e-10 * s[0]))
     Wh = u[:, rank:].conj().T.reshape(-1, n, n)
     S = Wh + Wh.transpose(0, 2, 1)  # v^T Wh v = v^T S v / 2; Jacobian S v
+    # v^T S2 holds J's rows S v (each S_a is symmetric) side by side, then zeros for the chart row
+    S2 = np.concatenate((S.transpose(1, 0, 2).reshape(n, -1), np.zeros((n, n))), 1)
     cutoff = np.finfo(float).eps * max(len(S) + 1, n)
     rng = np.random.default_rng(seed)
     if det_chart:
         N = degree = isqrt(n)
-        # entry i + N j of v is Q[i, j], and minors[i + N j] indexes v at Q[i, j]'s minor
-        minors = np.array([[[a + N * b for b in range(N) if b != j] for a in range(N) if a != i]
-                           for j in range(N) for i in range(N)], dtype=int).reshape(n, N - 1, N - 1)
-        signs = np.array([(-1.0) ** (i + j) for j in range(N) for i in range(N)])
+        # Leibniz: Q[i, p(i)]'s cofactor (entry i + N p(i) of v) sums sign(p) prod_(r != i)
+        # Q[r, p(r)] over the permutations p; a term is [entry, sign, *its factors' entries]
+        terms = sorted([i + N * p[i], (-1) ** sum(a > b for a, b in combinations(p, 2)),
+                        *(r + N * p[r] for r in range(N) if r != i)]
+                       for p in permutations(range(N)) for i in range(N))
+        _, sign, *factors = np.array(terms).reshape(n, -1, N + 1).T.copy()  # term x entry
 
-        def gradient(V):  # the cofactors of Q, per row of V
-            return signs * np.linalg.det(V[:, minors])
+        def gradient(V):  # the cofactors of Q per row of V: terms x entries x starts, C-ordered
+            P = sign[..., None] * np.ones(len(V), complex)  # so each start sums alike in any block
+            for columns in factors:
+                P *= V.T[columns]
+            return P.sum(0).T
     else:
         degree = 1
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -531,7 +540,8 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
     def lockstep(X):
         live, finished, done = np.arange(len(X)), {}, 0
         for step in range(_GN_STEPS + 1):
-            J = np.concatenate(((S @ X[:, None, :, None])[..., 0], gradient(X)[:, None]), 1)
+            J = (X[:, None, :] @ S2).reshape(len(X), -1, n)  # 3-D, so never numpy's gemv
+            J[:, -1] = gradient(X)
             r = (J @ X[:, :, None])[..., 0] * scale - shift
             res = np.hypot.reduce(abs(r[:, :-1]), 1) / np.hypot.reduce(abs(X), 1) ** 2
             conv = np.maximum(res, abs(r[:, -1])) <= _GN_TOL

@@ -487,6 +487,19 @@ def test_segre_irrational_eigenvectors_leave_search_incomplete():
 # -- the lockstep Gauss-Newton starts against the per-start loop --------------------
 
 
+def _quadrics(basis):
+    """S = Wh + Wh^T, W an orthonormal basis of the complement of span(basis):
+    v v^T lies in the span where v^T S_a v = 0 for every a."""
+    import numpy as np
+
+    n = basis[0].rows
+    stack = np.array([B.to_numpy().ravel() for B in basis]).T
+    u, s, _ = np.linalg.svd(stack)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    Wh = u[:, rank:].conj().T.reshape(-1, n, n)
+    return Wh + Wh.transpose(0, 2, 1)
+
+
 def _per_start_gauss_newton(basis, seed, starts, det_chart=False):
     """The reference for ``_gauss_newton_starts``: the same seeded starts and
     steps, one start at a time, each step one ``np.linalg.lstsq`` solve."""
@@ -497,11 +510,7 @@ def _per_start_gauss_newton(basis, seed, starts, det_chart=False):
     from ybx import structure
 
     n = basis[0].rows
-    stack = np.array([B.to_numpy().ravel() for B in basis]).T
-    u, s, _ = np.linalg.svd(stack)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    Wh = u[:, rank:].conj().T.reshape(-1, n, n)
-    S = Wh + Wh.transpose(0, 2, 1)
+    S = _quadrics(basis)
     rng = np.random.default_rng(seed)
     if det_chart:
         N = degree = isqrt(n)
@@ -637,6 +646,66 @@ def test_rank1_numeric_is_the_drained_generator_in_one_block(pencils):
             for found in result.vectors:
                 v = found.to_numpy()[:, 0]
                 assert any(np.allclose(v / v[np.argmax(np.abs(v))], ray) for ray in rays)
+
+
+def _first_jacobians(basis, X, det_chart):
+    """The Jacobians of lockstep(X)'s first step, in seed 5's chart."""
+    from ybx import structure
+
+    seen, lstsq_steps = [], structure._lstsq_steps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_GN_STEPS", 1)
+        mp.setattr(structure, "_lstsq_steps",
+                   lambda J, r, cutoff: seen.append(J.copy()) or lstsq_steps(J, r, cutoff))
+        list(structure._gauss_newton(basis, 5, det_chart)[1](X))
+    return seen[0]
+
+
+def test_det_chart_cofactors_are_the_minor_determinants():
+    import numpy as np
+
+    from ybx.structure import _gauss_newton
+
+    # The chart row of J holds Q's cofactors as Leibniz terms; the reference
+    # is one LAPACK det per (N-1) x (N-1) minor, on random complex starts.
+    # A start's cofactors are the same bits alone and in a block of 64.
+    for N in (2, 3, 4):
+        n = N * N
+        rng = np.random.default_rng(N)
+        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        basis = [Matrix.from_numpy(B + B.T)]
+        X = _gauss_newton(basis, 5, det_chart=True)[0](64)
+        assert np.abs(np.linalg.det(X.reshape(64, N, N).transpose(0, 2, 1)) - 1).max() <= 1e-12
+        minors = np.array([[[a + N * b for b in range(N) if b != j] for a in range(N) if a != i]
+                           for j in range(N) for i in range(N)]).reshape(n, N - 1, N - 1)
+        signs = np.array([(-1.0) ** (i + j) for j in range(N) for i in range(N)])
+        for V in (X, rng.normal(size=(64, n)) + 1j * rng.normal(size=(64, n))):
+            want = signs * np.linalg.det(V[:, minors])
+            got = _first_jacobians(basis, V, True)[:, -1]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), N
+            for k in range(64):
+                assert np.array_equal(_first_jacobians(basis, V[k:k + 1], True)[0, -1], got[k])
+
+
+def test_gauss_newton_jacobian_is_one_stacked_product(pencils):
+    import numpy as np
+
+    from ybx.structure import _gauss_newton
+
+    # J's rows S v come from one stacked row product; a start's J is the same
+    # bits alone (where a 2-D product would take numpy's gemv path) and in a
+    # block of 64.
+    for name in ("hietarinta:f#0", "gaussian-pair", "ising~case-a"):
+        pencil = {**pencils[0], **pencils[1]}[name]
+        S = _quadrics(pencil)
+        for det_chart in (True, False):
+            X = _gauss_newton(pencil, 5, det_chart)[0](64)
+            J = _first_jacobians(pencil, X, det_chart)
+            want = (S @ X[:, None, :, None])[..., 0]
+            assert np.abs(J[:, :-1] - want).max() <= 1e-13 * np.abs(want).max(), name
+            for k in range(64):
+                alone = _first_jacobians(pencil, X[k:k + 1], det_chart)
+                assert np.array_equal(alone[0], J[k]), (name, det_chart, k)
 
 
 def _mixed_steps(m, n):
