@@ -196,8 +196,11 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
     W^H vec(v v^T) = 0, det(vec^-1 v) = 1 by Gauss-Newton over the N^2
     entries of v, W spanning the complement of the realigned pencil, from
     128 seeded starts in lockstep blocks of 1, 1, 2, 4, ... (a stacked QR, or
-    at N = 2 an SVD, per step) up to the block of the first verified Q.  Any
-    returned Q is invertible and verified at `tol`; None means not found.
+    at N = 2 an SVD, per step) up to the block of the first verified Q.  A
+    start runs at most 50 steps and leaves early once it converges or stalls
+    at a stationary point that is not a zero (``structure._gauss_newton``).
+    N^2 above the numeric ceiling raises ``SizeCeiling``.  Any returned Q is
+    invertible and verified at `tol`; None means not found.
     """
     N = A.slot_dim
     if B.slot_dim != N:
@@ -219,7 +222,7 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
     pencil = _realigned_pencil_numeric(A, B)
     if not pencil:
         return None
-    for v, _, converged in _gauss_newton_starts(pencil, seed, _WITNESS_STARTS, det_chart=True):
+    for v, *_, converged in _gauss_newton_starts(pencil, seed, _WITNESS_STARTS, det_chart=True):
         Q = Matrix.from_numpy(v.reshape(N, N, order="F"))
         if converged and _ok(Q):
             return Q
@@ -227,14 +230,18 @@ def local_witness_search(A: YBObject, B: YBObject, strategy: str = "full",
 
 
 def _realigned_pencil_numeric(A: YBObject, B: YBObject) -> list:
-    """{X : X R_A = R_B X} on the complex backend, each X realigned."""
+    """{X : X R_A = R_B X} on the complex backend, each X realigned.  Refused
+    past the numeric ceiling on N^2, before any array is built: the search's
+    Jacobians grow like N^4 and the det chart's cofactor terms like N! N."""
+    if A.slot_dim ** 2 > _NUMERIC_CEILING:
+        raise SizeCeiling(f"slot dimension {A.slot_dim ** 2} exceeds the solver ceiling at n=2")
     return [realign(X, A.slot_dim) for X in intertwiner_space_numeric(B, A)]
 
 
 def _witness_rank1(A: YBObject, B: YBObject, seed: int) -> Rank1Result:
     """What the numeric "full" search sees, with every start run: the
-    converged rays (det vec^-1 v = 1), how many of the 128 starts converged,
-    and the smallest residual."""
+    converged rays (det vec^-1 v = 1), how many of the 128 starts converged
+    and how many stalled, and the smallest residual."""
     pencil = _realigned_pencil_numeric(A, B)
     if not pencil:
         return Rank1Result([], False)

@@ -298,12 +298,14 @@ def _rational_zeros(polys: list, k: int):
 @dataclass
 class Rank1Result:
     """Vectors v with v v^T in a span, and whether they are all of them.  The
-    numeric solver also reports its seeded starts, how many converged, and
-    the smallest residual |W^H vec(v v^T)| / |v|^2 a start reached."""
+    numeric solver also reports its seeded starts, how many converged, how
+    many stalled at a stationary point (``_gauss_newton``), and the smallest
+    residual |W^H vec(v v^T)| / |v|^2 a start reached."""
     vectors: list
     complete: bool
     starts: int = 0
     converged: int = 0
+    stalled: int = 0
     best_residual: float | None = None
 
 
@@ -474,6 +476,8 @@ def _vvT_in_span(v: Matrix, basis: list) -> bool:
 
 _GN_STEPS = 50   # Gauss-Newton steps per start
 _GN_TOL = 1e-12  # residual at which a start counts as converged
+_STALL_STEP = 1e-4      # a start stalls once its last step moved v by less than this * |v|_inf
+_STALL_RESIDUAL = 0.1   # while its residual is still above this
 _LINEAR_STARTS = 64  # starts of rank1_symmetric_elements, in a linear chart
 
 
@@ -493,10 +497,13 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
     lockstep(X) steps those starts together, one stacked QR or SVD per step
     (``_lstsq_steps``) taking each start to the minimum-norm solution at
     ``lstsq``'s cutoff (twinned pairs make Jacobians near-singular), and
-    yields each start's (v, residual, converged) in order, once all before
-    it are done: the residual is |W^H vec(v v^T)| / |v|^2; a start
-    converges, and leaves the block, when it and the chart residual fall
-    below 1e-12 within 50 steps.  A start's steps do not depend on its block.
+    yields each start's (v, residual, stalled, converged) in order, once all
+    before it are done: the residual is |W^H vec(v v^T)| / |v|^2, in [0, 1];
+    a start converges, and leaves the block, when it and the chart residual
+    fall below 1e-12 within 50 steps.  It stalls, and leaves unconverged,
+    when its last step moved v by less than 1e-4 |v|_inf while its residual
+    is above 0.1: a stationary point of the least-squares problem that is
+    not a zero.  A start's steps and exit do not depend on its block.
     """
     n = basis[0].rows
     stack = np.array([B.to_numpy().ravel() for B in basis]).T
@@ -539,22 +546,27 @@ def _gauss_newton(basis: list, seed: int, det_chart: bool = False):
 
     def lockstep(X):
         live, finished, done = np.arange(len(X)), {}, 0
+        moved = np.full(len(X), np.inf)  # each start's last step, |delta|_inf
         for step in range(_GN_STEPS + 1):
             J = (X[:, None, :] @ S2).reshape(len(X), -1, n)  # 3-D, so never numpy's gemv
             J[:, -1] = gradient(X)
             r = (J @ X[:, :, None])[..., 0] * scale - shift
-            res = np.hypot.reduce(abs(r[:, :-1]), 1) / np.hypot.reduce(abs(X), 1) ** 2
+            size = abs(X)
+            res = np.hypot.reduce(abs(r[:, :-1]), 1) / np.hypot.reduce(size, 1) ** 2
             conv = np.maximum(res, abs(r[:, -1])) <= _GN_TOL
-            if step == _GN_STEPS or conv.any():
-                leave = conv | (step == _GN_STEPS)
-                finished.update(zip(live[leave].tolist(), zip(X[leave], res[leave], conv[leave])))
+            stall = (moved < _STALL_STEP * size.max(1)) & (res > _STALL_RESIDUAL)
+            leave = conv | stall | (step == _GN_STEPS)
+            if leave.any():
+                finished.update(zip(live[leave].tolist(),
+                                    zip(X[leave], res[leave], stall[leave], conv[leave])))
                 live, X, J, r = live[~leave], X[~leave], J[~leave], r[~leave]
                 while done in finished:
                     yield finished.pop(done)
                     done += 1
                 if not len(live):
                     return
-            X = X - _lstsq_steps(J, r, cutoff)
+            delta = _lstsq_steps(J, r, cutoff)
+            X, moved = X - delta, abs(delta).max(1)
 
     return draw, lockstep
 
@@ -583,8 +595,9 @@ def _lstsq_steps(J, r, cutoff, qr=True):
 
 def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = False):
     """The starts of ``_gauss_newton`` in lockstep blocks of 1, 1, 2, 4, ...,
-    each start's (v, residual, converged) yielded in order, so that a search
-    that stops at an early start spares the later blocks' draws and steps."""
+    each start's (v, residual, stalled, converged) yielded in order, so that a
+    search that stops at an early start spares the later blocks' draws and
+    steps."""
     draw, lockstep = _gauss_newton(basis, seed, det_chart)
     done = 0
     while done < starts:
@@ -595,13 +608,13 @@ def _gauss_newton_starts(basis: list, seed: int, starts: int, det_chart: bool = 
 
 def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False) -> Rank1Result:
     """Every start of ``_gauss_newton``, in one lockstep block: each converged
-    ray once, with the number of starts that converged and the smallest
-    residual."""
+    ray once, with the numbers of starts that converged and that stalled, and
+    the smallest residual."""
     draw, lockstep = _gauss_newton(basis, seed, det_chart)
     rays = np.empty((0, basis[0].rows), dtype=complex)
-    found, converged, best = [], 0, np.inf
-    for v, resid, ok in lockstep(draw(starts)):
-        best = min(best, resid)
+    found, converged, stalled, best = [], 0, 0, np.inf
+    for v, resid, stall, ok in lockstep(draw(starts)):
+        best, stalled = min(best, resid), stalled + stall
         if not ok:
             continue
         converged += 1
@@ -609,7 +622,7 @@ def _rank1_numeric(basis: list, seed: int, starts: int, det_chart: bool = False)
         if not (abs(ray - rays) <= 1e-6 + 1e-5 * abs(rays)).all(1).any():  # np.allclose per row
             rays = np.vstack((rays, ray))
             found.append(Matrix.from_numpy(v.reshape(-1, 1)))
-    return Rank1Result(found, False, starts, converged, float(best))
+    return Rank1Result(found, False, starts, converged, int(stalled), float(best))
 
 
 # -- endomorphism search ------------------------------------------------------------

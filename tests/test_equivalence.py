@@ -405,6 +405,50 @@ def test_witness_search_diagnostics_separate_negatives_from_controls():
         assert result.best_residual <= 1e-12
 
 
+def test_stall_exit_drops_no_converging_start(monkeypatch):
+    # A stalled start leaves unconverged, so the exit can only remove starts.
+    # Over every twinned pair, with the exit and without it, the same starts
+    # converge and the search returns the same Q, bit for bit.
+    from conftest import gaussian_pair
+    from ybx import structure
+    from ybx.core import YBObject
+    from ybx.equivalence import _witness_rank1
+    import numpy as np
+
+    objR = YBObject(3, 1, gaussian_pair()[0])
+    pairs = [_twinned_pair(entry_id, params, seed)
+             for entry_id, params, seeds in TWIN_CASES for seed in seeds]
+    for s in (2, 3, 12):
+        rng = np.random.default_rng(s)
+        Q0 = Matrix.from_numpy(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        pairs.append((objR, phi_q(objR, Q0, tol=1e-9)))
+
+    def run():
+        return [(_witness_rank1(A, B, seed=5).converged,
+                 local_witness_search(A, B, strategy="full", seed=5).to_numpy())
+                for A, B in pairs]
+
+    with_exit = run()
+    monkeypatch.setattr(structure, "_STALL_STEP", 0.0)
+    for (converged, Q), (want, Q_want) in zip(with_exit, run()):
+        assert converged == want > 0 and np.array_equal(Q, Q_want)
+
+
+def test_numeric_witness_search_refuses_past_the_ceiling(monkeypatch):
+    from ybx import equivalence
+    from ybx.errors import SizeCeiling
+    from ybx.tensor import flip_matrix
+
+    # N = 6: 36 > 32 unknowns per slot pair; refused before the pencil's SVD
+    flip = YBObject(6, 1, flip_matrix(6, 2).promote_to(Backend.COMPLEX_F))
+    monkeypatch.setattr(equivalence, "intertwiner_space_numeric",
+                        lambda *args: pytest.fail("the pencil was built"))
+    with pytest.raises(SizeCeiling):
+        local_witness_search(flip, flip, strategy="full")
+    with pytest.raises(SizeCeiling):
+        equivalence._witness_rank1(flip, flip, seed=0)
+
+
 def _preserves_target(Q, additive):
     # V is spanned by its unit matrices E_rc, so conjugation by Q (x) Q keeps V
     # exactly when it keeps each E_rc in V: read off entrywise, word by word
