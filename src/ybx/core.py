@@ -11,7 +11,8 @@ R's (or R^-1's) local table u -> {u': R[u][u']} in place for its two slots
 ``_COO_ROWS`` rows on, on numpy arrays of all their nonzeros, and the linear
 systems of ``structure`` read the same table (``_placed``).  The exact backends
 multiply integer numerators with one denominator per product (``_integral``),
-exact-qi realified as for elimination, and divide once per entry (``_decoded``).
+exact-qi realified as for elimination, on int64 while a bit bound allows
+(``_word_product``), and divide once per distinct value (``_decoded``).
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .tensor import Matrix, _realified, dense_rows, index_to_word
 MAX_DIM = 1024
 
 # Rows from which an exact word product runs on arrays (``_coo_times``):
-# below, numpy's cost per call outweighs the dict loop of ``_times`` (the half
-# twist of hietarinta:a: 0.22 against 0.12 ms at 16 rows, even at 32).
+# below, numpy's cost per call outweighs the dict loop of ``_times`` (half twists
+# on int64 at 16 rows: 0.25 against 0.13 ms on hietarinta:a, exact-q, and 0.43
+# against 0.26 ms on match2:F/, exact-qi; within 5% of each other at 32 rows).
 _COO_ROWS = 32
 
 
@@ -171,15 +173,18 @@ class _Letters(dict):
     def coo(self, e: int, width: int) -> tuple:
         """Letter e for ``_coo_times`` on products of the given width: per
         column k, the start and count of its table row's entries in the flat
-        offsets and values (ints in an object array) of all the rows."""
+        offsets and values (int64 if g <= 62) of all the rows; and the letter's
+        growth g, the bits of its largest |value| plus those of its row count."""
         if (e, width) not in self.arrays:
             (parts, L, w2), _ = self[e]
             table = [row for part in parts for row in part]
             count, k = np.array([len(row) for row in table]), np.arange(width)
             t = k % len(parts) * w2 + k // L % w2
+            values = [v for row in table for _, v in row]
+            g = max(map(abs, values)).bit_length() + len(table).bit_length()
             self.arrays[e, width] = ((np.cumsum(count) - count)[t], count[t],
                                      np.array([c for row in table for c, _ in row]),
-                                     np.array([v for row in table for _, v in row], dtype=object))
+                                     np.array(values, np.int64 if g <= 62 else object)), g
         return self.arrays[e, width]
 
 
@@ -193,15 +198,17 @@ def _unit_rows(size: int, backend: Backend) -> list:
 
 
 def _decoded(rows: list, D: int, backend: Backend) -> list:
-    """Sparse rows {col: value} of the integer rows over the denominator D: one
-    division per entry; on exact-qi the column pair (2c, 2c+1) holds (re, -im)."""
+    """Sparse rows {col: value} of the integer rows over the denominator D, one
+    division per distinct value; on exact-qi per (re, -im) at columns (2c, 2c+1)."""
     if backend is Backend.COMPLEX_F:
         return rows
-    if backend is Backend.EXACT_Q:
-        return [{c: Fraction(v, D) for c, v in row.items()} for row in rows]
-    return [{c: GaussianRational._of(Fraction(row.get(2 * c, 0), D),
-                                     Fraction(-row.get(2 * c + 1, 0), D))
-             for c in dict.fromkeys(k >> 1 for k in row)} for row in rows]
+    if backend is Backend.EXACT_QI:
+        rows = [{c: (row.get(2 * c, 0), -row.get(2 * c + 1, 0))
+                 for c in dict.fromkeys(k >> 1 for k in row)} for row in rows]
+    value = {v: Fraction(v, D) if backend is Backend.EXACT_Q else
+             GaussianRational._of(Fraction(v[0], D), Fraction(v[1], D))
+             for v in {v for row in rows for v in row.values()}}
+    return [{c: value[v] for c, v in row.items()} for row in rows]
 
 
 def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
@@ -224,7 +231,11 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
     """Integer rows and denominator D (``_integral``) of the product of the
     word's generator images on n strands, left to right; D is the product of
     the letters' denominators.  Exact products of ``_COO_ROWS`` rows or more
-    run on arrays (``_coo_times``), converted back to rows at the end."""
+    run on arrays (``_coo_times``), converted back to rows at the end: on int64
+    while b + g <= 62, b the bits of the largest |value| and g the next
+    letter's growth (``_Letters.coo``), then on Python ints.  An entry adds at
+    most one term per table row, fewer than 2^c, each below 2^b 2^a (g = a + c),
+    so every term, partial sum and result stays below 2^62 and int64 is exact."""
     size, backend = obj.slot_dim ** n, obj.R.backend
     check_dim(size, f"representation on {n} strands")
     D = prod(letters[e][1] for e in word)
@@ -235,9 +246,12 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
         return rows, D
     q = 2 if backend is Backend.EXACT_QI else 1           # row k starts as 1 at column q k
     width = q * size
-    keys, values = np.arange(size) * (width + q), np.ones(size, dtype=object)
+    keys, values = np.arange(size) * (width + q), np.ones(size, dtype=np.int64)
     for e in word:
-        keys, values = _coo_times(keys, values, width, letters.coo(e, width))
+        letter, g = letters.coo(e, width)
+        if values.dtype != object and int(np.abs(values).max()).bit_length() + g > 62:
+            values = values.astype(object)
+        keys, values = _coo_times(keys, values, width, letter)
     bounds = np.searchsorted(keys, np.arange(size + 1) * width).tolist()
     cols, values = (keys % width).tolist(), values.tolist()
     return [dict(zip(cols[a:b], values[a:b])) for a, b in zip(bounds, bounds[1:])], D
@@ -271,10 +285,11 @@ def _times(rows: list, letter: tuple) -> list:
 
 
 def _coo_times(keys, values, width: int, letter: tuple) -> tuple:
-    """Sorted keys row * width + col and int values of a product's nonzeros
+    """Sorted keys row * width + col and integer values of a product's nonzeros
     times a letter (``_Letters.coo``), as ``_times`` does row by row: each
     entry repeated once per entry of its table row, offsets added, values
-    multiplied, then equal keys summed after one stable sort, zeros dropped."""
+    multiplied, then equal keys summed after one stable sort, zeros dropped.
+    int64 values stay int64, and Python ints in an object array stay Python ints."""
     start, count, offsets, table = letter
     c = keys % width
     n = count[c]

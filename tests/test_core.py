@@ -420,6 +420,69 @@ def test_word_products_route_by_size_and_backend(monkeypatch):
     assert not calls
 
 
+def value_kinds(monkeypatch) -> list:
+    """Filled with the dtype kind of each array step's values: 'i' for int64,
+    'O' for Python ints in an object array."""
+    kinds, kernel = [], core._coo_times
+    monkeypatch.setattr(core, "_coo_times", lambda keys, values, width, letter:
+                        kinds.append(values.dtype.kind) or kernel(keys, values, width, letter))
+    return kinds
+
+
+def assert_exact_product(label, obj, n, word, kinds):
+    """Check the word's product against the row loop and the dense oracle;
+    return its largest |numerator|, with kinds holding its steps alone."""
+    assert_same_image(label, rho(obj, BraidWord.of(n, word)), dense_word(obj, n, word))
+    kinds.clear()
+    rows, D = _word_product(obj, n, word, _Letters(obj))
+    assert (rows, D) == row_loop_product(obj, n, word), (label, word)
+    assert all(type(v) is int for row in rows for v in row.values())
+    return max(abs(v) for row in rows for v in row.values())
+
+
+def int64_bound_objects():
+    """Catalog objects at bindings whose products at n = 5 cross 2^62 partway
+    through the word (20-bit k^2 on exact-q, 10-bit parts on exact-qi), and
+    the same families at small bindings, which stay below it."""
+    G = GaussianRational
+    return [
+        ("exact-q", catalog_get("hietarinta:a", ParamBinding.of(k=1009, p=-3, q=7)), True),
+        ("exact-qi", catalog_get("match2:F/", ParamBinding.of(
+            alpha=1009, beta=G(1013, 2), gamma=G(-1021, 3), chi=-3)), True),
+        ("exact-q", catalog_get("hietarinta:a", ParamBinding.of(k=2, p=3, q=5)), False),
+        ("exact-qi", integer_path_objects()[1][1], False),
+    ]
+
+
+@pytest.mark.parametrize("label,obj,crosses", int64_bound_objects(),
+                         ids=["q-large", "qi-large", "q-small", "qi-small"])
+def test_products_leave_int64_once_and_only_past_the_bound(monkeypatch, label, obj, crosses):
+    kinds = value_kinds(monkeypatch)
+    for word in ((1, -2, 3, 4, -1, 2, 3), (1, 2, 3, 4, 1, 2, 3)):
+        largest = assert_exact_product(label, obj, 5, word, kinds)
+        on_int64 = kinds.count("i")
+        assert kinds == ["i"] * on_int64 + ["O"] * (len(word) - on_int64), (label, word)
+        if crosses:
+            assert largest >= 2 ** 62 and 0 < on_int64 < len(word), (label, word, kinds)
+        else:
+            assert largest < 2 ** 62 and on_int64 == len(word), (label, word, kinds)
+
+
+def test_the_bound_counts_the_summed_terms_and_keeps_a_spare_bit(monkeypatch):
+    # R = r J, J all ones: on one slot pair the t-th power of the letter holds
+    # 4^(t-1) r^t in every entry, each entry of a step summing 4 terms of one
+    # sign; the letter's growth is bits(r) + bits(4) = bits(r) + 3
+    kinds = value_kinds(monkeypatch)
+    for r, want in ((2 ** 20 - 1, "iiOO"), (2 ** 30 - 1, "iOOO")):
+        # r = 2^20 - 1: 4 r^2 has 42 bits, and 42 + 20 + 3 > 62, though 42 + 20 is
+        # not: without the summed terms, 16 r^3 > 2^63 would wrap on int64.
+        # r = 2^30 - 1: 30 + 30 + 3 = 63 > 62, though 4 r^2 < 2^62 would fit.
+        obj = YBObject(2, 1, Matrix.from_rows([[Fraction(r)] * 4] * 4))
+        largest = assert_exact_product("exact-q", obj, 5, (1, 1, 1, 1), kinds)
+        assert largest == 4 ** 3 * r ** 4
+        assert "".join(kinds) == want, r
+
+
 def ybe_failures():
     """The exact objects above with one entry changed, so that YBE fails."""
     (_, q), (_, qi), *_ = integer_path_objects()
