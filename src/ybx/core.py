@@ -10,16 +10,15 @@ R's (or R^-1's) local table u -> {u': R[u][u']} in place for its two slots
 (``_Letters``), on sparse ``{col: value}`` rows or, for exact products from
 ``_COO_ROWS`` rows on, on numpy arrays of all their nonzeros, and the linear
 systems of ``structure`` read the same table (``_placed``).  The exact backends
-multiply integer numerators with one denominator per product (``_integral``),
-exact-qi realified as for elimination, on int64 while a bit bound allows
-(``_word_product``), and divide once per distinct value (``_decoded``).
+multiply integer rows with one denominator per product, in the layout of the
+``ybx.tensor`` docstring (``_parts``), on int64 while a bit bound allows
+(``_word_product``), and divide once per distinct value (``tensor._decoded``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -33,8 +32,8 @@ from .errors import (
     SingularMatrix,
     SizeCeiling,
 )
-from .scalars import Backend, GaussianRational, one, scalar_abs, zero
-from .tensor import Matrix, _realified, dense_rows, index_to_word
+from .scalars import Backend, one, scalar_abs, zero
+from .tensor import Matrix, _decoded, _integral, _times_i, dense_rows, index_to_word
 
 # Largest dimension N^(a n) of a representation space built here.  A dense
 # exact matrix of that size holds a million entries; the largest in use is
@@ -64,6 +63,11 @@ class YBObject:
     def __post_init__(self):
         if self.N < 1 or self.level < 1:
             raise DimensionMismatch("rank and level must be >= 1")
+        # N^(2a) has more than 2a (bits of N - 1) bits: check that before raising it
+        bits = max(self.R.rows, self.R.cols).bit_length()
+        if 2 * self.level * (self.N.bit_length() - 1) >= bits:
+            raise DimensionMismatch(f"R is {self.R.rows}x{self.R.cols}, smaller than N^(2 level) "
+                                    f"for rank {self.N} level {self.level}")
         size = self.N ** (2 * self.level)
         if self.R.rows != size or self.R.cols != size:
             raise DimensionMismatch(
@@ -135,35 +139,32 @@ def _placed(table: list, w: int, n: int, i: int):
         yield [(k + L * (c - u), v) for c, v in table[u].items()]
 
 
-def _integral(table: list, backend: Backend) -> tuple:
-    """A table (``_table``) as parts of int rows over one denominator d, the lcm
-    of its values' denominators.  On exact-qi part s holds row 2u + s of the
-    table realified as for elimination (``tensor._realified``), so integer
-    products do the Gaussian arithmetic exactly.  Complex-f has d = 1."""
-    if backend is Backend.COMPLEX_F:
-        return [table], 1
-    parts = list(zip(*map(_realified, table))) if backend is Backend.EXACT_QI else [table]
-    d = lcm(*(v.denominator for part in parts for row in part for v in row.values()))
-    return [[{c: v.numerator * (d // v.denominator) for c, v in row.items()} for row in part]
-            for part in parts], d
+def _parts(rows: list, gauss: bool) -> list:
+    """Integer rows (``tensor._integral``) in parts: part s is them times the
+    s-th basis element, 1 and with gauss i (``tensor._times_i``), so that a
+    product row's entry at column q k + s meets row k of part s."""
+    return [rows, list(map(_times_i, rows))] if gauss else [rows]
 
 
 class _Letters(dict):
     """Letter e -> ((parts, L, w^2), d) of word products, built on first use:
-    sigma_e, or sigma_-e^-1 for e < 0, as R's (R^-1's) integer table
-    (``_integral``) with row u's columns u' taken to offsets L (u' - u),
-    L = w^(e-1) (2 w^(e-1) on exact-qi).  Each sign's table is built once,
-    R^-1's only when an inverse letter occurs."""
+    sigma_e, or sigma_-e^-1 for e < 0, as R's (R^-1's) table in q parts over
+    d (``_parts``, in the layout of the ``ybx.tensor`` docstring; complex-f:
+    the table, d = 1), row u's columns u' taken to offsets L (u' - u),
+    L = q w^(e-1).  R^-1's table is built only when an inverse letter occurs."""
 
     def __init__(self, obj: YBObject):
         self.obj, self.tables, self.arrays = obj, {}, {}
+        self.gauss = obj.backend is Backend.EXACT_QI
+        self.q = len(_parts([], self.gauss))
 
     def __missing__(self, e: int) -> tuple:
-        obj, sign = self.obj, e > 0
+        obj, sign, q = self.obj, e > 0, self.q
         if sign not in self.tables:
-            self.tables[sign] = _integral(_table(obj.R if sign else obj.R.inverse()), obj.backend)
+            table = _table(obj.R if sign else obj.R.inverse())
+            rows, d = _integral(table, self.gauss) if obj.backend.is_exact else (table, 1)
+            self.tables[sign] = _parts(rows, self.gauss), d
         parts, d = self.tables[sign]
-        q = len(parts)
         L = q * obj.slot_dim ** (abs(e) - 1)
         shifted = [[[(L * (c // q - u) + c % q - s, v) for c, v in row.items()]
                     for u, row in enumerate(part)] for s, part in enumerate(parts)]
@@ -189,32 +190,17 @@ class _Letters(dict):
 
 
 def _unit_rows(size: int, backend: Backend) -> list:
-    """Integer rows of the identity that a word product starts from; on exact-qi
-    only the realified rows 2k, since those carry row k of every product."""
-    if backend is Backend.EXACT_QI:
-        return [{2 * k: 1} for k in range(size)]
-    unit = 1 if backend is Backend.EXACT_Q else one(backend)
-    return [{k: unit} for k in range(size)]
-
-
-def _decoded(rows: list, D: int, backend: Backend) -> list:
-    """Sparse rows {col: value} of the integer rows over the denominator D, one
-    division per distinct value; on exact-qi per (re, -im) at columns (2c, 2c+1)."""
-    if backend is Backend.COMPLEX_F:
-        return rows
-    if backend is Backend.EXACT_QI:
-        rows = [{c: (row.get(2 * c, 0), -row.get(2 * c + 1, 0))
-                 for c in dict.fromkeys(k >> 1 for k in row)} for row in rows]
-    value = {v: Fraction(v, D) if backend is Backend.EXACT_Q else
-             GaussianRational._of(Fraction(v[0], D), Fraction(v[1], D))
-             for v in {v for row in rows for v in row.values()}}
-    return [{c: value[v] for c, v in row.items()} for row in rows]
+    """Integer rows of the identity that a word product starts from: row k is
+    1 times the field's 1, at column q k (``_parts``)."""
+    unit = 1 if backend.is_exact else one(backend)
+    q = len(_parts([], backend is Backend.EXACT_QI))
+    return [{q * k: unit} for k in range(size)]
 
 
 def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
     """Trace of integer rows over D times a letter (``_Letters``), from the
-    diagonal alone, in the order the product adds it; divided once.  On
-    exact-qi the diagonal entry of row k is (column 2k, column 2k+1) = (re, -im)."""
+    diagonal alone, in the order the product adds it; divided once.  Row k's
+    diagonal entry is its value at columns q k .. q k + q - 1."""
     (parts, L, w2), d = step
     q = len(parts)
     sums = []
@@ -222,9 +208,9 @@ def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
         entries = ([v * r for j, v in row.items() for c, r in parts[j % q][j // L % w2]
                     if c == t - j] for t, row in zip(range(s, q * len(rows), q), rows))
         sums.append(sum((sum(e[1:], e[0]) for e in entries if e), 0))
-    if backend is Backend.EXACT_QI:
-        return GaussianRational._of(Fraction(sums[0], D * d), Fraction(-sums[1], D * d))
-    return Fraction(sums[0], D * d) if backend is Backend.EXACT_Q else complex(sums[0])
+    if not backend.is_exact:
+        return complex(sums[0])
+    return _decoded([dict(enumerate(sums))], D * d, backend is Backend.EXACT_QI)[0][0]
 
 
 def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
@@ -244,7 +230,7 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
         for e in word:
             rows = _times(rows, letters[e][0])
         return rows, D
-    q = 2 if backend is Backend.EXACT_QI else 1           # row k starts as 1 at column q k
+    q = letters.q                                         # row k starts as 1 at column q k
     width = q * size
     keys, values = np.arange(size) * (width + q), np.ones(size, dtype=np.int64)
     for e in word:
@@ -260,13 +246,14 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
 def _word_rows(obj: YBObject, n: int, word) -> list:
     """Sparse rows {col: value} of the product of the word's generator images
     on n strands, left to right."""
-    return _decoded(*_word_product(obj, n, word, _Letters(obj)), obj.R.backend)
+    rows, D = _word_product(obj, n, word, _Letters(obj))
+    return _decoded(rows, D, obj.backend is Backend.EXACT_QI) if obj.backend.is_exact else rows
 
 
 def _times(rows: list, letter: tuple) -> list:
     """Integer rows {col: value} times a letter (``_Letters``), read in place: the
     entry at column k meets row k // L mod w^2 of the letter's table (of its
-    part k mod 2 on exact-qi), its offsets added to k.  Products below
+    part k mod q), its offsets added to k.  Products below
     ``_COO_ROWS`` rows and on complex-f, and shared prefixes, run on it."""
     parts, L, w2 = letter
     q = len(parts)
@@ -333,8 +320,9 @@ def _compare_words(obj: YBObject, n: int, left, right, tol,
         else:
             diff = {c: lrow.get(c, 0) * Dr - rrow.get(c, 0) * Dl
                     for c in lrow.keys() | rrow.keys()}
-        (diff,) = _decoded([{c: x for c, x in diff.items() if x}],
-                           Dl if Dl == Dr else Dl * Dr, backend)
+        diff = {c: x for c, x in diff.items() if x}
+        if backend.is_exact:
+            (diff,) = _decoded([diff], Dl if Dl == Dr else Dl * Dr, backend is Backend.EXACT_QI)
         for c in sorted(diff):
             m = scalar_abs(diff[c])
             if m > worst_abs:

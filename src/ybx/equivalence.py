@@ -12,9 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
 
 from .config import DEFAULT_TOL
 from .core import (
@@ -45,7 +43,6 @@ from .spectral import _jordan_blocks, complexf_spectrum, eig_to_complex, spectru
 from .structure import (
     Rank1Result,
     _diagonal_rows,
-    _integral,
     _satisfied,
     hom_verify,
     intertwiner_space,
@@ -55,7 +52,7 @@ from .structure import (
     _morphism_candidates,
     _rank1_numeric,
 )
-from .tensor import Matrix, kernel, swap_matrix
+from .tensor import Matrix, _decoded, _integral, kernel, swap_matrix
 
 # -- local invariants ---------------------------------------------------------
 
@@ -332,27 +329,31 @@ def _invertible_sample(basis: list, rng: random.Random, bound: int):
     det T is a polynomial of degree m = T.rows in the coefficients, so when
     some combination is invertible a draw is singular with probability at
     most m / (2 bound + 1) (Schwartz-Zippel).  Each draw is one pass over the
-    basis elements' nonzero entries, on integers over one denominator D on
-    exact backends (``structure._integral``); the accepted draw is divided by D.
+    basis elements' nonzero entries, on exact backends on integer rows over
+    one denominator D (``tensor._integral``), decoded over D (``tensor._decoded``).
     """
     first, backend = basis[0], basis[0].backend
-    cells = [{(r, c): v for r, row in enumerate(M.data) for c, v in enumerate(row) if v}
+    cols, z = first.cols, zero(backend)
+    cells = [{r * cols + c: v for r, row in enumerate(M.data) for c, v in enumerate(row) if v}
              for M in basis]
+    gauss = backend is Backend.EXACT_QI
     if backend.is_exact:
-        cells = [_integral(M) for M in cells]
-        D = lcm(*(d for _, d in cells))
-        cells = [{k: v * (D // d) for k, v in M.items()} for M, d in cells]
-    z = 0 if backend.is_exact else zero(backend)
+        cells, D = _integral(cells, gauss)
     for _ in range(5):
-        data = [[z] * first.cols for _ in range(first.rows)]
+        acc = {}
         for nonzeros in cells:
             coeff = rng.randint(-bound, bound)
             if coeff:
-                for (r, c), v in nonzeros.items():
-                    data[r][c] += coeff * v
-        T = Matrix(first.rows, first.cols, backend, data)
+                for k, v in nonzeros.items():
+                    acc[k] = acc.get(k, 0) + coeff * v
+        if backend.is_exact:
+            (acc,) = _decoded([acc], D, gauss)
+        data = [[z] * cols for _ in range(first.rows)]
+        for k, v in acc.items():
+            data[k // cols][k % cols] = v
+        T = Matrix(first.rows, cols, backend, data)
         if T.is_invertible():
-            return T.scale(Fraction(1, D)) if backend.is_exact else T
+            return T
     return None
 
 

@@ -9,7 +9,10 @@ Grammar (whitespace insignificant, ``i`` reserved for the imaginary unit)::
     rational := int ('/' int)?
 
 Expressions evaluate against a total binding of parameter names to scalars.
-Evaluation is exact whenever every leaf is exact.
+Evaluation is exact whenever every leaf is exact.  The parser refuses a tree
+more than ``_MAX_DEPTH`` levels deep, or parentheses nested deeper than that:
+evaluation and formatting recurse once per level, and the parser four times
+per parenthesis, so both stay inside Python's recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -33,8 +36,12 @@ class Expr:
     __slots__ = ()
 
     def params(self) -> set[str]:
-        out: set[str] = set()
-        _collect_params(self, out)
+        out, stack = set(), [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Param):
+                out.add(node.name)
+            stack.extend(_children(node))
         return out
 
     def __str__(self) -> str:
@@ -91,16 +98,22 @@ class PowInt(Expr):
     exponent: int
 
 
-def _collect_params(node: Expr, out: set[str]) -> None:
-    if isinstance(node, Param):
-        out.add(node.name)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _collect_params(node.left, out)
-        _collect_params(node.right, out)
-    elif isinstance(node, Neg):
-        _collect_params(node.operand, out)
-    elif isinstance(node, PowInt):
-        _collect_params(node.base, out)
+def _children(node: Expr) -> tuple:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, PowInt):
+        return (node.base,)
+    return ()
+
+
+def _height(node: Expr) -> int:
+    """The number of levels of the tree under node, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height, level = height + 1, [c for n in level for c in _children(n)]
+    return height
 
 
 @dataclass(frozen=True)
@@ -171,11 +184,15 @@ def _eval(node: Expr, binding: ParamBinding):
 
 # -- parser -----------------------------------------------------------------
 
+_MAX_DEPTH = 200
+
+
 
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0      # parentheses open at pos
 
     def peek(self) -> str:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -202,6 +219,9 @@ def parse_expr(text: str) -> Expr:
     node = _parse_sum(toks)
     if toks.peek():
         raise ParseError(f"trailing input at position {toks.pos} of {text!r}")
+    if len(text) > _MAX_DEPTH and _height(node) > _MAX_DEPTH:     # a node per character at most
+        raise ParseError(f"expression deeper than {_MAX_DEPTH} levels "
+                         f"(a chain of n terms is n deep)")
     return node
 
 
@@ -256,8 +276,13 @@ def _parse_atom(toks: _Tokens) -> Expr:
     ch = toks.peek()
     if ch == "(":
         toks.take()
+        toks.depth += 1
+        if toks.depth > _MAX_DEPTH:
+            raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH} levels "
+                             f"at position {toks.pos}")
         node = _parse_sum(toks)
         toks.expect(")")
+        toks.depth -= 1
         return node
     if ch.isdigit():
         num = _parse_int(toks)

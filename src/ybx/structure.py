@@ -33,16 +33,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
-from math import isqrt, lcm
+from math import isqrt
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .core import YBObject, _placed, _table, check_dim
+from .core import YBObject, _parts, _placed, _table, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .poly import _accumulate, _padd, _pmul, _psubst, _resultant, _unit, poly_gcd, rational_factors
-from .scalars import Backend, GaussianRational, _gr, join_backend, one, zero
-from .tensor import Matrix, _eliminate, kernel, kron, pseudo_inverse, reduced_rows
+from .scalars import Backend, GaussianRational, join_backend, one, zero
+from .tensor import (Matrix, _decoded, _eliminate, _integral, kernel, kron, pseudo_inverse,
+                     reduced_rows)
 
 # -- realignment ----------------------------------------------------------------
 
@@ -144,7 +145,8 @@ def intertwiner_space(A: YBObject, B: YBObject, n: int = 2, below: list | None =
     n strands; {X : X R_A = R_B X} is intertwiner_space(B, A).  At n = 2 the
     kernel of ``_intertwiner_rows``; above, of sigma_(n-1)'s rows alone in the
     x_u of T = sum x_u U_u (``_tower_units`` of ``below``, H_(n-1)'s basis,
-    solved when not given), on integer rows (``_integral``)."""
+    solved when not given), on integer rows: the entry at column q t + s of a
+    row meets entry t of the units' part s (``core._parts``)."""
     mA, mB = A.slot_dim ** n, B.slot_dim ** n
     backend = join_backend(A.backend, B.backend)
     rows = _intertwiner_rows(A, B, n, n - 1)
@@ -152,56 +154,48 @@ def intertwiner_space(A: YBObject, B: YBObject, n: int = 2, below: list | None =
         return [Matrix(mA, mB, backend, [vec[r * mB:(r + 1) * mB] for r in range(mA)])
                 for vec in kernel([row for row in rows if row], mA * mB, backend)]
     below = intertwiner_space(A, B, n - 1) if below is None else below
-    units = _tower_units(below, A.slot_dim, B.slot_dim, n, exact=True)
-    at = {}                                  # entry t of T -> [(u, U_u's entry t)]
-    for u, unit in enumerate(units):
-        for t, y in unit.items():
-            at.setdefault(t, []).append((u, y))
+    gauss = backend is Backend.EXACT_QI
+    # each unit over its own denominator: the basis found below depends on their scales
+    parts = _parts([_integral([U], gauss)[0][0]
+                    for U in _tower_units(below, A.slot_dim, B.slot_dim, n)], gauss)
+    q = len(parts)
+    at = {}                 # column of an integer row -> [(column of its equation, coefficient)]
+    for s, part in enumerate(parts):
+        for u, unit in enumerate(part):
+            for t, y in unit.items():
+                at.setdefault(t - t % q + s, []).append((q * u + t % q, y))
     eqs = []
-    for row in rows:
+    for row in _integral(rows, gauss)[0]:
         eq = {}
-        for t, v in _integral(row)[0].items():
+        for t, v in row.items():
             for u, y in at.get(t, ()):
                 eq[u] = eq.get(u, 0) + v * y
         eqs.append({u: v for u, v in eq.items() if v})
     out = []
-    for x in kernel([eq for eq in eqs if eq], len(units), backend):
-        x, d = _integral({u: c for u, c in enumerate(x) if c})
+    eqs = [eq for eq in eqs if eq]          # over Q integer rows are rows of values already
+    for x in kernel(_decoded(eqs, 1, True) if gauss else eqs, len(parts[0]), backend):
+        (x,), d = _integral([{u: c for u, c in enumerate(x) if c}], gauss)
         T = {}
         for u, c in x.items():
-            for t, y in units[u].items():
+            for t, y in parts[u % q][u // q].items():
                 T[t] = T.get(t, 0) + c * y
         data = [[zero(backend)] * mB for _ in range(mA)]
-        for t, v in T.items():
-            data[t // mB][t % mB] = (_gr(Fraction(v.re, d), Fraction(v.im, d))
-                                     if isinstance(v, GaussianRational) else Fraction(v, d))
+        for t, v in _decoded([T], d, gauss)[0].items():
+            data[t // mB][t % mB] = v
         out.append(Matrix(mA, mB, backend, data))
     return out
 
 
-def _tower_units(below: list, wA: int, wB: int, n: int, exact: bool = False) -> list:
+def _tower_units(below: list, wA: int, wB: int, n: int):
     """The commutant tower: T = sum T_kl (x) E_kl, E_kl on the top slot,
     intertwines sigma_1 .. sigma_(n-2) exactly when every T_kl lies in
-    H_(n-1), spanned by the Y_j of ``below`` (scaled to integers if exact).
-    So T = sum x_u U_u, U_u = Y_j (x) E_kl over u = (k wB + l) h + j, as
-    {r mB + c: entry}."""
+    H_(n-1), spanned by the Y_j of ``below``.  So T = sum x_u U_u; yields
+    U_u = Y_j (x) E_kl in turn over u = (k wB + l) h + j, as {r mB + c: entry}."""
     mB = wB ** n
     ys = [{r * mB + c: y for r, row in enumerate(Y.data) for c, y in enumerate(row) if y}
           for Y in below]
-    ys = [_integral(Y)[0] for Y in ys] if exact else ys
-    return [{t + wA ** (n - 1) * k * mB + wB ** (n - 1) * l: y for t, y in Y.items()}
-            for k in range(wA) for l in range(wB) for Y in ys]
-
-
-def _integral(row: dict) -> tuple:
-    """A sparse exact row {key: value} as ints, or as Gaussian integers over
-    Q(i), over one denominator d: (row, d)."""
-    d = lcm(*(x.denominator for v in row.values()
-              for x in ((v.re, v.im) if isinstance(v, GaussianRational) else (v,))))
-    return {key: _gr(v.re.numerator * (d // v.re.denominator),
-                     v.im.numerator * (d // v.im.denominator))
-            if isinstance(v, GaussianRational) else v.numerator * (d // v.denominator)
-            for key, v in row.items()}, d
+    return ({t + wA ** (n - 1) * k * mB + wB ** (n - 1) * l: y for t, y in Y.items()}
+            for k in range(wA) for l in range(wB) for Y in ys)
 
 
 def _dense(rows: list, ncols: int):
@@ -223,7 +217,7 @@ def intertwiner_space_numeric(A: YBObject, B: YBObject, n: int = 2,
     system = _dense(_intertwiner_rows(A, B, n, n - 1), mA * mB)
     if n > 2:
         below = intertwiner_space_numeric(A, B, n - 1, tol) if below is None else below
-        lift = _dense(_tower_units(below, A.slot_dim, B.slot_dim, n), mA * mB)
+        lift = _dense(list(_tower_units(below, A.slot_dim, B.slot_dim, n)), mA * mB)
         system = system @ lift.T
     u, s, vh = np.linalg.svd(system)
     cutoff = 1e3 * tol * max(1.0, float(s[0]) if len(s) else 1.0)
@@ -259,7 +253,7 @@ def _rational_zeros(polys: list, k: int):
         column = {e: j for j, e in enumerate(monomials)}
         rows = [{column[e]: c for e, c in p.items()} for p in polys]
         polys = [{monomials[j]: c for j, c in row.items()}
-                 for row in reduced_rows(rows, _eliminate(rows, len(monomials))[0])]
+                 for row in reduced_rows(rows, len(monomials))[0]]
     free = [p for p in polys if not any(any(e[1:]) for e in p)]
     bound = [p for p in reversed(polys) if any(any(e[1:]) for e in p)]  # lowest degree first
     confining = chain(({e[:1]: c for e, c in p.items()} for p in free),

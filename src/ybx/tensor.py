@@ -20,6 +20,14 @@ the braid word product in ``ybx.core``.  Both run on integers: elimination
 is fraction-free, and the word product keeps one denominator per product.
 ``sparse_rows`` and ``dense_rows`` convert.
 
+This module alone knows the integer form of an exact value: k integer
+columns per column over one common denominator (``_integral``, inverted by
+``_decoded``).  k = 1 over Q; over Q(i), a + b i at column c is a, b at
+columns 2c, 2c + 1, and i acts by (a, b) -> (-b, a) (``_times_i``).
+Elimination over Q(i) runs over Q on each encoded row and i times it; its
+pivots come in pairs 2c, 2c + 1, and the rows at even pivots alone are the
+rows over Q(i) (proved at ``_eliminate``).
+
 All decision procedures (rank, nullspace, solve, inverse, det) require an
 exact backend; the complex-float backend only supports them with an explicit
 tolerance where stated.
@@ -279,9 +287,8 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column list)."""
         self._require_exact("rref")
-        rows = sparse_rows(self.data)
-        pivots = _eliminate(rows, self.cols)[0]
-        rows = reduced_rows(rows, pivots) + [{}] * (self.rows - len(pivots))
+        rows, pivots = reduced_rows(sparse_rows(self.data), self.cols)
+        rows += [{}] * (self.rows - len(pivots))
         return Matrix(self.rows, self.cols, self.backend,
                       dense_rows(rows, self.cols, zero(self.backend))), pivots
 
@@ -309,14 +316,14 @@ class Matrix:
             raise DimensionMismatch("solve: rhs row count mismatch")
         A, B, backend = self._join(rhs)
         aug = sparse_rows([list(ra) + list(rb) for ra, rb in zip(A.data, B.data)])
-        pivots = _eliminate(aug, self.cols + rhs.cols)[0]
+        reduced, pivots = reduced_rows(aug, self.cols + rhs.cols)
         if pivots and pivots[-1] >= self.cols:
             raise SingularMatrix("solve: inconsistent system")
         if len(pivots) < self.cols:
             raise SingularMatrix("solve: underdetermined system")
         z = zero(backend)
         out = [[z] * rhs.cols for _ in range(self.cols)]
-        for row, pc in zip(reduced_rows(aug, pivots), pivots):
+        for row, pc in zip(reduced, pivots):
             for c, v in row.items():
                 if c >= self.cols:
                     out[pc][c - self.cols] = v
@@ -355,7 +362,7 @@ class Matrix:
                 total = total * (I_QI - k) + f[k]
             return total
         rows = sparse_rows(self.data)
-        pivots, factor = _eliminate(rows, self.cols, track=True)
+        pivots, factor, _ = _eliminate(rows, self.cols, track=True)
         if factor is None:
             return zero(self.backend)
         num, den = factor
@@ -415,67 +422,70 @@ def kernel(rows, ncols: int, backend: Backend) -> list:
     """
     if not backend.is_exact:
         raise BackendMismatch("kernel requires an exact backend (got complex-f)")
-    pivots = _eliminate(rows, ncols)[0]
+    pivots, _, gauss = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     z, o = zero(backend), one(backend)
     basis = {fc: [z] * fc + [o] + [z] * (ncols - fc - 1)
              for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(rows, pivots):
-        p = row[pc]
-        for fc, v in row.items():
+        for fc, v in _decoded([row], -row[2 * pc if gauss else pc], gauss)[0].items():
             if fc != pc:
-                basis[fc][pc] = _ratio(-v, p)
+                basis[fc][pc] = v
     return list(basis.values())
 
 
-def reduced_rows(rows, pivots) -> list:
-    """Eliminated rows divided by their pivot entries: the nonzero rows of
-    the reduced row echelon form."""
-    return [{c: _ratio(v, row[pc]) for c, v in row.items()} for row, pc in zip(rows, pivots)]
-
-
-def _ratio(x, y):
-    """x / y for ints (a Fraction) or Gaussian integers, y real (a GaussianRational)."""
-    if isinstance(x, int):
-        return Fraction(x, y)
-    return _gr(Fraction(x.re, y.re), Fraction(x.im, y.re))
+def reduced_rows(rows, ncols: int) -> tuple:
+    """(nonzero rows of the reduced row echelon form, pivot columns) of exact
+    rows of width ncols: ``_eliminate``'s rows decoded over their pivots."""
+    pivots, _, gauss = _eliminate(rows, ncols)
+    return [_decoded([row], row[2 * pc if gauss else pc], gauss)[0]
+            for row, pc in zip(rows, pivots)], pivots
 
 
 def _eliminate(rows, ncols: int, track: bool = False):
     """Fraction-free Gauss-Jordan on sparse exact rows of width ncols, in place.
 
-    Rows over Q(i) are realified first (``_realified``).  Each row is scaled
-    to coprime ints, so the loop makes no Fraction.  An index from each
-    column to the rows holding it gives the pivot, the shortest unused row
-    with an entry a in the column, and the rows to clear: one with entry b
-    becomes (a/g) row - (b/g) prow, g = gcd(a, b), divided by its gcd.
+    Rows are encoded as ints (``_integral``) divided by their gcd, so the loop
+    makes no Fraction, each followed over Q(i) (a GaussianRational value) by
+    i times it (``_times_i``).  An index from each column to the rows
+    holding it gives the pivot, the shortest unused row with an entry a in
+    the column, and the rows to clear: one with entry b becomes
+    (a/g) row - (b/g) prow, g = gcd(a, b), divided by its gcd.
 
     Afterwards ``rows`` holds only the pivot rows, in pivot order, each
-    nonzero at its pivot column and zero at every other: ints, or Gaussian
-    integers over Q(i) (``_complexified``); ``reduced_rows`` divides the
-    pivots out.  Returns (pivot columns, factor): factor is None unless
-    track and the rows are square over Q of full rank, then (num, den) with
+    nonzero at its pivot column and zero at every other, as ints in the
+    layout of ``_integral``; ``reduced_rows`` divides the pivots out.
+    Returns (pivot columns, factor, gauss): factor is None unless track and
+    the rows are square over Q of full rank, then (num, den) with
     num / den * det(rows before) = the product of the pivot entries.
+
+    Over Q(i) only the rows at even pivots are kept, pivot 2c returned as c.
+    The Q-span W of the encoded rows is closed under i, so for each c the
+    pairs (x[2c], x[2c + 1]) of the x in W zero before column 2c form a
+    subspace of Q^2 closed under (a, b) -> (-b, a): 0 or Q^2, and pivots come
+    in pairs 2c, 2c + 1.  Divide the rows at 2c and 2c + 1 by their pivots
+    to u and v: i u lies in W and is 1 at 2c + 1 and 0 at the other pivots,
+    as v is, and a vector of W is fixed by its pivot values, so v = i u.  The
+    kept rows span W over Q(i) then, and u, read as a value per pair of
+    columns, is 1 at c and 0 at the other pivots: a reduced echelon row.
     """
     gauss = any(isinstance(v, GaussianRational) for row in rows for v in row.values())
-    if gauss:
-        rows[:] = [part for row in rows for part in _realified(row)]
-        ncols *= 2
-    nrows = len(rows)
-    num = den = 1
-    where = [set() for _ in range(ncols)]
-    for k, row in enumerate(rows):      # an empty row gets h = 0: singular, no factor
-        d = lcm(*[v.denominator for v in row.values()])
-        row = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+    encoded, D = _integral(rows, gauss)
+    num, den = (D ** len(rows) if track else 1), 1
+    rows.clear()
+    for row in encoded:     # an empty row gets h = 0: singular, no factor
         h = gcd(*row.values())
-        rows[k] = {c: v // h for c, v in row.items()} if h > 1 else row
-        if track:
-            num, den = num * d, den * h
+        row = {c: v // h for c, v in row.items()} if h > 1 else row
+        den *= h
+        rows += (row, _times_i(row)) if gauss else (row,)
+    nrows = len(rows)
+    where = [set() for _ in range(2 * ncols if gauss else ncols)]
+    for k, row in enumerate(rows):
         for c in row:
             where[c].add(k)
     used = [False] * nrows
     pivots, order = [], []
-    for c in range(ncols):
+    for c in range(len(where)):
         holders = where[c]
         candidates = [k for k in holders if not used[k]]
         if not candidates:
@@ -516,38 +526,48 @@ def _eliminate(rows, ncols: int, track: bool = False):
         order.append(p)
         if len(order) == nrows:
             break
-    rows[:] = [rows[k] for k in order]
     if gauss:
-        rows[:] = [_complexified(u, v, c) for u, v, c in zip(rows[::2], rows[1::2], pivots[::2])]
-        return [c // 2 for c in pivots[::2]], None
+        rows[:] = [rows[k] for k in order[::2]]
+        return [c // 2 for c in pivots[::2]], None, True
+    rows[:] = [rows[k] for k in order]
     if not track or len(order) < nrows:
-        return pivots, None
+        return pivots, None, False
     swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
-    return pivots, (-num if swaps % 2 else num, den)
+    return pivots, (-num if swaps % 2 else num, den), False
 
 
-def _realified(row) -> list:
-    """Rows over Q of a row over Q(i) on interleaved (re, im) columns: a + b i
-    at column c puts a, -b at 2c, 2c+1 of the real part and b, a of the
-    imaginary part."""
-    re, im = {}, {}
-    for c, v in row.items():
-        a, b = (v.re, v.im) if isinstance(v, GaussianRational) else (v, 0)
-        if a:
-            re[2 * c] = im[2 * c + 1] = a
-        if b:
-            re[2 * c + 1], im[2 * c] = -b, b
-    return [re, im]
+def _integral(rows, gauss: bool) -> tuple:
+    """Sparse exact rows as int rows in the layout of the module docstring,
+    over the lcm D of their values' denominators: (rows, D)."""
+    if gauss:
+        rows = [{2 * c + s: x for c, v in row.items()
+                 for s, x in enumerate((v.re, v.im) if isinstance(v, GaussianRational) else (v, 0))
+                 if x} for row in rows]
+    D = lcm(*[v.denominator for row in rows for v in row.values()])
+    return [{c: v.numerator * (D // v.denominator) for c, v in row.items()} for row in rows], D
 
 
-def _complexified(u: dict, v: dict, c: int) -> dict:
-    """The Gaussian integer row over Q(i) of the realified pivot rows u, v
-    (pivots c, c + 1): its entry at column j is u[2j] / u[c] + i v[2j] / v[c + 1]
-    times lcm(u[c], v[c + 1])."""
-    m = lcm(u[c], v[c + 1])
-    mu, mv = m // u[c], m // v[c + 1]
-    return {j // 2: _gr(u.get(j, 0) * mu, v.get(j, 0) * mv)
-            for j in sorted(u.keys() | v.keys()) if j % 2 == 0}
+def _decoded(rows, D: int, gauss: bool) -> list:
+    """``_integral``'s inverse, int rows over D as exact rows: one Fraction, or
+    with gauss one GaussianRational, per distinct value."""
+    if gauss:
+        rows = [{c: (row.get(2 * c, 0), row.get(2 * c + 1, 0))
+                 for c in dict.fromkeys(k >> 1 for k in row)} for row in rows]
+    value, out = {}, []
+    for row in rows:
+        new = {}
+        for c, v in row.items():
+            x = value.get(v)
+            if x is None:
+                x = value[v] = _gr(Fraction(v[0], D), Fraction(v[1], D)) if gauss else Fraction(v, D)
+            new[c] = x
+        out.append(new)
+    return out
+
+
+def _times_i(row: dict) -> dict:
+    """i times an int row over Q(i), by the 2 x 2 rule of the module docstring."""
+    return {c ^ 1: -v if c & 1 else v for c, v in row.items()}
 
 
 # -- tensor operations --------------------------------------------------------

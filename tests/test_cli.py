@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,33 @@ def test_negative_samples_exit_3(capsys):
 def test_rep_beyond_size_ceiling_exits_3(capsys):
     assert "ceiling" in assert_input_error(
         capsys, "rep", str(DATA / "hietarinta-ising.json"), "--strands", "40", "--word", "1")
+
+
+def test_deep_expressions_exit_3(tmp_path, capsys):
+    # a long flat sum is a deep left-leaning tree, and nested parentheses recurse
+    # in the parser: without a depth limit each overflows Python's recursion limit
+    slash = str(DATA / "hietarinta-slash.json")
+    flat = "+".join(["1"] * 1200)
+    assert "deeper" in assert_input_error(capsys, "check", slash, "--bind",
+                                          f"k={flat},q=2,p=3,s=4")
+    nested = "(" * 400 + "1" + ")" * 400
+    assert "deeper" in assert_input_error(capsys, "check", slash, "--bind",
+                                          f"k={nested},q=2,p=3,s=4")
+    path = write_json(tmp_path, "deep.json", {
+        "kind": "ybo", "N": 1, "level": 1, "entries": [["(" * 500 + "2" + ")" * 500]]})
+    assert "deeper" in assert_input_error(capsys, "check", path)
+
+
+def test_huge_level_exits_3_before_raising_the_power(tmp_path, capsys):
+    # 3^(2 * 10^6) has about 950,000 digits; the sizes are compared by bit length first
+    path = write_json(tmp_path, "high.json", {
+        "kind": "ybo", "N": 3, "level": 10 ** 6,
+        "entries": [["1", "0", "0", "0"], ["0", "0", "1", "0"],
+                    ["0", "1", "0", "0"], ["0", "0", "0", "1"]]})
+    start = time.perf_counter()
+    err = assert_input_error(capsys, "check", path)
+    assert time.perf_counter() - start < 1.0
+    assert "rank 3 level 1000000" in err
 
 
 def test_usage_errors_exit_3(capsys):

@@ -17,6 +17,10 @@ A fourth digest pins ``x_symmetry_check`` reports (ok, per_n, method,
 certificates) for weighted flips at N = 3, seeds 0-5, n_max = 5, whose
 diagonal intertwiners come from the exact kernel; each certificate is also
 checked against dense generator images.
+
+A fifth pins the exact bases of ``intertwiner_space`` at n = 2, 3 and 4,
+the commutant tower above n = 2, from each seed-100 object to itself and
+to a twin by a Gaussian Q: entries and scale, over Q and over Q(i).
 """
 
 import hashlib
@@ -28,7 +32,8 @@ from ybx.catalog import catalog_ids
 from ybx.constructions import phi_q
 from ybx.core import generator_image, make_ybo
 from ybx.equivalence import local_witness_search, p_equivalent, weighted_flip, x_symmetry_check
-from ybx.structure import end_search, hom_verify
+from ybx.scalars import GaussianRational
+from ybx.structure import end_search, hom_verify, intertwiner_space
 from ybx.tensor import Matrix
 
 SEEDS = (100, 101)
@@ -39,6 +44,7 @@ END_SEARCH_SHA256 = "66494124c1bedd121ee8dd6385b95e9ea395fd87e4f5e36dac93e119b07
 WITNESS_SHA256 = "e6a51d73afde4e14d0e3c6e1ba9e0181d6034b65be8c8fb3af449522b0a1fc3b"
 P_EQUIVALENT_SHA256 = "282f207d2b1e53f4d462d2b5898211e17c27489d3d522f2854eb7aa8c57da0a5"
 X_SYMMETRY_SHA256 = "db9fd65d1337e1bad9ca865d07928778df3319945ab4764f2a458471deffdcc3"
+INTERTWINER_SHA256 = "4afab0fbc03a0af7bcd6fc7f1124d7c7fed6471db41c3f79c14034cb04d001c0"
 
 
 def _digest(record) -> str:
@@ -118,3 +124,16 @@ def test_x_symmetry_frozen():
                 assert D.mul(generator_image(obj, n, i)).eq(generator_image(S, n, i).mul(D))
         record.append((report.ok, report.per_n, report.method, report.certificates))
     assert _digest(record) == X_SYMMETRY_SHA256
+
+
+def test_intertwiner_bases_frozen():
+    Q = Matrix.from_rows([[GaussianRational(1, 2), Fraction(1, 3)],
+                          [0, GaussianRational(Fraction(2, 5), -1)]])
+    record = []
+    for name, obj in _objects()[:len(catalog_ids())]:
+        for label, B in (("self", obj), ("gaussian", phi_q(obj, Q))):
+            below = None
+            for n in (2, 3, 4):
+                below = intertwiner_space(obj, B, n, below)
+                record.append((name, label, n, [_cells(T) for T in below]))
+    assert _digest(record) == INTERTWINER_SHA256

@@ -2,8 +2,8 @@
 
 The elimination kernel (behind rref, det, solve_right and nullspace) is
 compared with sympy on random sparse rational and Gaussian-rational
-matrices, and on one tall sparse system whose pivots sit far down and whose
-clearing fills the other rows.  The braid word
+matrices, on rows that mix the two, and on one tall sparse system whose
+pivots sit far down and whose clearing fills the other rows.  The braid word
 product behind rho, is_ybe and braid_relations_check is compared with a
 dense product of Kronecker generator images built here.
 """
@@ -30,8 +30,8 @@ from conftest import (
 from ybx.braid import BraidWord
 from ybx.core import YBObject, braid_relations_check, is_ybe, make_ybo, rho
 from ybx.errors import SingularMatrix
-from ybx.scalars import GaussianRational
-from ybx.tensor import Matrix
+from ybx.scalars import Backend, GaussianRational
+from ybx.tensor import Matrix, _decoded, _integral, _times_i, kernel, reduced_rows
 
 # about two entries in three are zero
 entry = st.tuples(st.integers(0, 2),
@@ -195,6 +195,62 @@ def test_solve_right_matches_sympy_over_gaussian_rationals(data, draw):
           [GaussianRational(0, 2), GaussianRational(0)]])
 def test_det_matches_sympy_over_gaussian_rationals(data):
     assert Matrix.from_rows(data).det() == from_qq_i(to_qq_i(data).det())
+
+
+# -- the integer layout of exact values (tensor._integral) ---------------------------
+
+mixed_entry = st.one_of(entry, gaussian_entry)
+
+
+@st.composite
+def sparse_exact_rows(draw, values):
+    """Sparse rows {col: value} of up to 5 rows and 5 columns."""
+    cols = draw(st.integers(1, 5))
+    rows = [[draw(values) for _ in range(cols)] for _ in range(draw(st.integers(1, 5)))]
+    return [{c: v for c, v in enumerate(row) if v} for row in rows], cols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([entry, gaussian_entry, mixed_entry]).flatmap(sparse_exact_rows))
+def test_integral_layout_round_trips(drawn):
+    rows, _ = drawn
+    gauss = any(isinstance(v, GaussianRational) for row in rows for v in row.values())
+    ints, D = _integral(rows, gauss)
+    assert all(type(v) is int and v for row in ints for v in row.values())
+    decoded = _decoded(ints, D, gauss)
+    assert decoded == rows
+    assert all(isinstance(v, GaussianRational if gauss else Fraction)
+               for row in decoded for v in row.values())
+    if gauss:   # the 2 x 2 rule: i times a row, and twice its negation
+        for row, got in zip(rows, _decoded(list(map(_times_i, ints)), D, True)):
+            assert got == {c: GaussianRational(0, 1) * v for c, v in row.items()}
+        assert [_times_i(_times_i(row)) for row in ints] == [
+            {c: -v for c, v in row.items()} for row in ints]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_exact_rows(mixed_entry))
+@example(([{0: Fraction(1), 1: GaussianRational(0, 1)},
+           {0: GaussianRational(0, 1), 1: Fraction(-1)}], 2))
+def test_kernel_and_reduced_rows_on_mixed_rows_match_sympy(drawn):
+    """Rows mixing Fraction and GaussianRational, as the rational zero solver
+    passes them, eliminated over Q(i) once any value is Gaussian."""
+    rows, cols = drawn
+    if not any(isinstance(v, GaussianRational) for row in rows for v in row.values()):
+        rows.append({0: GaussianRational(0, 1)})
+    dense = [[GaussianRational(0) + row.get(c, 0) for c in range(cols)] for row in rows]
+    R, pivots = sympy_rref(dense)
+    reduced, got_pivots = reduced_rows([dict(row) for row in rows], cols)
+    assert tuple(got_pivots) == pivots
+    assert reduced == [{c: v for c, v in enumerate(row) if v} for row in R[:len(pivots)]]
+    expected = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [GaussianRational(0)] * cols
+        vec[f] = GaussianRational(1)
+        for row, pc in zip(R, pivots):
+            vec[pc] = -row[f]
+        expected.append(vec)
+    assert kernel([dict(row) for row in rows], cols, Backend.EXACT_QI) == expected
 
 
 def test_tall_sparse_system_with_fill_in_and_row_swaps():
