@@ -351,20 +351,27 @@ def match2_family_list() -> list:
 # -- involutive counting ------------------------------------------------------
 
 
-def partition_count(n: int) -> int:
-    """Number of integer partitions of n."""
+def _partition_counts(n: int) -> list:
+    """The numbers p(0), ..., p(n) of integer partitions."""
     counts = [1] + [0] * n
     for part in range(1, n + 1):
         for total in range(part, n + 1):
             counts[total] += counts[total - part]
-    return counts[n]
+    return counts
+
+
+def partition_count(n: int) -> int:
+    """Number of integer partitions of n."""
+    return _partition_counts(n)[n]
 
 
 def involutive_class_count(N: int) -> int:
-    """Pairs of Young diagrams with N boxes in total: sum p(k) p(N-k)."""
+    """Pairs of Young diagrams with N boxes in total: sum p(k) p(N-k), from one
+    table of p(0..N)."""
     if N < 0:
         raise YbxError(f"N must be non-negative, got {N}")
-    return sum(partition_count(k) * partition_count(N - k) for k in range(N + 1))
+    p = _partition_counts(N)
+    return sum(p[k] * p[N - k] for k in range(N + 1))
 
 
 # -- permutation-solution enumeration -----------------------------------------

@@ -61,7 +61,10 @@ def _parse_binding(text: str | None) -> ParamBinding:
             name, _, raw = piece.partition("=")
             if not raw:
                 raise YbxError(f"binding piece {piece!r} is not name=value")
-            values[name.strip()] = eval_expr(raw.strip())
+            try:
+                values[name.strip()] = eval_expr(raw.strip())
+            except YbxError as exc:
+                raise type(exc)(f"binding {piece.strip()!r}: {exc}") from None
     return ParamBinding(values)
 
 

@@ -6,8 +6,9 @@ The braid group representation sends sigma_i to I^(i-1) (x) R (x) I^(n-i-1),
 with slots of width N^a and words multiplying left to right.
 
 Words are multiplied without building any generator image: each letter reads
-R's (or R^-1's) local table u -> {u': R[u][u']} in place for its two slots
-(``_Letters``), on sparse ``{col: value}`` rows or, for exact products from
+R's (or R^-1's) local table u -> {u': R[u][u']}, built once per object
+(``_Letters``; R must not be mutated after a product), in place for its two
+slots, on sparse ``{col: value}`` rows or, for exact products from
 ``_COO_ROWS`` rows on, on numpy arrays of all their nonzeros, and the linear
 systems of ``structure`` read the same table (``_placed``).  The exact backends
 multiply integer rows with one denominator per product, in the layout of the
@@ -18,6 +19,7 @@ multiply integer rows with one denominator per product, in the layout of the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -81,6 +83,9 @@ class YBObject:
     @property
     def backend(self) -> Backend:
         return self.R.backend
+
+    # built on first use and kept; not a field, so equality, hashing and replace leave it out
+    _letters = cached_property(lambda self: _Letters(self.R, self.slot_dim))
 
 
 @dataclass(frozen=True)
@@ -147,28 +152,29 @@ def _parts(rows: list, gauss: bool) -> list:
 
 
 class _Letters(dict):
-    """Letter e -> ((parts, L, w^2), d) of word products, built on first use:
-    sigma_e, or sigma_-e^-1 for e < 0, as R's (R^-1's) table in q parts over
-    d (``_parts``, in the layout of the ``ybx.tensor`` docstring; complex-f:
-    the table, d = 1), row u's columns u' taken to offsets L (u' - u),
-    L = q w^(e-1).  R^-1's table is built only when an inverse letter occurs."""
+    """Letter e -> ((parts, L, w^2), d) of one object's word products, built on
+    first use and kept with it (``YBObject._letters``): sigma_e, or sigma_-e^-1
+    for e < 0, as R's (R^-1's) table in q parts over d (``_parts``, in the layout
+    of the ``ybx.tensor`` docstring; complex-f: the table, d = 1), row u's
+    columns u' taken to offsets L (u' - u), L = q w^(e-1).  R^-1 is solved once,
+    at the first inverse letter; R must not be mutated after a product."""
 
-    def __init__(self, obj: YBObject):
-        self.obj, self.tables, self.arrays = obj, {}, {}
-        self.gauss = obj.backend is Backend.EXACT_QI
+    def __init__(self, R: Matrix, w: int):
+        self.R, self.w, self.tables, self.arrays = R, w, {}, {}
+        self.gauss = R.backend is Backend.EXACT_QI
         self.q = len(_parts([], self.gauss))
 
     def __missing__(self, e: int) -> tuple:
-        obj, sign, q = self.obj, e > 0, self.q
+        R, sign, q = self.R, e > 0, self.q
         if sign not in self.tables:
-            table = _table(obj.R if sign else obj.R.inverse())
-            rows, d = _integral(table, self.gauss) if obj.backend.is_exact else (table, 1)
+            table = _table(R if sign else R.inverse())
+            rows, d = _integral(table, self.gauss) if R.backend.is_exact else (table, 1)
             self.tables[sign] = _parts(rows, self.gauss), d
         parts, d = self.tables[sign]
-        L = q * obj.slot_dim ** (abs(e) - 1)
+        L = q * self.w ** (abs(e) - 1)
         shifted = [[[(L * (c // q - u) + c % q - s, v) for c, v in row.items()]
                     for u, row in enumerate(part)] for s, part in enumerate(parts)]
-        self[e] = (shifted, L, obj.slot_dim ** 2), d
+        self[e] = (shifted, L, self.w ** 2), d
         return self[e]
 
     def coo(self, e: int, width: int) -> tuple:
@@ -213,7 +219,7 @@ def _product_trace(rows: list, D: int, step: tuple, backend: Backend):
     return _decoded([dict(enumerate(sums))], D * d, backend is Backend.EXACT_QI)[0][0]
 
 
-def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
+def _word_product(obj: YBObject, n: int, word) -> tuple:
     """Integer rows and denominator D (``_integral``) of the product of the
     word's generator images on n strands, left to right; D is the product of
     the letters' denominators.  Exact products of ``_COO_ROWS`` rows or more
@@ -222,7 +228,7 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
     letter's growth (``_Letters.coo``), then on Python ints.  An entry adds at
     most one term per table row, fewer than 2^c, each below 2^b 2^a (g = a + c),
     so every term, partial sum and result stays below 2^62 and int64 is exact."""
-    size, backend = obj.slot_dim ** n, obj.R.backend
+    size, backend, letters = obj.slot_dim ** n, obj.R.backend, obj._letters
     check_dim(size, f"representation on {n} strands")
     D = prod(letters[e][1] for e in word)
     if size < _COO_ROWS or backend is Backend.COMPLEX_F:
@@ -246,7 +252,7 @@ def _word_product(obj: YBObject, n: int, word, letters: _Letters) -> tuple:
 def _word_rows(obj: YBObject, n: int, word) -> list:
     """Sparse rows {col: value} of the product of the word's generator images
     on n strands, left to right."""
-    rows, D = _word_product(obj, n, word, _Letters(obj))
+    rows, D = _word_product(obj, n, word)
     return _decoded(rows, D, obj.backend is Backend.EXACT_QI) if obj.backend.is_exact else rows
 
 
@@ -296,8 +302,7 @@ def _dense(obj: YBObject, rows) -> Matrix:
     return Matrix(size, size, obj.R.backend, dense_rows(rows, size, zero(obj.R.backend)))
 
 
-def _compare_words(obj: YBObject, n: int, left, right, tol,
-                   letters: _Letters | None = None) -> YbeReport:
+def _compare_words(obj: YBObject, n: int, left, right, tol) -> YbeReport:
     """Entrywise comparison of the images of two words on n strands.
 
     The integer rows are compared directly, cross-multiplied by the other
@@ -307,9 +312,8 @@ def _compare_words(obj: YBObject, n: int, left, right, tol,
     residual is at most tol times max(1, inf-norms of both images).
     """
     backend = obj.R.backend
-    letters = _Letters(obj) if letters is None else letters
-    lhs, Dl = _word_product(obj, n, left, letters)
-    rhs, Dr = _word_product(obj, n, right, letters)
+    lhs, Dl = _word_product(obj, n, left)
+    rhs, Dr = _word_product(obj, n, right)
     worst = None
     worst_abs = 0.0
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
@@ -348,13 +352,12 @@ def rho(obj: YBObject, word: BraidWord) -> Matrix:
 
 def braid_relations_check(obj: YBObject, n: int, tol: float | None = None) -> bool:
     """Verify B1 (braid) and B2 (far commutation) relations on n strands."""
-    letters = _Letters(obj)
     for i in range(1, n - 1):
-        if not _compare_words(obj, n, (i, i + 1, i), (i + 1, i, i + 1), tol, letters).holds:
+        if not _compare_words(obj, n, (i, i + 1, i), (i + 1, i, i + 1), tol).holds:
             return False
     for i in range(1, n):
         for j in range(i + 2, n):
-            if not _compare_words(obj, n, (i, j), (j, i), tol, letters).holds:
+            if not _compare_words(obj, n, (i, j), (j, i), tol).holds:
                 return False
     return True
 
@@ -365,12 +368,11 @@ def reversal_conjugation_check(obj: YBObject, n: int, words, tol: float | None =
     Checks rho(D_n) rho(w) rho(D_n)^(-1) = rho(fox(w)) for the given words,
     as rho(D_n w) = rho(fox(w) D_n) entrywise (``_compare_words``).
     """
-    delta, letters = half_twist_word(n).letters, _Letters(obj)
+    delta = half_twist_word(n).letters
     for w in words:
         if w.strands != n:
             raise GeneratorOutOfRange("word strand count mismatch")
-        if not _compare_words(obj, n, delta + w.letters, fox(w).letters + delta, tol,
-                              letters).holds:
+        if not _compare_words(obj, n, delta + w.letters, fox(w).letters + delta, tol).holds:
             return False
     return True
 

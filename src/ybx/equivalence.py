@@ -18,7 +18,6 @@ from .config import DEFAULT_TOL
 from .core import (
     YBObject,
     _charge,
-    _Letters,
     _product_trace,
     _table,
     _times,
@@ -56,15 +55,21 @@ from .tensor import Matrix, _decoded, _integral, kernel, swap_matrix
 
 # -- local invariants ---------------------------------------------------------
 
+# Most words flip_word_traces compares: there are 2^(L+1) - 2 of length <= L,
+# so L <= 13; the words and their memoised prefix rows grow like 2^L
+_FLIP_WORDS = 2 ** 14
+
 
 def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
     """Traces of all words of length <= L in the alphabet {R, P}, P the slot swap, in
     length order, from sparse rows on two slots: one per cyclic class (``_word_traces``)."""
     if L < 1:
         raise YbxError(f"L must be at least 1, got {L}: no word would be compared")
+    if 2 ** min(L + 1, 64) - 2 > _FLIP_WORDS:
+        raise SizeCeiling(f"2^{L + 1} - 2 words of length <= {L} exceed the ceiling {_FLIP_WORDS}")
     w = obj.slot_dim
     swap = YBObject(obj.N, obj.level, swap_matrix(w, w, obj.backend))
-    letters = {1: _Letters(obj)[1], 2: _Letters(swap)[1]}
+    letters = {1: obj._letters[1], 2: swap._letters[1]}
     words = [word for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
     return {"".join("RP"[e - 1] for e in word): t
             for word, t in _word_traces(letters, words, obj.backend, w * w)}
@@ -290,14 +295,13 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                                  witness=f"slot dimensions {A.slot_dim} vs {B.slot_dim}")
     exact = A.R.backend.is_exact and B.R.backend.is_exact
     rng = random.Random(seed)
-    letters = (_Letters(A), _Letters(B))
     for n in range(2, p + 1):
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
         scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** _TRACE_WORD_LEN
         words = _trace_words([e for i in range(1, n) for e in (i, -i)], _TRACE_WORD_LEN)
-        streams = [_word_traces(lets, words, obj.backend, size) for lets, obj in zip(letters, (A, B))]
+        streams = [_word_traces(obj._letters, words, obj.backend, size) for obj in (A, B)]
         classes = set()
         for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
             classes.add(_cyclic_key(word))

@@ -13,6 +13,8 @@ Evaluation is exact whenever every leaf is exact.  The parser refuses a tree
 more than ``_MAX_DEPTH`` levels deep, or parentheses nested deeper than that:
 evaluation and formatting recurse once per level, and the parser four times
 per parenthesis, so both stay inside Python's recursion limit of 1000.
+An exact power is refused before it is computed when its result could have
+more than ``_MAX_POWER_BITS`` bits.
 """
 
 from __future__ import annotations
@@ -21,9 +23,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConstraintViolated, DivisionByZero, ExhaustedRetries, ParseError, UnboundParam
+from .errors import (
+    ConstraintViolated,
+    DivisionByZero,
+    ExhaustedRetries,
+    ParseError,
+    SizeCeiling,
+    UnboundParam,
+)
 from .scalars import (
     I_QI,
+    GaussianRational,
     backend_of,
     join_backend,
     promote,
@@ -161,6 +171,12 @@ def _eval(node: Expr, binding: ParamBinding):
             raise DivisionByZero("zero raised to a negative power")
         if isinstance(base, complex):
             return base ** node.exponent
+        parts = (base.re, base.im) if isinstance(base, GaussianRational) else (base,)
+        bits = abs(node.exponent) * max(v.bit_length() for x in parts
+                                        for v in (x.numerator, x.denominator))
+        if bits > _MAX_POWER_BITS:
+            raise SizeCeiling(f"{format_expr(node)} could have {bits} bits, "
+                              f"more than the ceiling {_MAX_POWER_BITS}")
         if node.exponent < 0:
             inv = Fraction(1) / base if isinstance(base, Fraction) else 1 / base
             return inv ** (-node.exponent)
@@ -185,6 +201,11 @@ def _eval(node: Expr, binding: ParamBinding):
 # -- parser -----------------------------------------------------------------
 
 _MAX_DEPTH = 200
+
+# Bits of an exact power's result, bounded by |exponent| times the bits of its
+# base's largest numerator or denominator: below the 14,284 bits (4300 digits)
+# Python converts to text by default, so a bound value can still be printed
+_MAX_POWER_BITS = 10_000
 
 
 

@@ -170,6 +170,8 @@ def test_partition_counts():
     # N = 8 value derived from the partition-function oracle
     expected = sum(partition_count(k) * partition_count(8 - k) for k in range(9))
     assert involutive_class_count(8) == expected == 185
+    assert [involutive_class_count(N) for N in range(13)] == [
+        1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481, 752, 1165]
 
 
 def test_enumeration_rank2_golden():

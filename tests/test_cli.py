@@ -317,6 +317,25 @@ def test_huge_level_exits_3_before_raising_the_power(tmp_path, capsys):
     assert "rank 3 level 1000000" in err
 
 
+def test_flip_words_over_the_ceiling_exit_3(capsys):
+    start = time.perf_counter()
+    err = assert_input_error(capsys, "invariants", str(DATA / "hietarinta-a.json"),
+                             "--bind", "k=2,p=3,q=5", "--words", "40")
+    assert time.perf_counter() - start < 1.0
+    assert "2^41 - 2 words" in err and "ceiling" in err
+
+
+def test_oversized_power_in_a_binding_exits_3_naming_it(capsys):
+    a = str(DATA / "hietarinta-a.json")
+    err = assert_input_error(capsys, "check", a, "--bind", "k=3^100000,p=2,q=5")
+    assert "'k=3^100000'" in err and "(3)^100000" in err and "ceiling" in err
+    start = time.perf_counter()
+    assert "ceiling" in assert_input_error(capsys, "check", a, "--bind", "k=2^100000000,p=3,q=5")
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "check", a, "--bind", "k=2^1000,p=3,q=5")
+    assert code == 0 and "holds" in out
+
+
 def test_usage_errors_exit_3(capsys):
     # argparse exits 2 on a usage error, which the CLI reserves for "inconclusive"
     assert_input_error(capsys, "rep", str(DATA / "hietarinta-slash.json"))

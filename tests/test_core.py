@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from ybx.constructions import flip_conj, inverse_obj, phi_q, scale_obj, transpos
 from ybx.core import (
     YBObject,
     _compare_words,
-    _Letters,
     _times,
     _unit_rows,
     _word_product,
@@ -377,7 +377,7 @@ def test_long_word_at_seven_digit_denominators_is_exactly_the_identity():
 
 def row_loop_product(obj, n, word):
     """Integer rows and denominator of the word's product by ``_times`` alone."""
-    letters = _Letters(obj)
+    letters = obj._letters
     rows, D = _unit_rows(obj.slot_dim ** n, obj.backend), 1
     for e in word:
         letter, d = letters[e]
@@ -398,7 +398,7 @@ def test_coo_product_matches_the_row_loop(n):
     for label, obj in exact_objects():
         seeded = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(8)]
         for word in (half_twist_word(n).letters, tuple(seeded), ()):
-            rows, D = _word_product(obj, n, word, _Letters(obj))
+            rows, D = _word_product(obj, n, word)
             assert (rows, D) == row_loop_product(obj, n, word), (label, word)
             assert all(type(v) is int for row in rows for v in row.values())
 
@@ -412,12 +412,38 @@ def test_word_products_route_by_size_and_backend(monkeypatch):
     for obj, n, kernel in ((q, 4, "_times"), (qi, 4, "_times"), (q, 5, "_coo_times"),
                            (qi, 5, "_coo_times"), (f, 5, "_times"), (f, 6, "_times")):
         calls.clear()
-        _word_product(obj, n, (1, -2, 3), _Letters(obj))
+        _word_product(obj, n, (1, -2, 3))
         assert calls == [kernel] * 3, (obj.backend, n)
     calls.clear()
     with pytest.raises(SizeCeiling):
-        _word_product(q, 11, (1,), _Letters(q))      # 2^11 rows > MAX_DIM
+        _word_product(q, 11, (1,))      # 2^11 rows > MAX_DIM
     assert not calls
+
+
+def test_each_object_solves_r_inverse_at_most_once(monkeypatch):
+    objects = [obj for _, obj in integer_path_objects()[:3]]
+    calls, inverse = [], Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda M: calls.append(M) or inverse(M))
+    for obj in objects:
+        calls.clear()
+        rho(obj, BraidWord.of(4, (1, -2, 3)))
+        generator_image(obj, 3, 2, inverse=True)
+        is_ybe(obj)
+        braid_relations_check(obj, 4)
+        reversal_conjugation_check(obj, 3, [BraidWord.of(3, (1, -2)), BraidWord.of(3, (-1,))])
+        assert len(calls) == 1 and calls[0] is obj.R, obj.backend
+
+
+def test_replaced_matrix_gets_its_own_letters():
+    # the letter tables are kept with the object: replace(obj, R=S) must multiply with S
+    word = BraidWord.of(3, (1, -2, 1))
+    for label, obj in integer_path_objects()[:3]:
+        before = rho(obj, word)                 # builds obj's tables, R^-1's among them
+        other = dataclasses.replace(obj, R=obj.R.scale(2))
+        assert_same_image(label, rho(other, word), dense_word(other, 3, word.letters))
+        assert_same_image(label, rho(obj, word), before)
+        assert not rho(other, word).eq(before)
+        assert dataclasses.replace(obj) == obj and repr(dataclasses.replace(obj)) == repr(obj)
 
 
 def value_kinds(monkeypatch) -> list:
@@ -434,7 +460,7 @@ def assert_exact_product(label, obj, n, word, kinds):
     return its largest |numerator|, with kinds holding its steps alone."""
     assert_same_image(label, rho(obj, BraidWord.of(n, word)), dense_word(obj, n, word))
     kinds.clear()
-    rows, D = _word_product(obj, n, word, _Letters(obj))
+    rows, D = _word_product(obj, n, word)
     assert (rows, D) == row_loop_product(obj, n, word), (label, word)
     assert all(type(v) is int for row in rows for v in row.values())
     return max(abs(v) for row in rows for v in row.values())

@@ -33,7 +33,7 @@ from ybx.equivalence import (
     weighted_flip,
     x_symmetry_check,
 )
-from ybx.errors import BackendMismatch, UnfactoredSpectrum, UnsupportedRank, YbxError
+from ybx.errors import BackendMismatch, SizeCeiling, UnfactoredSpectrum, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
 from ybx.scalars import Backend, GaussianRational
 from ybx.spectral import char_poly, complexf_spectrum, jordan_structure, spectrum
@@ -208,6 +208,18 @@ def test_local_distinguish_slash_vs_f():
     f = sampled_catalog_object("hietarinta:f", 90)
     verdict, witness = local_distinguish(slash, f, L=4)
     assert verdict == "distinguished"
+
+
+def test_flip_words_over_the_ceiling_are_refused_before_any_is_built(monkeypatch):
+    import ybx.equivalence as equivalence
+
+    slash = sampled_catalog_object("hietarinta:slash", 90)
+    f = sampled_catalog_object("hietarinta:f", 90)
+    assert len(flip_word_traces(slash, 12)) == 2 ** 13 - 2
+    monkeypatch.setattr(equivalence, "product", lambda *args, **kw: pytest.fail("word built"))
+    for L in (14, 40, 10 ** 9):
+        with pytest.raises(SizeCeiling, match="ceiling"):
+            local_distinguish(slash, f, L=L)
 
 
 def test_local_witness_search_finds_phi_q_witness():
@@ -620,11 +632,10 @@ def _rows_trace(obj, n, word):
 
 
 def _shared_prefix_traces(obj, n, max_len):
-    from ybx.core import _Letters
     from ybx.equivalence import _trace_words, _word_traces
 
     words = _trace_words([e for i in range(1, n) for e in (i, -i)], max_len)
-    return words, list(_word_traces(_Letters(obj), words, obj.backend, obj.slot_dim ** n))
+    return words, list(_word_traces(obj._letters, words, obj.backend, obj.slot_dim ** n))
 
 
 def test_word_traces_match_word_rows_products_exact():

@@ -8,6 +8,7 @@ from ybx.errors import (
     DivisionByZero,
     ExhaustedRetries,
     ParseError,
+    SizeCeiling,
     UnboundParam,
 )
 from ybx.expressions import (
@@ -50,6 +51,17 @@ def test_eval_errors():
         eval_expr("1/x", ParamBinding.of(x=0))
     with pytest.raises(DivisionByZero):
         eval_expr("x^-1", ParamBinding.of(x=0))
+
+
+def test_powers_are_bounded_by_their_result_size():
+    # |exponent| times the bits of the base's largest numerator or denominator
+    assert eval_expr("2^1000") == 2 ** 1000
+    assert eval_expr("(2/3)^-1000") == Fraction(3, 2) ** 1000
+    assert eval_expr("(1+i)^4") == -4
+    assert eval_expr("x^4999", ParamBinding.of(x=-2)) == -(2 ** 4999)
+    for text in ("3^100000", "2^100000000", "(1/3)^-100000", "(1+3*i)^100000", "2^5001"):
+        with pytest.raises(SizeCeiling, match="ceiling"):
+            eval_expr(text)
 
 
 def test_eval_is_multiplicative():
