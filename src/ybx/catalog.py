@@ -294,19 +294,12 @@ def jordan_template_matches(entry_id: str, binding: ParamBinding) -> bool:
     used = [False] * len(expected)
     for val, blocks in computed:
         for i, (ev, eb) in enumerate(expected):
-            if not used[i] and list(blocks) == list(eb) and _eig_eq(val, ev):
+            if not used[i] and list(blocks) == list(eb) and val == ev:
                 used[i] = True
                 break
         else:
             return False
     return True
-
-
-def _eig_eq(a, b) -> bool:
-    eq = (a == b)
-    if eq is NotImplemented:
-        return False
-    return bool(eq)
 
 
 def glue_positions(entry_id: str, binding: ParamBinding) -> list:

@@ -98,14 +98,13 @@ class YbeReport:
 def make_ybo(N: int, R: Matrix, level: int = 1, verify: bool = True,
              tol: float | None = None) -> YBObject:
     """Construct a Yang-Baxter object, checking invertibility and (optionally) YBE."""
-    obj = YBObject(N, level, R)
+    obj = YBObject(N, level, R, verified=verify)    # tagged first: keeps is_ybe's tables
     if R.rank(tol=DEFAULT_TOL if tol is None else tol) < R.rows:   # exact: tol unused
         raise SingularMatrix("R must be invertible")
     if verify:
         report = is_ybe(obj, tol=tol)
         if not report.holds:
             raise ValueError(f"matrix fails the Yang-Baxter equation (residual {report.residual})")
-        obj = replace(obj, verified=True)
     return obj
 
 
@@ -115,13 +114,14 @@ def is_ybe(obj: YBObject, tol: float | None = None) -> YbeReport:
 
 
 def verified(obj: YBObject, tol: float | None = None) -> YBObject:
-    """Return the object tagged verified; raises if YBE fails."""
+    """Return the object tagged verified, checking YBE on the tagged copy; raises if it fails."""
     if obj.verified:
         return obj
+    obj = replace(obj, verified=True)
     report = is_ybe(obj, tol=tol)
     if not report.holds:
         raise ValueError(f"Yang-Baxter residual {report.residual}")
-    return replace(obj, verified=True)
+    return obj
 
 
 # -- representation -----------------------------------------------------------

@@ -118,7 +118,7 @@ def local_invariants(obj: YBObject, L: int = 4) -> InvariantReport:
 
     The spectrum is computed once and the Jordan data from it.  An exact
     spectrum that does not factor gives the clustered complex spectrum and
-    ``jordan=None``; a rank step that fails gives ``jordan=None`` alone."""
+    ``jordan=None``; a rank step that fails, on complex-f alone, gives ``jordan=None``."""
     try:
         spec = spectrum(obj.R)
     except UnfactoredSpectrum:

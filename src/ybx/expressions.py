@@ -14,11 +14,12 @@ more than ``_MAX_DEPTH`` levels deep, or parentheses nested deeper than that:
 evaluation and formatting recurse once per level, and the parser four times
 per parenthesis, so both stay inside Python's recursion limit of 1000.
 An exact power is refused before it is computed when its result could have
-more than ``_MAX_POWER_BITS`` bits.
+more than ``_MAX_BITS`` bits, and any other exact node once its result has.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,13 +171,14 @@ def _eval(node: Expr, binding: ParamBinding):
         if node.exponent < 0 and not base:
             raise DivisionByZero("zero raised to a negative power")
         if isinstance(base, complex):
-            return base ** node.exponent
-        parts = (base.re, base.im) if isinstance(base, GaussianRational) else (base,)
-        bits = abs(node.exponent) * max(v.bit_length() for x in parts
-                                        for v in (x.numerator, x.denominator))
-        if bits > _MAX_POWER_BITS:
+            try:
+                return base ** node.exponent
+            except OverflowError:
+                raise SizeCeiling(f"{format_expr(node)} overflows a complex float") from None
+        bits = abs(node.exponent) * _bits(base)
+        if bits > _MAX_BITS:
             raise SizeCeiling(f"{format_expr(node)} could have {bits} bits, "
-                              f"more than the ceiling {_MAX_POWER_BITS}")
+                              f"more than the ceiling {_MAX_BITS}")
         if node.exponent < 0:
             inv = Fraction(1) / base if isinstance(base, Fraction) else 1 / base
             return inv ** (-node.exponent)
@@ -185,27 +187,34 @@ def _eval(node: Expr, binding: ParamBinding):
     right = _eval(node.right, binding)
     target = join_backend(backend_of(left), backend_of(right))
     left, right = promote(left, target), promote(right, target)
-    if isinstance(node, Add):
-        return left + right
-    if isinstance(node, Sub):
-        return left - right
-    if isinstance(node, Mul):
-        return left * right
-    if isinstance(node, Div):
-        if not right:
-            raise DivisionByZero(f"division by zero in {format_expr(node)}")
-        return left / right
-    raise TypeError(f"unknown node {node!r}")
+    if isinstance(node, Div) and not right:
+        raise DivisionByZero(f"division by zero in {format_expr(node)}")
+    out = _BINARY[type(node)](left, right)
+    bits = _bits(out) if target.is_exact else 0
+    if bits > _MAX_BITS:
+        raise SizeCeiling(f"{format_expr(node)} has {bits} bits, "
+                          f"more than the ceiling {_MAX_BITS}")
+    return out
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _bits(value) -> int:
+    """Bits of an exact value's largest numerator or denominator."""
+    parts = (value.re, value.im) if isinstance(value, GaussianRational) else (value,)
+    return max(v.bit_length() for x in parts for v in (x.numerator, x.denominator))
 
 
 # -- parser -----------------------------------------------------------------
 
 _MAX_DEPTH = 200
 
-# Bits of an exact power's result, bounded by |exponent| times the bits of its
-# base's largest numerator or denominator: below the 14,284 bits (4300 digits)
-# Python converts to text by default, so a bound value can still be printed
-_MAX_POWER_BITS = 10_000
+# Bits of an exact value's largest numerator or denominator, for the result of
+# every + - * / node and, bounded by |exponent| times its base's, before each
+# power: below the 14,284 bits (4300 digits) Python converts to text by
+# default, so a bound value can still be printed
+_MAX_BITS = 10_000
 
 
 

@@ -7,7 +7,7 @@ reads numeric roots as rationals and keeps what divides exactly; a quadratic
 left at the end is a factor too.  Quadratics are solved by radicals, giving
 quadratic surds ``a + b*sqrt(d)``.  A polynomial that resists this is
 reported as :class:`UnfactoredSpectrum` so the caller may retry on the
-complex backend.
+complex backend.  Jordan blocks come from exact ranks over the same field.
 
 Complex path: numpy eigenvalues clustered at the global tolerance, with block
 sizes read from numeric ranks of powers of (A - lambda I).
@@ -25,7 +25,7 @@ from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, UnfactoredSpectrum
 from .poly import rational_factors
 from .scalars import Backend, GaussianRational, one, to_complex, zero
-from .tensor import Matrix, kron
+from .tensor import Matrix
 
 # -- quadratic surds ----------------------------------------------------------
 
@@ -248,32 +248,28 @@ def spectrum(M: Matrix, tol: float | None = None) -> list:
 # -- jordan structure ---------------------------------------------------------
 
 
-def _lifted(M: Matrix, eigenvalue):
-    """(M - eigenvalue I) over an exact field and the factor its ranks carry.
+def _minimal(M: Matrix, eigenvalue) -> tuple:
+    """(q(M), deg q) for the minimal polynomial q of eigenvalue over M's field K, Q or Q(i).
 
-    For a surd eigenvalue a + b sqrt(d) the matrix is realified over Q, each
-    x + y sqrt(d) acting as [[x, d y], [y, x]] on the pair (1, sqrt(d)), so
-    products stay products and every rank is doubled."""
-    n = M.rows
+    q = t - eigenvalue for an eigenvalue in K.  Any other is x + sqrt(y), x and y rational
+    (a surd, or a Gaussian of a rational matrix), and q = (t - x)^2 - y.  M is fixed by the
+    automorphism of K(sqrt(y)) that swaps q's roots, so both have the same Jordan data, and
+    ker q(M)^k is the direct sum of the kernels of (M - root)^k: the nullity of
+    (M - eigenvalue)^k is that of q(M)^k over deg q, from one elimination over K."""
+    x, y = eigenvalue, 0
     if isinstance(eigenvalue, QuadSurd):
-        a, b, d = eigenvalue.a, eigenvalue.b, eigenvalue.d
-        real = Matrix.from_rows([[_as_fraction(v) for v in row] for row in M.data])
-        surd = Matrix.from_rows([[a, b * d], [b, a]])
-        return kron(Matrix.identity(2), real).sub(kron(surd, Matrix.identity(n))), 2
-    if isinstance(eigenvalue, GaussianRational) or M.backend is Backend.EXACT_QI:
-        rows = [[GaussianRational(v) if not isinstance(v, GaussianRational) else v
-                 for v in row] for row in M.data]
-    else:
-        rows = [list(row) for row in M.data]
-    for i in range(n):
-        rows[i][i] = rows[i][i] - eigenvalue
-    return Matrix(n, n, M.backend, rows), 1
+        x, y = eigenvalue.a, eigenvalue.b ** 2 * eigenvalue.d
+    elif isinstance(eigenvalue, GaussianRational) and M.backend is Backend.EXACT_Q:
+        x, y = eigenvalue.re, -eigenvalue.im ** 2
+    identity = Matrix.identity(M.rows, M.backend)
+    shifted = M.sub(identity.scale(x))
+    return (shifted.mul(shifted).sub(identity.scale(y)), 2) if y else (shifted, 1)
 
 
 def _as_fraction(v) -> Fraction:
     if isinstance(v, GaussianRational):
         if v.im != 0:
-            raise UnfactoredSpectrum("surd eigenvalue with Gaussian matrix entries")
+            raise UnfactoredSpectrum("quadratic factor with non-rational coefficients")
         return v.re
     return Fraction(v)
 
@@ -287,8 +283,8 @@ def jordan_structure(M: Matrix, tol: float | None = None) -> list:
 
 def _jordan_blocks(M: Matrix, spec: list, tol: float | None = None) -> list:
     """Block sizes for each (eigenvalue, multiplicity) of M's spectrum spec, from the
-    ranks of the powers of M - eigenvalue I: exact ranks on an exact backend, SVD ranks
-    with a cutoff scaled from tol otherwise."""
+    ranks of the powers of M - eigenvalue I: exact ranks over M's field (``_minimal``)
+    on an exact backend, SVD ranks with a cutoff scaled from tol otherwise."""
     n, exact = M.rows, M.backend.is_exact
     if not exact:
         tol = DEFAULT_TOL if tol is None else tol
@@ -299,10 +295,11 @@ def _jordan_blocks(M: Matrix, spec: list, tol: float | None = None) -> list:
         if mult == 1:
             out.append((lam, [1]))
             continue
-        base, factor = _lifted(M, lam) if exact else (arr - lam * np.eye(n), 1)
+        base, deg = _minimal(M, lam) if exact else (arr - lam * np.eye(n), 1)
         ranks, power = [n], base
         while len(ranks) <= mult:
-            ranks.append((power.rank() if exact else _svd_rank(power, scale, tol)) // factor)
+            rank = power.rank() if exact else _svd_rank(power, scale, tol)
+            ranks.append(n - (n - rank) // deg)
             if ranks[-1] == ranks[-2]:
                 break
             power = power @ base

@@ -336,6 +336,14 @@ def test_oversized_power_in_a_binding_exits_3_naming_it(capsys):
     assert code == 0 and "holds" in out
 
 
+def test_a_product_of_allowed_powers_in_a_binding_exits_3_naming_the_ceiling(capsys):
+    # each (2^4999)^2 has 9,998 bits, under the power ceiling; their product has not
+    product = "*".join(["(2^4999)^2"] * 8)
+    err = assert_input_error(capsys, "check", str(DATA / "grouptype-single-g.json"),
+                             "--bind", f"a={product},b=1,d=2")
+    assert "bits, more than the ceiling 10000" in err and "4300 digits" not in err
+
+
 def test_usage_errors_exit_3(capsys):
     # argparse exits 2 on a usage error, which the CLI reserves for "inconclusive"
     assert_input_error(capsys, "rep", str(DATA / "hietarinta-slash.json"))

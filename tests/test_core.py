@@ -20,7 +20,7 @@ from conftest import (
 import ybx.core as core
 from ybx.braid import BraidWord, half_twist_word
 from ybx.catalog import catalog_get, catalog_ids, sample_entry_binding
-from ybx.constructions import flip_conj, inverse_obj, phi_q, scale_obj, transpose_obj
+from ybx.constructions import cable, flip_conj, inverse_obj, phi_q, scale_obj, transpose_obj
 from ybx.core import (
     YBObject,
     _compare_words,
@@ -432,6 +432,26 @@ def test_each_object_solves_r_inverse_at_most_once(monkeypatch):
         braid_relations_check(obj, 4)
         reversal_conjugation_check(obj, 3, [BraidWord.of(3, (1, -2)), BraidWord.of(3, (-1,))])
         assert len(calls) == 1 and calls[0] is obj.R, obj.backend
+
+
+def test_verified_objects_keep_the_letters_their_check_built(monkeypatch):
+    calls, init = [], core._Letters.__init__
+    monkeypatch.setattr(core._Letters, "__init__",
+                        lambda self, R, w: calls.append(R) or init(self, R, w))
+    obj = catalog_get("hietarinta:a", ParamBinding.of(k=2, p=3, q=5))
+    rho(obj, BraidWord.of(3, (1, -2, 1)))
+    assert len(calls) == 1 and obj.verified
+    calls.clear()
+    cabled = cable(obj, 2)
+    rho(cabled, BraidWord.of(3, (1, 2)))
+    assert len(calls) == 1 and calls[0] is cabled.R and cabled.verified
+    calls.clear()
+    tagged = core.verified(YBObject(obj.N, 1, obj.R))
+    rho(tagged, BraidWord.of(3, (2, 1)))
+    assert len(calls) == 1 and tagged.verified
+    with pytest.raises(ValueError, match="Yang-Baxter"):
+        core.verified(YBObject(2, 1, obj.R.mul(kron(Matrix.from_rows([[1, 1], [0, 1]]),
+                                                    Matrix.identity(2)))))
 
 
 def test_replaced_matrix_gets_its_own_letters():

@@ -17,6 +17,7 @@ from conftest import (
     sampled_catalog_object,
     zeta8,
 )
+from test_spectral import keyed_jordan, sympy_jordan
 from ybx import spectral
 from ybx.catalog import catalog_get, catalog_ids
 from ybx.constructions import phi_q
@@ -180,7 +181,7 @@ def test_local_invariants_factor_each_spectrum_once(seed, monkeypatch):
         make_ybo(2, ising_unitary(), tol=1e-9),
         # x^3 - 2 has no rational factor: the exact spectrum raises
         YBObject(2, 1, Matrix.from_rows([[0, 0, 2, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])),
-        # +-sqrt(2) twice with Gaussian entries: the spectrum factors, the rank step raises
+        # +-sqrt(2) twice with Gaussian entries: ranked over Q(i) by t^2 - 2
         YBObject(2, 1, Matrix.from_rows([[0, 2, i, 0], [1, 0, 0, i], [0, 0, 0, 2], [0, 0, 1, 0]])),
     ]
     calls = []
@@ -197,10 +198,13 @@ def test_local_invariants_factor_each_spectrum_once(seed, monkeypatch):
         monkeypatch.undo()
         assert report.spectrum == spec and report.jordan == jordan
         assert len(calls) == (1 if obj.R.backend.is_exact else 0)
-    unfactored, unranked = (local_invariants(obj) for obj in objects[-2:])
-    assert unfactored.jordan is None and unranked.jordan is None
+    unfactored, surds = (local_invariants(obj) for obj in objects[-2:])
+    assert unfactored.jordan is None
     assert all(isinstance(z, complex) for z, _ in unfactored.spectrum)
-    assert not any(isinstance(z, complex) for z, _ in unranked.spectrum)
+    assert not any(isinstance(z, complex) for z, _ in surds.spectrum)
+    assert [(str(v), blocks) for v, blocks in surds.jordan] == [("-1*sqrt(2)", [2]),
+                                                                 ("sqrt(2)", [2])]
+    assert keyed_jordan(surds.jordan) == sympy_jordan(objects[-1].R)
 
 
 def test_local_distinguish_slash_vs_f():

@@ -64,6 +64,22 @@ def test_powers_are_bounded_by_their_result_size():
             eval_expr(text)
 
 
+def test_every_exact_node_is_bounded_by_its_result_size():
+    assert eval_expr("(2^4999)^2*2") == 2 ** 9999
+    assert eval_expr("2^5000*2^4999/2^4999") == 2 ** 5000
+    for text in ("(2^4999)^2*(2^4999)^2", "2^5000*2^5001", "2^9999+2^9999",
+                 "(2^9999-1)/(2^9999+1)*3/2", "(2^9999+0*i)*2*i"):
+        with pytest.raises(SizeCeiling, match="bits, more than the ceiling 10000"):
+            eval_expr(text)
+
+
+def test_complex_powers_that_overflow_raise_size_ceiling():
+    assert eval_expr("x^3", ParamBinding({"x": 2 + 0j})) == 8
+    for base, exponent in ((1.5 + 0j, 100000000), (0.5 + 0j, -100000000)):
+        with pytest.raises(SizeCeiling, match="overflows a complex float"):
+            eval_expr(f"x^{exponent}", ParamBinding({"x": base}))
+
+
 def test_eval_is_multiplicative():
     rng = random.Random(5)
     e1 = parse_expr("x^2 - y + 1/2")

@@ -8,6 +8,7 @@ from ybx.errors import UnfactoredSpectrum
 from ybx.scalars import Backend, GaussianRational
 from ybx.spectral import (
     QuadSurd,
+    _jordan_blocks,
     char_poly,
     eig_to_complex,
     jordan_structure,
@@ -200,3 +201,90 @@ def test_jordan_with_repeated_surd_eigenvalues():
     jordan2 = jordan_structure(N)
     for value, blocks in jordan2:
         assert blocks == [2]
+
+
+def _to_sympy(value):
+    if isinstance(value, QuadSurd):
+        return sympy.Rational(str(value.a)) + sympy.Rational(str(value.b)) * sympy.sqrt(value.d)
+    if isinstance(value, GaussianRational):
+        return sympy.Rational(str(value.re)) + sympy.Rational(str(value.im)) * sympy.I
+    return sympy.Rational(str(value))
+
+
+def sympy_jordan(M):
+    """{eigenvalue: block sizes, descending} from sympy's jordan_form, keyed by the
+    eigenvalue's complex value rounded to 9 places."""
+    _, J = sympy.Matrix([[_to_sympy(v) for v in row] for row in M.data]).jordan_form()
+    out, k = {}, 0
+    while k < J.rows:
+        size = 1
+        while k + size < J.rows and J[k + size - 1, k + size] == 1:
+            size += 1
+        z = complex(sympy.N(J[k, k], 30))
+        out.setdefault((round(z.real, 9), round(z.imag, 9)), []).append(size)
+        k += size
+    return {key: sorted(b, reverse=True) for key, b in out.items()}
+
+
+def keyed_jordan(jordan):
+    """Jordan data as ybx gives it, keyed as ``sympy_jordan`` keys it."""
+    return {(round(eig_to_complex(v).real, 9), round(eig_to_complex(v).imag, 9)): blocks
+            for v, blocks in jordan}
+
+
+def _block_matrix(blocks):
+    """Block-diagonal matrix of one block per (kind, args, size): ("root", r, k) a
+    Jordan block of size k at r; ("quad", (s, p), k) the companion of t^2 - s t + p
+    k times on the diagonal, chained by identities, so each root has one block of size k."""
+    n = sum(k * (1 if kind == "root" else 2) for kind, _, k in blocks)
+    data = [[0] * n for _ in range(n)]
+    pos = 0
+    for kind, arg, k in blocks:
+        d = 1 if kind == "root" else 2
+        for j in range(k):
+            at = pos + d * j
+            if kind == "root":
+                data[at][at] = arg
+            else:
+                s, p = arg
+                data[at][at + 1], data[at + 1][at], data[at + 1][at + 1] = -p, 1, s
+            if j + 1 < k:
+                for m in range(d):
+                    data[at + m][at + d + m] = 1
+        pos += d * k
+    return data
+
+
+@pytest.mark.parametrize("gaussian, blocks", [
+    # Gaussian eigenvalues 1 +- i of rational matrices: a 2-block, then two 1-blocks
+    (False, [("quad", (2, 2), 2), ("root", 3, 1)]),
+    (False, [("quad", (2, 2), 1), ("quad", (2, 2), 1), ("root", -1, 1)]),
+    # repeated surds on rational matrices: +-sqrt(2) with blocks [2, 1]; 1 +- sqrt(2) twice
+    (False, [("quad", (0, -2), 2), ("quad", (0, -2), 1)]),
+    (False, [("quad", (2, -1), 1), ("quad", (2, -1), 1), ("root", 1, 2)]),
+    # repeated surds on Gaussian matrices: +-sqrt(2) as a 2-block; +-sqrt(-3) twice
+    (True, [("quad", (0, -2), 2)]),
+    (True, [("quad", (0, 3), 1), ("quad", (0, 3), 1), ("root", 1, 1)]),
+    # Gaussian and rational eigenvalues of Gaussian matrices, 1 + i without 1 - i
+    (True, [("root", GaussianRational(1, 1), 2), ("root", GaussianRational(1, 1), 1),
+            ("root", 2, 2)]),
+])
+def test_jordan_over_the_matrix_field_matches_sympy(gaussian, blocks):
+    rng = random.Random(len(blocks) + 7 * gaussian)
+    J = Matrix.from_rows(_block_matrix(blocks))
+    n = J.rows
+    while True:
+        P = Matrix.from_rows([[rng.randint(-2, 2) + (GaussianRational(0, rng.randint(-1, 1))
+                                                     if gaussian else 0)
+                               for _ in range(n)] for _ in range(n)])
+        if P.det():
+            break
+    M = P.mul(J).mul(P.inverse())
+    assert M.backend is (Backend.EXACT_QI if gaussian else Backend.EXACT_Q)
+    spec = spectrum(M)
+    jordan = jordan_structure(M)
+    assert keyed_jordan(jordan) == sympy_jordan(M)
+    assert any(mult > 1 and not isinstance(v, Fraction) for v, mult in spec)
+    # a rational eigenvalue typed as a GaussianRational with im 0 ranks as the rational one
+    retyped = [(GaussianRational(v) if isinstance(v, Fraction) else v, m) for v, m in spec]
+    assert [b for _, b in _jordan_blocks(M, retyped)] == [b for _, b in jordan]
