@@ -28,7 +28,6 @@ from .catalog import (
     catalog_ids,
     enumerate_permutation_solutions,
     involutive_class_count,
-    sample_entry_binding,
 )
 from .config import DEFAULT_TOL
 from .core import YBObject, is_ybe, make_ybo, rho
@@ -229,9 +228,10 @@ def _cmd_lash(args) -> int:
 
 
 def _cmd_dsum(args) -> int:
-    A = _load_ybo(args.a, _parse_binding(args.bind))
-    B = _load_ybo(args.b, _parse_binding(args.bind))
-    mu = eval_expr(args.mu)
+    binding = _parse_binding(args.bind)
+    A = _load_ybo(args.a, binding)
+    B = _load_ybo(args.b, binding)
+    mu = eval_expr(args.mu, binding)
     out = boxplus(A, B, mu, tol=args.tol)
     report = {"command": "dsum", "N": out.N, "matrix": _matrix_json(out.R),
               "summary": f"direct sum verified: rank {out.N}"}
@@ -358,12 +358,8 @@ def _cmd_catalog(args) -> int:
         raise YbxError("catalog get needs an entry id (see 'ybx catalog list')")
     entry = catalog_entry(args.id)
     binding = _parse_binding(args.bind)
-    missing = [p for p in entry.params if p not in binding]
-    if missing:
-        sampled = sample_entry_binding(args.id, args.seed)
-        merged = dict(sampled.values)
-        merged.update(binding.values)
-        binding = ParamBinding(merged, args.seed)
+    if any(p not in binding for p in entry.params):
+        binding = sample_binding(entry.params, entry.constraints, args.seed, binding.values)
     obj = catalog_get(args.id, binding)
     report = {"command": "catalog", "id": entry.id, "N": entry.N,
               "binding": _binding_json(binding), "matrix": _matrix_json(obj.R),

@@ -13,15 +13,18 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
+from math import prod
 
 from .config import DEFAULT_TOL
 from .core import (
+    MAX_DIM,
     YBObject,
     _charge,
     _product_trace,
     _table,
     _times,
     _unit_rows,
+    check_dim,
     is_additive_cc,
     is_charge_conserving,
     is_monomial,
@@ -436,9 +439,15 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
     """Verify that conjugation by a diagonal X on a cc solution lifts to all
     braid representations via diagonal intertwiners A_n, for n <= n_max.
 
-    N = 2 uses the closed-form local factors A(i) = diag((y/x)^(n-i), 1);
-    general N takes A_n from the exact kernel of the diagonal intertwining rows
-    (``structure._diagonal_rows``), which every A_n is checked against.
+    With x(a, b) X's entry at the pair |ab> (index a + N b), A_n = diag(d_w)
+    over the words w on n strands, d_w the product of x(w_p, w_q) / x(w_q, w_p)
+    over the positions p < q with w_p < w_q.  A charge-conserving R links a
+    word only to itself and to that word with one adjacent pair ab swapped,
+    and S = X R X^-1 scales that entry by x(a, b) / x(b, a), the very factor
+    by which the swap changes d: so A_n rho_R = rho_S A_n, at every rank N
+    and on every backend.  d is 1 on the least word of each charge sector.
+    Every A_n is checked against the diagonal intertwining rows
+    (``structure._diagonal_rows``) on S's backend, R promoted to it.
     """
     if n_max < 2:
         raise YbxError(f"n_max must be at least 2, got {n_max}: n = 2 is the first braid group")
@@ -456,43 +465,25 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
                 raise NotDiagonal("X must be diagonal")
         if not X.data[r][r]:
             raise NotDiagonal("X must be invertible")
+    # 2^(bits of MAX_DIM) > MAX_DIM, so N >= 2 is past the ceiling by then: N^n_max is never raised
+    strands = min(n_max, MAX_DIM.bit_length())
+    check_dim(N ** strands, f"X-symmetry on {strands} strands")
     S_mat = X.mul(obj.R).mul(X.inverse())
     if not is_charge_conserving(S_mat, N):
         raise NotChargeConserving("X R X^-1 lost charge conservation")
     S = make_ybo(N, S_mat, verify=True, tol=tol)
 
-    backend = obj.R.backend
-    t = X.data[2][2] / X.data[1][1] if N == 2 else None
+    backend = S.backend
+    x = [row[k] for k, row in enumerate(X.promote_to(backend).data)]
+    ratio = [[x[a + N * b] / x[b + N * a] for b in range(N)] for a in range(N)]
+    tables = _table(S.R), _table(obj.R.promote_to(backend))
+    words, diag = [(c,) for c in range(N)], [one(backend)] * N
     per_n, certs = {}, {}
-    tables = _table(S.R), _table(obj.R)
     for n in range(2, n_max + 1):
-        rows = _diagonal_rows(*tables, N, n)
-        if N == 2:
-            diag = []
-            for idx in range(2 ** n):
-                weight = one(backend)
-                for pos in range(1, n + 1):
-                    if not idx >> (pos - 1) & 1:
-                        weight = weight * t ** (n - pos)
-                diag.append(weight)
-        else:
-            diag = _solve_diagonal_intertwiner([dict(row) for row in rows], N ** n, backend)
-        per_n[n] = diag is not None and _satisfied(rows, diag, backend.is_exact, tol)
-        if diag is not None:
-            certs[n] = diag
-    return XSymmetryReport(ok=all(per_n.values()), per_n=per_n,
-                           method="closed-form" if N == 2 else "diagonal-kernel",
+        diag = [prod((ratio[a][c] for a in word if a < c), start=v)
+                for c in range(N) for v, word in zip(diag, words)]
+        words = [word + (c,) for c in range(N) for word in words]
+        per_n[n] = _satisfied(_diagonal_rows(*tables, N, n), diag, backend.is_exact, tol)
+        certs[n] = diag
+    return XSymmetryReport(ok=all(per_n.values()), per_n=per_n, method="closed-form",
                            certificates=certs)
-
-
-def _solve_diagonal_intertwiner(rows: list, size: int, backend: Backend):
-    """The kernel's basis vectors, each scaled to 1 at its first nonzero entry,
-    summed into d; None if an entry of d is 0.  The basis splits along the sets
-    of words the rows link, so d = 1 on the first word of each set."""
-    d = [zero(backend)] * size
-    for vec in kernel(rows, size, backend):
-        support = [i for i, v in enumerate(vec) if v]
-        lead = vec[support[0]]
-        for i in support:
-            d[i] += vec[i] / lead
-    return None if any(not x for x in d) else d

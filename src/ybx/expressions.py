@@ -170,9 +170,9 @@ def _eval(node: Expr, binding: ParamBinding):
         base = _eval(node.base, binding)
         if node.exponent < 0 and not base:
             raise DivisionByZero("zero raised to a negative power")
-        if isinstance(base, complex):
+        if isinstance(base, (complex, float)):
             try:
-                return base ** node.exponent
+                return complex(base) ** node.exponent
             except OverflowError:
                 raise SizeCeiling(f"{format_expr(node)} overflows a complex float") from None
         bits = abs(node.exponent) * _bits(base)

@@ -410,7 +410,7 @@ def test_criterion_12_property_suites():
         (test_equivalence.test_p_equivalence_symmetric, ()),
         (test_equivalence.test_match_stabilizer_preservation, (rng,)),
         (test_equivalence.test_x_symmetry_n2_formula, (rng,)),
-        (test_equivalence.test_x_symmetry_n3_diagonal_solve, (rng,)),
+        (test_equivalence.test_x_symmetry_n3_closed_form_is_the_kernel, (rng,)),
     ]
     for func, args in suites:
         func(*args)

@@ -122,12 +122,28 @@ def test_catalog_get_without_id_names_the_missing_id(capsys):
     assert "needs an entry id" in err and "None" not in err
 
 
+def test_catalog_get_checks_constraints_over_a_partial_binding(capsys):
+    # at these seeds a k sampled alone keeps k^2 + p q nonzero but the given k = 1 does not
+    for seed in ("15", "48"):
+        code, out, _ = run(capsys, "catalog", "get", "hietarinta:a", "--bind", "k=1",
+                           "--seed", seed, "--json")
+        assert code == 0
+        assert json.loads(out)["binding"]["k"] == "1"
+
+
 def test_equiv_command(capsys):
     a = str(DATA / "hietarinta-slash.json")
     code, out, _ = run(capsys, "equiv", a, a, "--p", "3",
                        "--bind", "k=1,q=2,p=3,s=4", "--json")
     assert code == 0
     assert json.loads(out)["verdict"] == "equivalent"
+
+
+def test_equiv_with_only_singular_samples_exits_2(capsys):
+    code, out, _ = run(capsys, "equiv", str(DATA / "hietarinta-slash-glue-1.json"),
+                       str(DATA / "perm-flip.json"), "--json")
+    assert code == 2
+    assert json.loads(out)["verdict"] == "inconclusive_singular"
 
 
 def test_invariants_command(capsys):
@@ -158,6 +174,10 @@ def test_dsum_and_lash(tmp_path, capsys):
     code, out, _ = run(capsys, "dsum", flip, one, "--mu", "2", "--json")
     assert code == 0
     assert json.loads(out)["N"] == 3
+    # mu is evaluated at the binding of the two objects
+    code, out, _ = run(capsys, "dsum", flip, flip, "--mu", "k", "--bind", "k=2", "--json")
+    assert code == 0
+    assert json.loads(out)["N"] == 4
     code, out, _ = run(capsys, "lash", flip, flip, "--json")
     assert code == 0
     assert json.loads(out)["N"] == 4
@@ -288,6 +308,27 @@ def test_negative_samples_exit_3(capsys):
 def test_rep_beyond_size_ceiling_exits_3(capsys):
     assert "ceiling" in assert_input_error(
         capsys, "rep", str(DATA / "hietarinta-ising.json"), "--strands", "40", "--word", "1")
+
+
+def test_x_symmetry_beyond_size_ceiling_exits_3(tmp_path, capsys):
+    xfile = write_json(tmp_path, "x.json",
+                       {"kind": "matrix", "rows": 4, "cols": 4,
+                        "entries": [["2", "0", "0", "0"], ["0", "3", "0", "0"],
+                                    ["0", "0", "5", "0"], ["0", "0", "0", "7"]]})
+    assert "dimension 2048 exceeds the ceiling 1024" in assert_input_error(
+        capsys, "x-symmetry", str(DATA / "match2-Fslash.json"), "--x", xfile,
+        "--bind", "alpha=2,beta=3,gamma=5,chi=7", "--n-max", "11")
+
+
+def test_x_symmetry_with_a_complex_f_x_passes(tmp_path, capsys):
+    xfile = write_json(tmp_path, "x.json",
+                       {"kind": "matrix", "rows": 4, "cols": 4, "backend": "complex-f",
+                        "entries": [["2", "0", "0", "0"], ["0", "3", "0", "0"],
+                                    ["0", "0", "5", "0"], ["0", "0", "0", "7"]]})
+    for binding in ("alpha=2,beta=3,gamma=5,chi=7", "alpha=2/3,beta=1+i,gamma=3/2-2*i,chi=-3"):
+        code, out, _ = run(capsys, "x-symmetry", str(DATA / "match2-Fslash.json"),
+                           "--x", xfile, "--bind", binding, "--n-max", "5")
+        assert code == 0 and "pass (closed-form)" in out
 
 
 def test_deep_expressions_exit_3(tmp_path, capsys):

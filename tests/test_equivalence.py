@@ -18,10 +18,10 @@ from conftest import (
     zeta8,
 )
 from test_spectral import keyed_jordan, sympy_jordan
-from ybx import spectral
+from ybx import equivalence, spectral
 from ybx.catalog import catalog_get, catalog_ids
-from ybx.constructions import phi_q
-from ybx.core import YBObject, is_charge_conserving, make_ybo
+from ybx.constructions import boxplus, phi_q
+from ybx.core import YBObject, _table, is_charge_conserving, make_ybo
 from ybx.equivalence import (
     _pair_action,
     flip_word_traces,
@@ -34,11 +34,12 @@ from ybx.equivalence import (
     weighted_flip,
     x_symmetry_check,
 )
-from ybx.errors import BackendMismatch, SizeCeiling, UnfactoredSpectrum, UnsupportedRank, YbxError
+from ybx.errors import SizeCeiling, UnfactoredSpectrum, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
-from ybx.scalars import Backend, GaussianRational
+from ybx.scalars import Backend, GaussianRational, zero
 from ybx.spectral import char_poly, complexf_spectrum, jordan_structure, spectrum
-from ybx.tensor import Matrix, kron
+from ybx.structure import _diagonal_rows, intertwiner_space
+from ybx.tensor import Matrix, kernel, kron
 
 
 def test_flip_word_traces_invariant_under_phi_q(rng):
@@ -212,6 +213,41 @@ def test_local_distinguish_slash_vs_f():
     f = sampled_catalog_object("hietarinta:f", 90)
     verdict, witness = local_distinguish(slash, f, L=4)
     assert verdict == "distinguished"
+
+
+def test_local_distinguish_by_size():
+    flip = catalog_get("perm:flip", ParamBinding({}))
+    rank3 = make_ybo(3, weighted_flip(3, [Fraction(1)] * 3))
+    assert local_distinguish(flip, rank3) == ("distinguished", "sizes 4 vs 9")
+
+
+def test_local_distinguish_by_jordan_blocks():
+    # equal spectra {4: 3, -4: 1}; the blocks at 4 are [3] against [1, 1, 1]
+    glue2 = catalog_get("hietarinta:slash-glue-2", ParamBinding.of(k=4, q=1, p=1, s=2))
+    glue3 = catalog_get("hietarinta:slash-glue-3", ParamBinding.of(k=2, p=1, q=1))
+    ra, rb = local_invariants(glue2), local_invariants(glue3)
+    assert sorted(ra.spectrum) == sorted(rb.spectrum) == [(-4, 1), (4, 3)]
+    assert dict(ra.jordan)[4] == [3] and dict(rb.jordan)[4] == [1, 1, 1]
+    assert local_distinguish(glue2, glue3) == ("distinguished", "jordan block structures differ")
+
+
+def test_local_distinguish_by_a_flip_word_trace():
+    # [3] (+) [5] at mu = 2 and at mu = -2: the spectra agree, the trace of RP does not
+    a = make_ybo(1, Matrix.from_rows([[3]]))
+    b = make_ybo(1, Matrix.from_rows([[5]]))
+    plus, minus = boxplus(a, b, 2), boxplus(a, b, -2)
+    assert sorted(local_invariants(plus).spectrum) == sorted(local_invariants(minus).spectrum)
+    assert local_distinguish(plus, minus) == ("distinguished", "trace of flip word RP differs")
+
+
+def test_p_equivalence_with_only_singular_samples_is_inconclusive():
+    # a 7-dimensional Hom between commutants of dimension 6 and 10 holds no invertible element
+    glue1 = catalog_get("hietarinta:slash-glue-1", ParamBinding({}))
+    flip = catalog_get("perm:flip", ParamBinding({}))
+    assert [len(intertwiner_space(obj, obj)) for obj in (glue1, flip)] == [6, 10]
+    for A, B in ((glue1, flip), (flip, glue1)):
+        cert = p_equivalent(A, B, 3)
+        assert (cert.verdict, cert.failed_n, cert.dims) == ("inconclusive_singular", 2, {2: 7})
 
 
 def test_flip_words_over_the_ceiling_are_refused_before_any_is_built(monkeypatch):
@@ -588,7 +624,19 @@ def test_x_symmetry_needs_a_braid_group_to_check():
             x_symmetry_check(obj, X, n_max)
 
 
-def test_x_symmetry_n3_diagonal_solve(rng):
+def _kernel_certificate(S, obj, n):
+    """The diagonal intertwiner from the kernel of the diagonal rows, each
+    basis vector (one per linked set of words) scaled to 1 at its first word."""
+    N, backend = obj.N, obj.backend
+    d = [zero(backend)] * N ** n
+    for vec in kernel(_diagonal_rows(_table(S.R), _table(obj.R), N, n), N ** n, backend):
+        support = [i for i, v in enumerate(vec) if v]
+        for i in support:
+            d[i] += vec[i] / vec[support[0]]
+    return d
+
+
+def test_x_symmetry_n3_closed_form_is_the_kernel(rng):
     for seed in range(3):
         rng2 = random.Random(seed)
         weights = [Fraction(rng2.randint(1, 9), rng2.randint(1, 9)) for _ in range(3)]
@@ -596,18 +644,43 @@ def test_x_symmetry_n3_diagonal_solve(rng):
         X = Matrix.diagonal([Fraction(rng2.randint(1, 9), rng2.randint(1, 9))
                              for _ in range(9)])
         report = x_symmetry_check(obj, X, 4)
-        assert report.ok and report.method == "diagonal-kernel"
+        assert report.ok and report.method == "closed-form"
+        S = make_ybo(3, X.mul(obj.R).mul(X.inverse()))
+        for n, d in report.certificates.items():
+            assert d == _kernel_certificate(S, obj, n)
 
 
-def test_x_symmetry_general_n_needs_an_exact_backend():
-    # the diagonal A_n at N >= 3 is an exact kernel; float ratios compared
-    # exactly around cycles of words would read as a false "fails"
+def test_x_symmetry_complex_f_matches_exact():
+    # a complex-f X at N = 3: the closed form holds on floats, up to rounding
     obj = make_ybo(3, weighted_flip(3, [Fraction(2), Fraction(3), Fraction(5)]))
     X = Matrix.diagonal([Fraction(k + 1) for k in range(9)])
-    assert x_symmetry_check(obj, X, 3).ok
+    exact = x_symmetry_check(obj, X, 4)
     complex_obj = make_ybo(3, obj.R.promote_to(Backend.COMPLEX_F))
-    with pytest.raises(BackendMismatch):
-        x_symmetry_check(complex_obj, X.promote_to(Backend.COMPLEX_F), 3)
+    report = x_symmetry_check(complex_obj, X.promote_to(Backend.COMPLEX_F), 4)
+    assert exact.ok and report.ok and report.method == "closed-form"
+    for n, d in report.certificates.items():
+        assert max(abs(a - complex(b)) for a, b in zip(d, exact.certificates[n])) < 1e-12
+    # a complex-f X on an exact R: S and the rows are on complex-f, R promoted
+    Xc = Matrix.diagonal([complex(k + 2) for k in range(4)])
+    for entry, seed in (("match2:F/", 95), ("hietarinta:a", 99)):
+        rational = sampled_catalog_object(entry, seed)
+        gaussian = phi_q(rational, Matrix.from_rows([[GaussianRational(1, 1), 0], [0, 2]]))
+        for target in (rational, gaussian):
+            assert target.backend.is_exact
+            assert x_symmetry_check(target, Xc, 4).ok
+
+
+def test_x_symmetry_past_the_size_ceiling_is_refused_before_any_row(monkeypatch):
+    obj = sampled_catalog_object("match2:F/", 95)
+    X = Matrix.diagonal([Fraction(k + 2) for k in range(4)])
+
+    def no_rows(*args):
+        raise AssertionError("rows built past the ceiling")
+
+    monkeypatch.setattr(equivalence, "_diagonal_rows", no_rows)
+    for n_max in (11, 10 ** 9):
+        with pytest.raises(SizeCeiling, match="dimension 2048 exceeds the ceiling 1024"):
+            x_symmetry_check(obj, X, n_max)
 
 
 def test_exact_witness_search_across_exact_backends():

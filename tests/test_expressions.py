@@ -80,6 +80,12 @@ def test_complex_powers_that_overflow_raise_size_ceiling():
             eval_expr(f"x^{exponent}", ParamBinding({"x": base}))
 
 
+def test_float_bases_are_raised_on_the_complex_path():
+    # as + - * / promote a float operand, so does ^
+    assert eval_expr("x^2", ParamBinding({"x": 1.5})) == 2.25 + 0j
+    assert eval_expr("x^-1", ParamBinding({"x": 2.0})) == 0.5 + 0j
+
+
 def test_eval_is_multiplicative():
     rng = random.Random(5)
     e1 = parse_expr("x^2 - y + 1/2")

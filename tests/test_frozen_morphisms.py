@@ -15,8 +15,9 @@ and to intertwine the dense generator images exactly.
 
 A fourth digest pins ``x_symmetry_check`` reports (ok, per_n, method,
 certificates) for weighted flips at N = 3, seeds 0-5, n_max = 5, whose
-diagonal intertwiners come from the exact kernel; each certificate is also
-checked against dense generator images.
+diagonal intertwiners come from the closed form and equal, byte for byte, the
+exact kernel's scaled to 1 on each sector's least word; each certificate is
+also checked against dense generator images.
 
 A fifth pins the exact bases of ``intertwiner_space`` at n = 2, 3 and 4,
 the commutant tower above n = 2, from each seed-100 object to itself and
@@ -43,7 +44,7 @@ ANTI_DIAGONAL_Q = ((0, 3), (2, 0))
 END_SEARCH_SHA256 = "66494124c1bedd121ee8dd6385b95e9ea395fd87e4f5e36dac93e119b0797b3a"
 WITNESS_SHA256 = "e6a51d73afde4e14d0e3c6e1ba9e0181d6034b65be8c8fb3af449522b0a1fc3b"
 P_EQUIVALENT_SHA256 = "282f207d2b1e53f4d462d2b5898211e17c27489d3d522f2854eb7aa8c57da0a5"
-X_SYMMETRY_SHA256 = "db9fd65d1337e1bad9ca865d07928778df3319945ab4764f2a458471deffdcc3"
+X_SYMMETRY_SHA256 = "6cf94980c15ab062a22fc0933084b185479030cc405e3e93917c003f971a260c"
 INTERTWINER_SHA256 = "4afab0fbc03a0af7bcd6fc7f1124d7c7fed6471db41c3f79c14034cb04d001c0"
 
 
