@@ -31,7 +31,7 @@ def cable(obj: YBObject, k: int, tol: float | None = None,
     """
     if k == 1:
         return verified(obj, tol) if verify else obj
-    check_dim(obj.slot_dim ** (3 * k if verify else 2 * k), f"{k}-cable")
+    check_dim(obj.slot_dim, 3 * k if verify else 2 * k, f"{k}-cable")
     word = cabled_crossing_word(k)
     R = rho(obj, word)
     if not verify:
@@ -50,7 +50,7 @@ def lash(A: YBObject, B: YBObject, tol: float | None = None,
     """
     if A.level != 1 or B.level != 1:
         raise LevelMismatch("lashing is defined for level-1 objects")
-    check_dim((A.N * B.N) ** (3 if verify else 2), "lashing product")
+    check_dim(A.N * B.N, 3 if verify else 2, "lashing product")
     backend = join_backend(A.backend, B.backend)
     Ra = A.R.promote_to(backend)
     Rb = B.R.promote_to(backend)

@@ -17,7 +17,6 @@ from math import prod
 
 from .config import DEFAULT_TOL
 from .core import (
-    MAX_DIM,
     YBObject,
     _charge,
     _product_trace,
@@ -465,9 +464,7 @@ def x_symmetry_check(obj: YBObject, X: Matrix, n_max: int,
                 raise NotDiagonal("X must be diagonal")
         if not X.data[r][r]:
             raise NotDiagonal("X must be invertible")
-    # 2^(bits of MAX_DIM) > MAX_DIM, so N >= 2 is past the ceiling by then: N^n_max is never raised
-    strands = min(n_max, MAX_DIM.bit_length())
-    check_dim(N ** strands, f"X-symmetry on {strands} strands")
+    check_dim(N, n_max, f"X-symmetry on {n_max} strands")
     S_mat = X.mul(obj.R).mul(X.inverse())
     if not is_charge_conserving(S_mat, N):
         raise NotChargeConserving("X R X^-1 lost charge conservation")

@@ -92,8 +92,7 @@ def _intertwiner_rows(A: YBObject, B: YBObject, n: int, first: int = 1) -> list:
     r mB + k and -A_i[r][k] at k mB + c, read off R_A's and R_B's tables
     (``core._placed``) without building the generators' images.
     """
-    mA, mB = A.slot_dim ** n, B.slot_dim ** n
-    check_dim(max(mA, mB), f"intertwiners on {n} strands")
+    mA, mB = (check_dim(X.slot_dim, n, f"intertwiners on {n} strands") for X in (A, B))
     tA, tB = _table(A.R), _table(B.R)
     rows = []
     for i in range(first, n):

@@ -132,9 +132,10 @@ def dense_word(obj, n, letters):
     return M
 
 
-def dense_report(obj, left, right):
-    """(residual, witness) of the entrywise difference, first worst in row-major order."""
-    lhs, rhs = dense_word(obj, 3, left), dense_word(obj, 3, right)
+def dense_report(obj, left, right, n=3):
+    """(residual, witness) of the entrywise difference on n strands, first
+    worst in row-major order."""
+    lhs, rhs = dense_word(obj, n, left), dense_word(obj, n, right)
     worst, worst_abs = None, 0.0
     for r in range(lhs.rows):
         for c in range(lhs.cols):

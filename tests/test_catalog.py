@@ -20,7 +20,7 @@ from ybx.catalog import (
 )
 from ybx.constructions import ds_transform, is_automorphism
 from ybx.core import YBObject, is_charge_conserving, is_unitary, is_ybe
-from ybx.errors import ConstraintViolated, UnknownId, UnsupportedRank, YbxError
+from ybx.errors import ConstraintViolated, SizeCeiling, UnknownId, UnsupportedRank, YbxError
 from ybx.expressions import ParamBinding
 from ybx.structure import duality_verify
 from ybx.tensor import Matrix, swap_matrix
@@ -172,6 +172,18 @@ def test_partition_counts():
     assert involutive_class_count(8) == expected == 185
     assert [involutive_class_count(N) for N in range(13)] == [
         1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481, 752, 1165]
+
+
+def test_involutive_counts_past_the_ceiling_are_refused_before_the_table(monkeypatch):
+    import ybx.catalog as catalog
+
+    def no_table(n):
+        raise AssertionError("partition table built past the ceiling")
+
+    monkeypatch.setattr(catalog, "_partition_counts", no_table)
+    for N in (catalog._MAX_PARTITION_N + 1, 10 ** 8):
+        with pytest.raises(SizeCeiling, match="ceiling"):
+            involutive_class_count(N)
 
 
 def test_enumeration_rank2_golden():

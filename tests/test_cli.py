@@ -310,6 +310,21 @@ def test_rep_beyond_size_ceiling_exits_3(capsys):
         capsys, "rep", str(DATA / "hietarinta-ising.json"), "--strands", "40", "--word", "1")
 
 
+@pytest.mark.parametrize("argv", [
+    ("rep", "hietarinta-ising.json", "--strands", "20000", "--word", "1"),
+    ("rep", "perm-flip.json", "--strands", "3000", "--word", "1"),
+    ("cable", "hietarinta-a.json", "--k", "100000", "--bind", "k=2,p=3,q=5"),
+    ("count-involutive", "--N", "100000000"),
+], ids=["rep-20000", "rep-3000", "cable-100000", "count-involutive"])
+def test_huge_sizes_are_refused_before_they_are_computed(capsys, argv):
+    # the power w^n (or the partition table) is never built, nor printed
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    start = time.perf_counter()
+    err = assert_input_error(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert "ceiling" in err and len(err) < 200, err
+
+
 def test_x_symmetry_beyond_size_ceiling_exits_3(tmp_path, capsys):
     xfile = write_json(tmp_path, "x.json",
                        {"kind": "matrix", "rows": 4, "cols": 4,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,16 @@ def test_word_products_route_by_size_and_backend(monkeypatch):
     assert not calls
 
 
+def test_the_ceiling_bounds_the_power_before_raising_it():
+    start = time.perf_counter()     # 3^(10^8) alone takes minutes to compute
+    with pytest.raises(SizeCeiling, match=r"on 100000000 strands: dimension 3\^100000000 exceeds"):
+        core.check_dim(3, 10 ** 8, "representation on 100000000 strands")
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(SizeCeiling, match="dimension 2048 exceeds the ceiling 1024"):
+        core.check_dim(2, 11, "representation on 11 strands")
+    assert core.check_dim(2, 10, "") == 1024 and core.check_dim(1, 10 ** 8, "") == 1
+
+
 def test_each_object_solves_r_inverse_at_most_once(monkeypatch):
     objects = [obj for _, obj in integer_path_objects()[:3]]
     calls, inverse = [], Matrix.inverse
@@ -515,18 +526,30 @@ def test_products_leave_int64_once_and_only_past_the_bound(monkeypatch, label, o
 
 
 def test_the_bound_counts_the_summed_terms_and_keeps_a_spare_bit(monkeypatch):
-    # R = r J, J all ones: on one slot pair the t-th power of the letter holds
-    # 4^(t-1) r^t in every entry, each entry of a step summing 4 terms of one
-    # sign; the letter's growth is bits(r) + bits(4) = bits(r) + 3
+    # R = r J + I, J all ones: on one slot pair the t-th power of the letter is
+    # I + m_t J, m_t = ((4 r + 1)^t - 1) / 4, so its entries m_t and m_t + 1 have
+    # content 1 and no division keeps a step on int64.  Each entry of a step
+    # sums 4 terms of one sign; the letter's growth is bits(r + 1) + bits(4)
     kinds = value_kinds(monkeypatch)
-    for r, want in ((2 ** 20 - 1, "iiOO"), (2 ** 30 - 1, "iOOO")):
-        # r = 2^20 - 1: 4 r^2 has 42 bits, and 42 + 20 + 3 > 62, though 42 + 20 is
-        # not: without the summed terms, 16 r^3 > 2^63 would wrap on int64.
-        # r = 2^30 - 1: 30 + 30 + 3 = 63 > 62, though 4 r^2 < 2^62 would fit.
+    for r, want in ((2 ** 20 - 2, "iiOO"), (2 ** 30 - 2, "iOOO")):
+        # r = 2^20 - 2: m_2 + 1 = 4 r^2 + 2 r + 1 has 42 bits, and 42 + 20 + 3 > 62,
+        # though 42 + 20 is not: without the summed terms, m_3 > 2^63 would wrap.
+        # r = 2^30 - 2: 30 + 30 + 3 = 63 > 62, though m_2 + 1 < 2^62 would fit.
+        R = Matrix.from_rows([[Fraction(r + (i == j)) for j in range(4)] for i in range(4)])
+        largest = assert_exact_product("exact-q", YBObject(2, 1, R), 5, (1, 1, 1, 1), kinds)
+        assert largest == ((4 * r + 1) ** 4 - 1) // 4 + 1
+        assert "".join(kinds) == want, r
+
+
+def test_the_content_keeps_a_scaled_all_ones_product_on_int64(monkeypatch):
+    # R = r J: the t-th power holds 4^(t-1) r^t in every entry, whose content
+    # is divided out before each step that would pass 2^62
+    kinds = value_kinds(monkeypatch)
+    for r in (2 ** 20 - 1, 2 ** 30 - 1):
         obj = YBObject(2, 1, Matrix.from_rows([[Fraction(r)] * 4] * 4))
         largest = assert_exact_product("exact-q", obj, 5, (1, 1, 1, 1), kinds)
         assert largest == 4 ** 3 * r ** 4
-        assert "".join(kinds) == want, r
+        assert "".join(kinds) == "iiii", r
 
 
 def ybe_failures():
@@ -544,6 +567,46 @@ def test_is_ybe_residual_and_witness_match_the_dense_difference():
         residual, witness = dense_report(obj, (1, 2, 1), (2, 1, 2))
         assert witness is not None and not report.holds
         assert (report.residual, report.witness) == (residual, witness)
+
+
+def test_array_comparisons_of_failing_objects_match_the_dense_difference(monkeypatch):
+    # 32 rows: the words are compared on their arrays, and turned into rows only
+    # when they differ
+    kinds = value_kinds(monkeypatch)
+    for obj in ybe_failures():
+        assert not braid_relations_check(obj, 5)
+        kinds.clear()
+        for left, right in (((1, 2, 1), (2, 1, 2)), ((3, 4, 3), (4, 3, 4)), ((1, 3), (3, 1))):
+            report = _compare_words(obj, 5, left, right, None)
+            residual, witness = dense_report(obj, left, right, 5)
+            assert (report.holds, report.residual, report.witness) == (
+                witness is None, residual, witness), (left, right)
+        assert len(kinds) == 16       # every step on arrays
+        assert _compare_words(obj, 5, (1, 2, 1), (1, 2, 1, -3, 3), None).holds
+
+
+def test_array_products_compare_across_contents_and_denominators():
+    # w against w with e e^-1 inserted: the same matrix at another denominator;
+    # against w e, another matrix.  At k = 3^9 the two sides of the last pair
+    # carry the contents 3 and 1.
+    a = catalog_get("hietarinta:a", ParamBinding.of(k=3 ** 9, p=-3, q=7))
+    rng = random.Random(7)
+    for obj in [obj for _, obj, _ in int64_bound_objects()] + [a]:
+        for _ in range(2):
+            w = tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(5))
+            e, i = rng.choice((1, -1)) * rng.randint(1, 4), rng.randint(0, 5)
+            assert _compare_words(obj, 5, w, w[:i] + (e, -e) + w[i:], None).holds, w
+        report = _compare_words(obj, 5, w, w + (e,), None)
+        assert (report.residual, report.witness) == dense_report(obj, w, w + (e,), 5)
+    left, right = (-4, 3, -1), (-4, -1, 1, 3, -1)
+    assert [core._word_arrays(a, 32, word)[2] for word in (left, right)] == [3, 1]
+    assert _compare_words(a, 5, left, right, None).holds
+    assert not _compare_words(a, 5, left, right + (1, 1), None).holds
+    # P / 2 and its cube P / 8: the same keys and values, at denominators 2 and 8
+    half = YBObject(2, 1, swap_matrix(2, 2).scale(Fraction(1, 2)))
+    report = _compare_words(half, 5, (1,), (1, 1, 1), None)
+    assert not report.holds
+    assert (report.residual, report.witness) == dense_report(half, (1,), (1, 1, 1), 5)
 
 
 def test_words_with_different_denominators_compare_exactly():

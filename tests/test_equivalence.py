@@ -678,8 +678,9 @@ def test_x_symmetry_past_the_size_ceiling_is_refused_before_any_row(monkeypatch)
         raise AssertionError("rows built past the ceiling")
 
     monkeypatch.setattr(equivalence, "_diagonal_rows", no_rows)
-    for n_max in (11, 10 ** 9):
-        with pytest.raises(SizeCeiling, match="dimension 2048 exceeds the ceiling 1024"):
+    for n_max, shown in ((11, "2048"), (10 ** 9, r"2\^1000000000")):
+        message = f"on {n_max} strands: dimension {shown} exceeds the ceiling 1024"
+        with pytest.raises(SizeCeiling, match=message):
             x_symmetry_check(obj, X, n_max)
 
 
