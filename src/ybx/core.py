@@ -199,9 +199,9 @@ class _Letters(dict):
             count, k = np.array([len(row) for row in table]), np.arange(width)
             t = k % len(parts) * w2 + k // L % w2
             values = [v for row in table for _, v in row]
-            g = max(map(abs, values)).bit_length() + len(table).bit_length()
+            g = max(map(abs, values), default=0).bit_length() + len(table).bit_length()
             self.arrays[e, width] = ((np.cumsum(count) - count)[t], count[t],
-                                     np.array([c for row in table for c, _ in row]),
+                                     np.array([c for row in table for c, _ in row], np.int64),
                                      np.array(values, np.int64 if g <= 62 else object)), g
         return self.arrays[e, width]
 
@@ -250,7 +250,7 @@ def _on_arrays(obj: YBObject, size: int) -> bool:
 
 
 def _bits(values) -> int:
-    return int(np.abs(values).max()).bit_length()
+    return int(np.abs(values).max(initial=0)).bit_length()
 
 
 def _word_arrays(obj: YBObject, size: int, word) -> tuple:
@@ -331,6 +331,8 @@ def _coo_times(keys, values, width: int, letter: tuple) -> tuple:
     rep = np.repeat(np.arange(len(keys)), n)
     j = np.arange(len(rep)) + np.repeat(start[c] - np.cumsum(n) + n, n)
     keys, values = keys[rep] + offsets[j], values[rep] * table[j]
+    if not len(keys):                                   # a vanished product stays empty
+        return keys, values
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))

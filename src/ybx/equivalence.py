@@ -170,9 +170,8 @@ def local_distinguish(A: YBObject, B: YBObject, L: int = 4,
     if not _spectra_match(ra.spectrum, rb.spectrum, tol):
         return ("distinguished", "spectrum multisets differ")
     if ra.jordan is not None and rb.jordan is not None:
-        ja = sorted((str(v), blocks) for v, blocks in ra.jordan)
-        jb = sorted((str(v), blocks) for v, blocks in rb.jordan)
-        if [j[1] for j in ja] != [j[1] for j in jb]:
+        ja, jb = ([(v, tuple(blocks)) for v, blocks in r.jordan] for r in (ra, rb))
+        if not _spectra_match(ja, jb, tol):
             return ("distinguished", "jordan block structures differ")
     scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** L
     exact = ra.backend.is_exact and rb.backend.is_exact

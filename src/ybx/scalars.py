@@ -4,8 +4,10 @@ Values are plain Python objects:
 
 * ``exact-q``   -- :class:`fractions.Fraction`, always in lowest terms with a
   positive denominator (the Fraction class guarantees this),
-* ``exact-qi``  -- :class:`GaussianRational`, a pair of Fractions ``re + im*i``,
-* ``complex-f`` -- built-in :class:`complex`.
+* ``exact-qi``  -- :class:`GaussianRational`, a pair of Fractions ``re + im*i``:
+  the case d = -1 of the one quadratic-field class ``_Quadratic``, whose
+  arithmetic of a + b*sqrt(d) ``spectral.QuadSurd`` shares,
+* ``complex-f`` -- built-in :class:`complex`; ``to_complex`` is ``complex``.
 
 Backends never mix silently.  ``join_backend`` computes the least common
 backend of two values and ``promote`` converts a value upward along
@@ -31,45 +33,61 @@ class Backend(Enum):
 
 
 _ORDER = {Backend.EXACT_Q: 0, Backend.EXACT_QI: 1, Backend.COMPLEX_F: 2}
+_new, _set = object.__new__, object.__setattr__
 
 
-class GaussianRational:
-    """Exact Gaussian rational a + b*i with rational a, b."""
+def _times_d(d: int, x: Fraction) -> Fraction:
+    """d x, by a negation at d = -1."""
+    return -x if d == -1 else d * x
 
-    __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+class _Quadratic:
+    """Immutable exact a + b*sqrt(d), a and b rational, d a non-square integer:
+    Q(sqrt(d)) by one rule for every d (Cohen, GTM 138, section 5.1).  d is the
+    class's for :class:`GaussianRational` (-1) and each value's for
+    ``spectral.QuadSurd``.  Values combine when of one class and with one d, or
+    when either has b = 0; else a TypeError, or for surds a ValueError."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        _set(self, "a", Fraction(a))
+        _set(self, "b", Fraction(b))
 
     @classmethod
-    def _of(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        """The value re + im*i from two Fractions, taken as they are."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "re", re)
-        object.__setattr__(value, "im", im)
+    def _of(cls, a: Fraction, b: Fraction, d: int = -1):
+        """The value a + b*sqrt(d) from two Fractions, taken as they are; d is
+        left out where the class fixes it."""
+        value = _new(cls)
+        _set(value, "a", a)
+        _set(value, "b", b)
         return value
 
     def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _parts(other):
-        """(re, im) of an operand with im None when it is 0, or None if the
-        operand is not an exact scalar.  Every result below combines a part
-        of self, a Fraction, so it is a Fraction and needs no re-wrapping."""
-        if isinstance(other, GaussianRational):
-            return other.re, other.im or None
+    def _parts(self, other):
+        """(a, b, d) of an operand, b None when 0 and d the result's, or None if it
+        does not combine with self.  Each result part below has a part of self, a
+        Fraction, in it, so it is a Fraction and needs no re-wrapping."""
+        if type(other) is type(self):
+            d = self.d
+            if other.d != d:
+                if other.b and self.b:
+                    raise ValueError("mixed radicands")
+                if not self.b:
+                    d = other.d
+            return other.a, other.b or None, d
         if isinstance(other, (int, Fraction)):
-            return other, None
+            return other, None, self.d
         return None
 
     def __add__(self, other):
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        re, im = o
-        return _gr(self.re + re, self.im if im is None else self.im + im)
+        a, b, d = o
+        return self._of(self.a + a, self.b if b is None else self.b + b, d)
 
     __radd__ = __add__
 
@@ -77,26 +95,26 @@ class GaussianRational:
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        re, im = o
-        return _gr(self.re - re, self.im if im is None else self.im - im)
+        a, b, d = o
+        return self._of(self.a - a, self.b if b is None else self.b - b, d)
 
     def __rsub__(self, other):
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        re, im = o
-        return _gr(re - self.re, -self.im if im is None else im - self.im)
+        a, b, d = o
+        return self._of(a - self.a, -self.b if b is None else b - self.b, d)
 
     def __mul__(self, other):
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        re, im = o
-        if im is None:
-            return _gr(self.re * re, self.im * re)
-        if not self.im:
-            return _gr(self.re * re, self.re * im)
-        return _gr(self.re * re - self.im * im, self.re * im + self.im * re)
+        a, b, d = o
+        if b is None:
+            return self._of(self.a * a, self.b * a, d)
+        if not self.b:
+            return self._of(self.a * a, self.a * b, d)
+        return self._of(self.a * a + _times_d(d, self.b * b), self.a * b + self.b * a, d)
 
     __rmul__ = __mul__
 
@@ -104,54 +122,70 @@ class GaussianRational:
         o = self._parts(other)
         if o is None:
             return NotImplemented
-        re, im = o
-        if im is None:
-            if not re:
-                raise DivisionByZero("division by zero Gaussian rational")
-            return _gr(self.re / re, self.im / re)
-        n = re * re + im * im
-        return _gr((self.re * re + self.im * im) / n, (self.im * re - self.re * im) / n)
+        a, b, d = o
+        if b is None:
+            if not a:
+                raise DivisionByZero("division by zero")
+            return self._of(self.a / a, self.b / a, d)
+        n = a * a - _times_d(d, b * b)
+        return self._of((self.a * a - _times_d(d, self.b * b)) / n, (self.b * a - self.a * b) / n, d)
 
     def __rtruediv__(self, other):
-        if self._parts(other) is None:
-            return NotImplemented
-        return GaussianRational(other) / self
+        o = self._parts(other)
+        return NotImplemented if o is None else self._of(Fraction(o[0]), Fraction(0), o[2]) / self
 
     def __neg__(self):
-        return _gr(-self.re, -self.im)
+        return self._of(-self.a, -self.b, self.d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            return GaussianRational(1) / self ** (-exponent)
-        result = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
+            return 1 / self ** (-exponent)
+        result, base = self._of(Fraction(1), Fraction(0), self.d), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
-    def conjugate(self) -> "GaussianRational":
-        return _gr(self.re, -self.im)
+    def conjugate(self):
+        """a - b*sqrt(d), the other root of the value's minimal polynomial:
+        the complex conjugate when d < 0."""
+        return self._of(self.a, -self.b, self.d)
 
     def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+        if type(other) is type(self):
+            return self.a == other.a and self.b == other.b and (not self.b or self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return not self.b and self.a == other
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a rational value hashes as its Fraction, and a Gaussian on (a, b) alone
+        if not self.b:
+            return hash(self.a)
+        return hash((self.a, self.b) if self.d == -1 else (self.a, self.b, self.d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
+
+    def __complex__(self):
+        b = float(self.b) * abs(self.d) ** 0.5             # float(b) itself at d = -1
+        return complex(float(self.a), b) if self.d < 0 else complex(float(self.a) + b)
+
+
+class GaussianRational(_Quadratic):
+    """Exact Gaussian rational re + im*i with rational re, im: the case d = -1
+    of :class:`_Quadratic`, re and im naming its parts a and b."""
+
+    __slots__ = ()
+    d = -1
+    re, im = _Quadratic.a, _Quadratic.b                  # the same slots, read as fast
+
+    def __init__(self, re=0, im=0):
+        super().__init__(re, im)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -192,10 +226,7 @@ def promote(value, backend: Backend):
     return to_complex(value)
 
 
-def to_complex(value) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(float(value.re), float(value.im))
-    return complex(value)
+to_complex = complex                                   # a GaussianRational by its __complex__
 
 
 def conjugate_scalar(value):

@@ -5,8 +5,9 @@ over the matrix's exact field.  Its linear factors over Q (or Q(i)), then its
 quadratic factors over Q, are split off by ``poly.rational_factors``, which
 reads numeric roots as rationals and keeps what divides exactly; a quadratic
 left at the end is a factor too.  Quadratics are solved by radicals, giving
-quadratic surds ``a + b*sqrt(d)``.  A polynomial that resists this is
-reported as :class:`UnfactoredSpectrum` so the caller may retry on the
+quadratic surds ``a + b*sqrt(d)`` in the arithmetic that Gaussian
+rationals share (``scalars._Quadratic``).  A polynomial that resists this
+is reported as :class:`UnfactoredSpectrum` so the caller may retry on the
 complex backend.  Jordan blocks come from exact ranks over the same field.
 
 Complex path: numpy eigenvalues clustered at the global tolerance, with block
@@ -24,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import DimensionMismatch, UnfactoredSpectrum
 from .poly import rational_factors
-from .scalars import Backend, GaussianRational, one, to_complex, zero
+from .scalars import Backend, GaussianRational, _Quadratic, one, to_complex, zero
 from .tensor import Matrix
 
 # -- quadratic surds ----------------------------------------------------------
@@ -44,94 +45,21 @@ def _square_part(n: int) -> tuple[int, int]:
     return (s * r, d) if r * r == rest else (s, d * rest)
 
 
-class QuadSurd:
-    """Exact value a + b*sqrt(d) with rational a, b and non-square integer d."""
+class QuadSurd(_Quadratic):
+    """Exact value a + b*sqrt(d) with rational a, b and non-square integer d,
+    in the arithmetic of ``scalars._Quadratic``, with its own d per value.  It
+    has no re or im: ``perfbench/oracle.py:as_complex`` reads any value that
+    has both as a Gaussian rational."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("d",)
 
     def __init__(self, a, b, d: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d
+        super().__init__(a, b)
+        object.__setattr__(self, "d", d)
 
-    def _coerce(self, other):
-        if isinstance(other, QuadSurd):
-            if other.d != self.d and other.b != 0 and self.b != 0:
-                raise ValueError("mixed radicands")
-            d = self.d if self.b != 0 else other.d
-            return QuadSurd(other.a, other.b, d)
-        if isinstance(other, (int, Fraction)):
-            return QuadSurd(other, 0, self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadSurd(self.a + o.a, self.b + o.b, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadSurd(self.a - o.a, self.b - o.b, self.d)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadSurd(o.a - self.a, o.b - self.b, self.d)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadSurd(
-            self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.a * o.a - o.b * o.b * self.d
-        if n == 0:
-            raise ZeroDivisionError("division by zero surd")
-        return self * QuadSurd(o.a / n, -o.b / n, self.d)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return QuadSurd(-self.a, -self.b, self.d)
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def __eq__(self, other):
-        if isinstance(other, QuadSurd):
-            return self.a == other.a and self.b == other.b and (
-                self.b == 0 or self.d == other.d
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    def to_complex(self) -> complex:
-        root = complex(0.0, abs(self.d) ** 0.5) if self.d < 0 else complex(self.d ** 0.5)
-        return complex(float(self.a)) + float(self.b) * root
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadSurd":
+        return cls(a, b, d)
 
     def __repr__(self):
         return f"QuadSurd({self.a}, {self.b}, {self.d})"
@@ -143,10 +71,7 @@ class QuadSurd:
         return core if self.a == 0 else f"{self.a}+{core}"
 
 
-def eig_to_complex(value) -> complex:
-    if isinstance(value, QuadSurd):
-        return value.to_complex()
-    return to_complex(value)
+eig_to_complex = to_complex
 
 
 def rational_sqrt(value: Fraction):
@@ -251,18 +176,17 @@ def spectrum(M: Matrix, tol: float | None = None) -> list:
 def _minimal(M: Matrix, eigenvalue) -> tuple:
     """(q(M), deg q) for the minimal polynomial q of eigenvalue over M's field K, Q or Q(i).
 
-    q = t - eigenvalue for an eigenvalue in K.  Any other is x + sqrt(y), x and y rational
-    (a surd, or a Gaussian of a rational matrix), and q = (t - x)^2 - y.  M is fixed by the
-    automorphism of K(sqrt(y)) that swaps q's roots, so both have the same Jordan data, and
-    ker q(M)^k is the direct sum of the kernels of (M - root)^k: the nullity of
-    (M - eigenvalue)^k is that of q(M)^k over deg q, from one elimination over K."""
-    x, y = eigenvalue, 0
-    if isinstance(eigenvalue, QuadSurd):
-        x, y = eigenvalue.a, eigenvalue.b ** 2 * eigenvalue.d
-    elif isinstance(eigenvalue, GaussianRational) and M.backend is Backend.EXACT_Q:
-        x, y = eigenvalue.re, -eigenvalue.im ** 2
+    q = t - eigenvalue for an eigenvalue in K.  Any other (a surd, or a Gaussian of a
+    rational matrix) is a + b*sqrt(d), a and b rational and b != 0, and q = (t - a)^2 - d b^2.
+    M is fixed by the automorphism of K(sqrt(d)) that swaps q's roots, so both have the same
+    Jordan data, and ker q(M)^k is the direct sum of the kernels of (M - root)^k: the
+    nullity of (M - eigenvalue)^k is that of q(M)^k over deg q, from one elimination over K."""
+    a, y = eigenvalue, 0
+    if isinstance(eigenvalue, QuadSurd) or (
+            isinstance(eigenvalue, GaussianRational) and M.backend is Backend.EXACT_Q):
+        a, y = eigenvalue.a, eigenvalue.b ** 2 * eigenvalue.d
     identity = Matrix.identity(M.rows, M.backend)
-    shifted = M.sub(identity.scale(x))
+    shifted = M.sub(identity.scale(a))
     return (shifted.mul(shifted).sub(identity.scale(y)), 2) if y else (shifted, 1)
 
 

@@ -404,6 +404,19 @@ def test_coo_product_matches_the_row_loop(n):
             assert all(type(v) is int for row in rows for v in row.values())
 
 
+@pytest.mark.parametrize("n", (5, 6))
+def test_vanishing_array_products_return_zero_rows(monkeypatch, n):
+    # E_(0,3)^2 = 0 and R = 0: the arrays empty out, and the row loop gives zero rows
+    nilpotent = YBObject(2, 1, Matrix.from_rows(
+        [[1 if (r, c) == (0, 3) else 0 for c in range(4)] for r in range(4)]))
+    rows, D = _word_product(nilpotent, n, (1, 1, 1))
+    assert (rows, D) == row_loop_product(nilpotent, n, (1, 1, 1)) == ([{}] * 2 ** n, 1)
+    vanishing = YBObject(2, 1, Matrix.zeros(4, 4))
+    assert braid_relations_check(vanishing, n)
+    monkeypatch.setattr(core, "_COO_ROWS", 2 ** n + 1)          # the row loop
+    assert braid_relations_check(vanishing, n)
+
+
 def test_word_products_route_by_size_and_backend(monkeypatch):
     calls = []
     for name in ("_times", "_coo_times"):

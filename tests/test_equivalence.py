@@ -231,6 +231,20 @@ def test_local_distinguish_by_jordan_blocks():
     assert local_distinguish(glue2, glue3) == ("distinguished", "jordan block structures differ")
 
 
+def test_local_distinguish_pairs_jordan_data_by_eigenvalue_across_backends():
+    # as strings "1" sorts before "1/2" but "(0.5+0j)" before "(1+0j)": the Jordan
+    # data are paired by value, as the spectra are
+    h = Fraction(1, 2)
+    R = Matrix.from_rows([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, h, 0], [0, 0, 0, 3]])
+    exact, numeric = YBObject(2, 1, R), YBObject(2, 1, R.promote_to(Backend.COMPLEX_F))
+    assert local_distinguish(exact, numeric) == local_distinguish(numeric, exact) == ("same", None)
+    diagonal = YBObject(2, 1, Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, h, 0],
+                                                [0, 0, 0, 3]]).promote_to(Backend.COMPLEX_F))
+    for other in (exact, numeric):
+        assert local_distinguish(other, diagonal) == (
+            "distinguished", "jordan block structures differ")
+
+
 def test_local_distinguish_by_a_flip_word_trace():
     # [3] (+) [5] at mu = 2 and at mu = -2: the spectra agree, the trace of RP does not
     a = make_ybo(1, Matrix.from_rows([[3]]))
