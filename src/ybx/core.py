@@ -8,23 +8,27 @@ with slots of width N^a and words multiplying left to right.
 Words are multiplied without building any generator image: each letter reads
 R's (or R^-1's) local table u -> {u': R[u][u']}, built once per object
 (``_Letters``; R must not be mutated after a product), in place for its two
-slots, on sparse ``{col: value}`` rows or, for exact products from
-``_COO_ROWS`` rows on, on numpy arrays of all their nonzeros, and the linear
-systems of ``structure`` read the same table (``_placed``).  The exact backends
-multiply integer rows with one denominator per product, in the layout of the
-``ybx.tensor`` docstring (``_parts``), on int64 while a bit bound allows, with
-the values' common factor carried out as the product's content
+slots, on sparse ``{col: value}`` rows, and the linear systems of
+``structure`` read the same table (``_placed``).  Exact products from
+``_COO_ROWS`` rows on run on numpy arrays of all their nonzeros, one step per
+block of letters: a run on a few adjacent strands acts there as one local
+table, I (x) rho(run) (x) I, since the representation is monoidal
+(``_Letters.blocks``).  The exact backends multiply integer rows with one
+denominator per product, in the layout of the ``ybx.tensor`` docstring
+(``_parts``), on int64 while a bit bound allows, with the common factor of
+the values and of each block's table carried out as the product's content
 (``_word_arrays``), and divide once per distinct value (``tensor._decoded``).
-Of the 633 array steps of a perfbench ``represent`` pass, 33 run on Python
-ints at seed 1 and 62 at seed 21 (76 and 127 without the content).  Two
-array products are compared on their arrays (``_compare_words``).
+A perfbench ``represent`` pass makes 307 array steps at seed 1, 22 of them on
+Python ints, and 301 at seed 21, 36 on Python ints; letter by letter it made
+633, 33 and 62 of them on Python ints.  Two array products are compared on
+their arrays (``_compare_words``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -50,6 +54,8 @@ MAX_DIM = 1024
 # below, numpy's cost per call outweighs the dict loop of ``_times`` (half twists
 # on int64 at 16 rows: 0.25 against 0.13 ms on hietarinta:a, exact-q, and 0.43
 # against 0.26 ms on match2:F/, exact-qi; within 5% of each other at 32 rows).
+# It also bounds a block's window (``_Letters.blocks``): a block's table, built
+# by ``_times``, has fewer rows than this.
 _COO_ROWS = 32
 
 
@@ -167,13 +173,16 @@ class _Letters(dict):
     first use and kept with it (``YBObject._letters``): sigma_e, or sigma_-e^-1
     for e < 0, as R's (R^-1's) table in q parts over d (``_parts``, in the layout
     of the ``ybx.tensor`` docstring; complex-f: the table, d = 1), row u's
-    columns u' taken to offsets L (u' - u), L = q w^(e-1).  R^-1 is solved once,
-    at the first inverse letter; R must not be mutated after a product."""
+    columns u' taken to offsets L (u' - u), L = q w^(e-1).  Exact array products
+    multiply by blocks of letters instead (``blocks``, ``coo``).  R^-1 is solved
+    once, at the first inverse letter; R must not be mutated after a product."""
 
     def __init__(self, R: Matrix, w: int):
-        self.R, self.w, self.tables, self.arrays = R, w, {}, {}
+        self.R, self.w, self.tables, self.windows, self.arrays = R, w, {}, {}, {}
         self.gauss = R.backend is Backend.EXACT_QI
         self.q = len(_parts([], self.gauss))
+        # the widest window, at least 2 strands, whose w^s rows are fewer than _COO_ROWS
+        self.s = max([2, *(s for s in range(3, _COO_ROWS.bit_length()) if w ** s < _COO_ROWS)])
 
     def __missing__(self, e: int) -> tuple:
         R, sign, q = self.R, e > 0, self.q
@@ -188,22 +197,64 @@ class _Letters(dict):
         self[e] = (shifted, L, self.w ** 2), d
         return self[e]
 
-    def coo(self, e: int, width: int) -> tuple:
-        """Letter e for ``_coo_times`` on products of the given width: per
-        column k, the start and count of its table row's entries in the flat
-        offsets and values (int64 if g <= 62) of all the rows; and the letter's
-        growth g, the bits of its largest |value| plus those of its row count."""
-        if (e, width) not in self.arrays:
-            (parts, L, w2), _ = self[e]
-            table = [row for part in parts for row in part]
-            count, k = np.array([len(row) for row in table]), np.arange(width)
-            t = k % len(parts) * w2 + k // L % w2
-            values = [v for row in table for _, v in row]
+    def blocks(self, word) -> list:
+        """The word cut, left to right, into maximal runs of at most s - 1
+        letters whose strands fit a window of s strands (at w >= 4, s = 2: a
+        letter alone).  On its window a run acts as one table, I (x) rho(run)
+        (x) I (``window``)."""
+        out = []
+        for e in word:
+            j = abs(e)
+            if out and len(out[-1]) < self.s - 1 and max(hi, j) - min(lo, j) + 2 <= self.s:
+                out[-1], lo, hi = out[-1] + (e,), min(lo, j), max(hi, j)
+            else:
+                out.append((e,))
+                lo = hi = j
+        return out
+
+    def coo(self, block: tuple, width: int) -> tuple:
+        """A block (``blocks``) for ``_coo_times`` on products of the given
+        width: its window's table (``window``) read in place from the block's
+        first strand f, per column k the start and count of its table row's
+        entries in the flat offsets and values of all the rows, at L = q
+        w^(f-1); and the block's growth g and content c."""
+        if (block, width) not in self.arrays:
+            f = min(map(abs, block))
+            count, strides, steps, values, g, c = self.window(
+                tuple(e - f + 1 if e > 0 else e + f - 1 for e in block))
+            L, rows = self.q * self.w ** (f - 1), len(count) // self.q
+            k = np.arange(width)
+            t = k % self.q * rows + k // L % rows
+            self.arrays[block, width] = ((np.cumsum(count) - count)[t], count[t],
+                                         L * strides + steps, values), g, c
+        return self.arrays[block, width]
+
+    def window(self, block: tuple) -> tuple:
+        """A block whose first strand is 1 as one table on the w^m rows of its
+        window of m strands: its letters' tables multiplied by ``_times``, over
+        the product of their denominators, with their content c, the gcd of
+        the values, divided out; in q parts (``_parts``), as flat arrays over
+        the rows in turn: each row's count of entries, then each entry's offset
+        from the column it meets, as strides c // q - u of L and steps
+        c % q - s for column c of row u of part s, and its value (int64 if
+        g <= 62).  Also g, the bits of its largest |value| plus those of its
+        row count (the most terms that add into one entry of a product), and c."""
+        if block not in self.windows:
+            rows = _unit_rows(self.w ** (max(map(abs, block)) + 1), self.R.backend)
+            for e in block:
+                rows = _times(rows, self[e][0])
+            c = gcd(*(v for row in rows for v in row.values())) or 1
+            table = [row for part in _parts([{k: v // c for k, v in row.items()} for row in rows],
+                                            self.gauss) for row in part]
+            n, q = len(rows), self.q
+            strides = [k // q - u % n for u, row in enumerate(table) for k in row]
+            steps = [k % q - u // n for u, row in enumerate(table) for k in row]
+            values = [v for row in table for v in row.values()]
             g = max(map(abs, values), default=0).bit_length() + len(table).bit_length()
-            self.arrays[e, width] = ((np.cumsum(count) - count)[t], count[t],
-                                     np.array([c for row in table for c, _ in row], np.int64),
-                                     np.array(values, np.int64 if g <= 62 else object)), g
-        return self.arrays[e, width]
+            self.windows[block] = (np.array([len(row) for row in table]),
+                                   np.array(strides, np.int64), np.array(steps, np.int64),
+                                   np.array(values, np.int64 if g <= 62 else object), g, c)
+        return self.windows[block]
 
 
 def _unit_rows(size: int, backend: Backend) -> list:
@@ -255,27 +306,29 @@ def _bits(values) -> int:
 
 def _word_arrays(obj: YBObject, size: int, word) -> tuple:
     """Sorted keys row * width + col (width q size), values, content and D of
-    an exact word product on arrays (``_coo_times``): its integer rows
-    (``_word_product``) hold the content times the values.  The values run on
-    int64 while b + g <= 62, b the bits of the largest |value| and g the next
-    letter's growth (``_Letters.coo``).  Past that, they are first divided by
-    their gcd, which is folded into the content, and turn into Python ints,
-    for the rest of the word, only if b + g is still above 62.  An entry adds
-    at most one term per table row, fewer than 2^c, each below 2^b 2^a
-    (g = a + c, b measured after any division), so every term, partial sum
-    and result stays below 2^62 and int64 is exact; the content is a Python
-    int, multiplied back by ``_array_rows``."""
+    an exact word product on arrays, one ``_coo_times`` step per block of
+    letters (``_Letters.blocks``): its integer rows (``_word_product``) hold
+    the content times the values, and the content gathers each block's own
+    (``_Letters.coo``).  The values run on int64 while b + g <= 62, b the
+    bits of the largest |value| and g the next block's growth.  Past that,
+    they are first divided by their gcd, which is folded into the content,
+    and turn into Python ints, for the rest of the word, only if b + g is
+    still above 62.  An entry adds at most one term per table row, fewer than
+    2^c, each below 2^b 2^a (g = a + c, b measured after any division), so
+    every term, partial sum and result stays below 2^62 and int64 is exact;
+    the content is a Python int, multiplied back by ``_array_rows``."""
     letters = obj._letters
     width = letters.q * size                            # row k starts as 1 at column q k
     keys, values, content = np.arange(size) * (width + letters.q), np.ones(size, np.int64), 1
-    for e in word:
-        letter, g = letters.coo(e, width)
+    for block in letters.blocks(word):
+        table, g, c = letters.coo(block, width)
         if values.dtype != object and _bits(values) + g > 62:
             common = int(np.gcd.reduce(values))
             values, content = values // common, content * common
             if _bits(values) + g > 62:
                 values = values.astype(object)
-        keys, values = _coo_times(keys, values, width, letter)
+        keys, values = _coo_times(keys, values, width, table)
+        content *= c
     return keys, values, content, prod(letters[e][1] for e in word)
 
 
@@ -301,8 +354,9 @@ def _word_rows(obj: YBObject, n: int, word) -> list:
 def _times(rows: list, letter: tuple) -> list:
     """Integer rows {col: value} times a letter (``_Letters``), read in place: the
     entry at column k meets row k // L mod w^2 of the letter's table (of its
-    part k mod q), its offsets added to k.  Products below
-    ``_COO_ROWS`` rows and on complex-f, and shared prefixes, run on it."""
+    part k mod q), its offsets added to k.  Products below ``_COO_ROWS`` rows
+    and on complex-f, shared prefixes and the tables of blocks of letters
+    (``_Letters.window``) run on it."""
     parts, L, w2 = letter
     q = len(parts)
     product = []
@@ -319,13 +373,13 @@ def _times(rows: list, letter: tuple) -> list:
     return product
 
 
-def _coo_times(keys, values, width: int, letter: tuple) -> tuple:
+def _coo_times(keys, values, width: int, block: tuple) -> tuple:
     """Sorted keys row * width + col and integer values of a product's nonzeros
-    times a letter (``_Letters.coo``), as ``_times`` does row by row: each
+    times a block of letters (``_Letters.coo``), as ``_times`` does row by row: each
     entry repeated once per entry of its table row, offsets added, values
     multiplied, then equal keys summed after one stable sort, zeros dropped.
     int64 values stay int64, and Python ints in an object array stay Python ints."""
-    start, count, offsets, table = letter
+    start, count, offsets, table = block
     c = keys % width
     n = count[c]
     rep = np.repeat(np.arange(len(keys)), n)

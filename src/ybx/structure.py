@@ -42,7 +42,7 @@ from .core import YBObject, _parts, _placed, _table, check_dim
 from .errors import DimensionMismatch, SingularMatrix, UnsupportedRank
 from .poly import _accumulate, _padd, _pmul, _psubst, _resultant, _unit, poly_gcd, rational_factors
 from .scalars import Backend, GaussianRational, join_backend, one, zero
-from .tensor import (Matrix, _decoded, _eliminate, _integral, kernel, kron, pseudo_inverse,
+from .tensor import (Matrix, _decoded, _integral, kernel, kron, pseudo_inverse,
                      reduced_rows)
 
 # -- realignment ----------------------------------------------------------------
@@ -412,8 +412,9 @@ def rank1_symmetric_elements(basis: list, seed: int = 0) -> Rank1Result:
     numeric = _rank1_numeric([B.promote_to(Backend.COMPLEX_F) for B in sym], seed,
                              _LINEAR_STARTS)
     exact = (_rationalize_vector(v, backend) for v in numeric.vectors)
+    forms = _span_forms(sym)
     for v in chain(_pattern_vectors(sym[0].rows, backend), exact):
-        if v is not None and _vvT_in_span(v, sym):  # the charts' points lie in it
+        if v is not None and _vvT_in_span(v, forms):  # the charts' points lie in it
             out.append(v)
     return Rank1Result(_dedupe_rays(out), False)
 
@@ -451,20 +452,22 @@ def _rationalize_vector(v: Matrix, backend: Backend):
     return Matrix.from_rows([[x] for x in out], backend)
 
 
-def _vvT_in_span(v: Matrix, basis: list) -> bool:
-    """v v^T lies in span(basis) when, with its entries as the last column of
-    the system whose columns are the basis, that column holds no pivot."""
+def _span_forms(basis: list) -> list:
+    """The annihilator of a span of symmetric matrices: a basis of the linear
+    forms on the upper-triangle coordinates (r <= c) that vanish on every
+    member, one exact ``kernel``, each form as its nonzero (r, c, coefficient)."""
+    n = basis[0].rows
+    pairs = [(r, c) for r in range(n) for c in range(r, n)]
+    rows = [{j: B.data[r][c] for j, (r, c) in enumerate(pairs) if B.data[r][c]} for B in basis]
+    return [[(r, c, f) for (r, c), f in zip(pairs, form) if f]
+            for form in kernel(rows, len(pairs), basis[0].backend)]
+
+
+def _vvT_in_span(v: Matrix, forms: list) -> bool:
+    """v v^T lies in a span of symmetric matrices when every form of the
+    span's annihilator (``_span_forms``) vanishes at it."""
     x = [v.data[r][0] for r in range(v.rows)]
-    k = len(basis)
-    rows = []
-    for r, xr in enumerate(x):
-        for c, xc in enumerate(x):
-            row = {j: B.data[r][c] for j, B in enumerate(basis) if B.data[r][c]}
-            if xr * xc:
-                row[k] = xr * xc
-            if row:
-                rows.append(row)
-    return k not in _eliminate(rows, k + 1)[0]
+    return not any(sum(f * x[r] * x[c] for r, c, f in form) for form in forms)
 
 
 _GN_STEPS = 50   # Gauss-Newton steps per start

@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import random
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_generator,
@@ -21,7 +24,8 @@ from conftest import (
 import ybx.core as core
 from ybx.braid import BraidWord, half_twist_word
 from ybx.catalog import catalog_get, catalog_ids, sample_entry_binding
-from ybx.constructions import cable, flip_conj, inverse_obj, phi_q, scale_obj, transpose_obj
+from ybx.constructions import (boxplus, cable, flip_conj, inverse_obj, phi_q, scale_obj,
+                               transpose_obj)
 from ybx.core import (
     YBObject,
     _compare_words,
@@ -418,6 +422,8 @@ def test_vanishing_array_products_return_zero_rows(monkeypatch, n):
 
 
 def test_word_products_route_by_size_and_backend(monkeypatch):
+    # the row loop multiplies letter by letter, the arrays block by block: (1, -2, 3)
+    # fits a window of 4 strands, and (1, -2, 3, 4) is that block and (4,)
     calls = []
     for name in ("_times", "_coo_times"):
         monkeypatch.setattr(core, name, lambda *args, kernel=getattr(core, name), name=name:
@@ -425,9 +431,12 @@ def test_word_products_route_by_size_and_backend(monkeypatch):
     (_, q), (_, qi), (_, f), *_ = integer_path_objects()
     for obj, n, kernel in ((q, 4, "_times"), (qi, 4, "_times"), (q, 5, "_coo_times"),
                            (qi, 5, "_coo_times"), (f, 5, "_times"), (f, 6, "_times")):
-        calls.clear()
-        _word_product(obj, n, (1, -2, 3))
-        assert calls == [kernel] * 3, (obj.backend, n)
+        for word, blocks in (((1, -2, 3), 1), ((1, -2, 3, 4), 2)):
+            _word_product(obj, n, word)         # builds the tables of its blocks
+            calls.clear()
+            _word_product(obj, n, word)
+            steps = blocks if kernel == "_coo_times" else len(word)
+            assert calls == [kernel] * steps, (obj.backend, n, word)
     calls.clear()
     with pytest.raises(SizeCeiling):
         _word_product(q, 11, (1,))      # 2^11 rows > MAX_DIM
@@ -527,42 +536,57 @@ def int64_bound_objects():
 @pytest.mark.parametrize("label,obj,crosses", int64_bound_objects(),
                          ids=["q-large", "qi-large", "q-small", "qi-small"])
 def test_products_leave_int64_once_and_only_past_the_bound(monkeypatch, label, obj, crosses):
+    # one step per block: letters 1 and 4 span 5 strands, more than the window
+    # of 4, so each word starts with blocks of one letter
     kinds = value_kinds(monkeypatch)
-    for word in ((1, -2, 3, 4, -1, 2, 3), (1, 2, 3, 4, 1, 2, 3)):
+    for word, blocks in (((1, 4, 1, 4, -2, 3, 1), [(1,), (4,), (1,), (4, -2, 3), (1,)]),
+                         ((1, 4, -1, 4, 2, -3, 2, 1), [(1,), (4,), (-1,), (4, 2, -3), (2, 1)])):
+        assert obj._letters.blocks(word) == blocks
         largest = assert_exact_product(label, obj, 5, word, kinds)
         on_int64 = kinds.count("i")
-        assert kinds == ["i"] * on_int64 + ["O"] * (len(word) - on_int64), (label, word)
+        assert kinds == ["i"] * on_int64 + ["O"] * (len(blocks) - on_int64), (label, word)
         if crosses:
-            assert largest >= 2 ** 62 and 0 < on_int64 < len(word), (label, word, kinds)
+            assert largest >= 2 ** 62 and 0 < on_int64 < len(blocks), (label, word, kinds)
         else:
-            assert largest < 2 ** 62 and on_int64 == len(word), (label, word, kinds)
+            assert largest < 2 ** 62 and on_int64 == len(blocks), (label, word, kinds)
 
 
 def test_the_bound_counts_the_summed_terms_and_keeps_a_spare_bit(monkeypatch):
     # R = r J + I, J all ones: on one slot pair the t-th power of the letter is
     # I + m_t J, m_t = ((4 r + 1)^t - 1) / 4, so its entries m_t and m_t + 1 have
-    # content 1 and no division keeps a step on int64.  Each entry of a step
-    # sums 4 terms of one sign; the letter's growth is bits(r + 1) + bits(4)
+    # content 1 and no division keeps a step on int64.  (1, 1, 1, 1) runs as the
+    # blocks (1, 1, 1) and (1,), with the tables I + m_3 J and I + r J.  Each
+    # entry of a step sums 4 terms of one sign; a block's growth is
+    # bits(m_t + 1) + bits(4)
     kinds = value_kinds(monkeypatch)
-    for r, want in ((2 ** 20 - 2, "iiOO"), (2 ** 30 - 2, "iOOO")):
-        # r = 2^20 - 2: m_2 + 1 = 4 r^2 + 2 r + 1 has 42 bits, and 42 + 20 + 3 > 62,
-        # though 42 + 20 is not: without the summed terms, m_3 > 2^63 would wrap.
-        # r = 2^30 - 2: 30 + 30 + 3 = 63 > 62, though m_2 + 1 < 2^62 would fit.
+    for r in (20000, 2 ** 14 - 2):
+        # r = 20000: m_3 + 1 has 47 bits and r + 1 has 15, and 47 + 15 + 3 > 62,
+        # though 47 + 15 is not: without the summed terms, m_4 + 1 > 2^63 would wrap.
+        # r = 2^14 - 2: 46 + 14 + 3 = 63 > 62, though m_4 + 1 < 2^62 would fit.
         R = Matrix.from_rows([[Fraction(r + (i == j)) for j in range(4)] for i in range(4)])
-        largest = assert_exact_product("exact-q", YBObject(2, 1, R), 5, (1, 1, 1, 1), kinds)
+        obj = YBObject(2, 1, R)
+        assert obj._letters.blocks((1, 1, 1, 1)) == [(1, 1, 1), (1,)]
+        largest = assert_exact_product("exact-q", obj, 5, (1, 1, 1, 1), kinds)
         assert largest == ((4 * r + 1) ** 4 - 1) // 4 + 1
-        assert "".join(kinds) == want, r
+        assert (largest >= 2 ** 63) == (r == 20000) and (largest < 2 ** 62) == (r != 20000)
+        assert "".join(kinds) == "iO", r
 
 
 def test_the_content_keeps_a_scaled_all_ones_product_on_int64(monkeypatch):
-    # R = r J: the t-th power holds 4^(t-1) r^t in every entry, whose content
-    # is divided out before each step that would pass 2^62
+    # R = r J: the t-th power holds 4^(t-1) r^t in every entry.  A block's table
+    # carries its content out, 16 r^3 for (1, 1, 1) and r for (1,), so its values
+    # are 1; along (1, 4) * 16, 32 blocks of one letter, the product's values
+    # 4^j grow until their content is divided out before a step that would pass
+    # 2^62
     kinds = value_kinds(monkeypatch)
     for r in (2 ** 20 - 1, 2 ** 30 - 1):
         obj = YBObject(2, 1, Matrix.from_rows([[Fraction(r)] * 4] * 4))
         largest = assert_exact_product("exact-q", obj, 5, (1, 1, 1, 1), kinds)
         assert largest == 4 ** 3 * r ** 4
-        assert "".join(kinds) == "iiii", r
+        assert "".join(kinds) == "ii", r
+        largest = assert_exact_product("exact-q", obj, 5, (1, 4) * 16, kinds)
+        assert largest == 4 ** 30 * r ** 32
+        assert "".join(kinds) == "i" * 32, r
 
 
 def ybe_failures():
@@ -589,19 +613,21 @@ def test_array_comparisons_of_failing_objects_match_the_dense_difference(monkeyp
     for obj in ybe_failures():
         assert not braid_relations_check(obj, 5)
         kinds.clear()
-        for left, right in (((1, 2, 1), (2, 1, 2)), ((3, 4, 3), (4, 3, 4)), ((1, 3), (3, 1))):
+        pairs = (((1, 2, 1), (2, 1, 2)), ((3, 4, 3), (4, 3, 4)), ((1, 3), (3, 1)))
+        for left, right in pairs:
             report = _compare_words(obj, 5, left, right, None)
             residual, witness = dense_report(obj, left, right, 5)
             assert (report.holds, report.residual, report.witness) == (
                 witness is None, residual, witness), (left, right)
-        assert len(kinds) == 16       # every step on arrays
+        # every step on arrays, each word one block
+        assert len(kinds) == sum(len(obj._letters.blocks(w)) for pair in pairs for w in pair) == 6
         assert _compare_words(obj, 5, (1, 2, 1), (1, 2, 1, -3, 3), None).holds
 
 
 def test_array_products_compare_across_contents_and_denominators():
     # w against w with e e^-1 inserted: the same matrix at another denominator;
     # against w e, another matrix.  At k = 3^9 the two sides of the last pair
-    # carry the contents 3 and 1.
+    # carry the contents 3, of their block (-4, 3), and 7 * 3^19, of (-1, 1, 3).
     a = catalog_get("hietarinta:a", ParamBinding.of(k=3 ** 9, p=-3, q=7))
     rng = random.Random(7)
     for obj in [obj for _, obj, _ in int64_bound_objects()] + [a]:
@@ -612,7 +638,7 @@ def test_array_products_compare_across_contents_and_denominators():
         report = _compare_words(obj, 5, w, w + (e,), None)
         assert (report.residual, report.witness) == dense_report(obj, w, w + (e,), 5)
     left, right = (-4, 3, -1), (-4, -1, 1, 3, -1)
-    assert [core._word_arrays(a, 32, word)[2] for word in (left, right)] == [3, 1]
+    assert [core._word_arrays(a, 32, word)[2] for word in (left, right)] == [3, 7 * 3 ** 19]
     assert _compare_words(a, 5, left, right, None).holds
     assert not _compare_words(a, 5, left, right + (1, 1), None).holds
     # P / 2 and its cube P / 8: the same keys and values, at denominators 2 and 8
@@ -629,3 +655,88 @@ def test_words_with_different_denominators_compare_exactly():
         assert (report.residual, report.witness) == dense_report(obj, (1, 1), (2,))
         assert _compare_words(obj, 3, (1, -1, 2), (2,), None).holds
         assert _compare_words(obj, 3, (1, 2, -2), (1,), None).residual == 0
+
+
+# -- products by blocks of letters against the dense oracle -------------------------
+
+
+@functools.cache
+def block_objects():
+    """name -> (label, object) for random block products: slot width 2 (a
+    window of 4 strands), among them the objects whose products pass 2^62
+    and E_(0,3), whose square is 0; slot width 3 (a window of 3)."""
+    G = GaussianRational
+    (_, q), (_, qi), _, (_, q3), _ = integer_path_objects()
+    qi3 = boxplus(qi, make_ybo(1, Matrix.from_rows([[G(Fraction(2, 3), Fraction(-1, 2))]])),
+                  G(Fraction(3, 4), Fraction(1, 5)))
+    nilpotent = YBObject(2, 1, Matrix.from_rows(
+        [[1 if (r, c) == (0, 3) else 0 for c in range(4)] for r in range(4)]))
+    (_, q_large, _), (_, qi_large, _), *_ = int64_bound_objects()
+    return {"q": ("exact-q", q), "qi": ("exact-qi", qi), "q-large": ("exact-q", q_large),
+            "qi-large": ("exact-qi", qi_large), "nilpotent": ("exact-q", nilpotent),
+            "q-rank-3": ("exact-q", q3), "qi-rank-3": ("exact-qi", qi3)}
+
+
+# (object, strands, fewest letters): 5-7 strands at slot width 2, 4 and 5 at width 3
+BLOCK_CASES = ([("q", n, 1) for n in (5, 6, 7)] + [("qi", n, 1) for n in (5, 6, 7)]
+               + [("q-large", 5, 5), ("qi-large", 5, 5), ("nilpotent", 5, 1), ("nilpotent", 6, 1)]
+               + [(name, n, 1) for name in ("q-rank-3", "qi-rank-3") for n in (4, 5)])
+
+
+def assert_blocks_fit_their_window(obj, n, word):
+    """Each block holds at most s - 1 letters on at most s strands, s the widest
+    window below ``_COO_ROWS`` rows (at least 2), and its table has q w^span rows."""
+    w, letters = obj.slot_dim, obj._letters
+    s = {2: 4, 3: 3}.get(w, 2)
+    assert w ** s < core._COO_ROWS <= w ** (s + 1)
+    blocks = letters.blocks(word)
+    assert [e for block in blocks for e in block] == list(word)
+    for block in blocks:
+        span = max(map(abs, block)) - min(map(abs, block)) + 2
+        assert len(block) <= s - 1
+        assert span <= s and w ** span < core._COO_ROWS
+        (_, _, _, table), g, content = letters.coo(block, letters.q * w ** n)
+        largest = max(map(abs, table.tolist()), default=0)
+        assert g == largest.bit_length() + (letters.q * w ** span).bit_length() and content > 0
+    return blocks
+
+
+@pytest.mark.parametrize("name,n,fewest", BLOCK_CASES,
+                         ids=[f"{name}-{n}" for name, n, _ in BLOCK_CASES])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_block_products_match_the_dense_oracle(name, n, fewest, data):
+    label, obj = block_objects()[name]
+    signs = (1,) if name == "nilpotent" else (1, -1)       # E_(0,3) has no inverse
+    gens = [s * i for i in range(1, n) for s in signs]
+    word = tuple(data.draw(st.lists(st.sampled_from(gens), min_size=fewest, max_size=7)))
+    top = n - 1 - max(map(abs, word))       # the same word against the last strand
+    for letters in (word, tuple(e + top if e > 0 else e - top for e in word)):
+        assert_blocks_fit_their_window(obj, n, letters)
+        rows, D = _word_product(obj, n, letters)
+        assert (rows, D) == row_loop_product(obj, n, letters), (label, letters)
+        assert_same_image(label, rho(obj, BraidWord.of(n, letters)), dense_word(obj, n, letters))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_block_comparisons_of_failing_objects_match_the_dense_difference(data):
+    obj = data.draw(st.sampled_from(ybe_failures()))
+    gens = [g for i in range(1, 5) for g in (i, -i)]
+    left, right = (tuple(data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=6)))
+                   for _ in range(2))
+    if data.draw(st.booleans()):            # the same matrix, through other blocks
+        e, i = data.draw(st.sampled_from(gens)), data.draw(st.integers(0, len(left)))
+        right = left[:i] + (e, -e) + left[i:]
+    report = _compare_words(obj, 5, left, right, None)
+    residual, witness = dense_report(obj, left, right, 5)
+    assert (report.holds, report.residual, report.witness) == (witness is None, residual, witness)
+
+
+def test_blocks_are_letters_alone_from_slot_width_4():
+    # the half twist on 5 strands: runs of 3 letters at w = 2, 2 at w = 3, 1 at w = 4
+    word = half_twist_word(5).letters
+    for (_, obj), longest in zip(integer_path_objects()[3:], (2, 1)):
+        assert max(map(len, assert_blocks_fit_their_window(obj, 5, word))) == longest
+    _, qi = integer_path_objects()[1]
+    assert qi._letters.blocks(word) == [(1, 2, 1), (3, 2, 1), (4, 3, 2), (1,)]

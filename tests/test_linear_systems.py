@@ -39,6 +39,7 @@ from ybx.structure import (
     _pair_space_basis,
     _satisfied,
     _symmetrize_basis,
+    _span_forms,
     _vvT_in_span,
     end_search,
     intertwiner_space,
@@ -361,8 +362,8 @@ def test_symmetrize_basis_matches_sympy(data):
 
 def test_vvT_in_a_dependent_spanning_set():
     basis = [Matrix.from_rows(M) for M in ([[1, 0], [0, 0]], [[0, 0], [0, 1]], [[1, 0], [0, 1]])]
-    assert _vvT_in_span(Matrix.column([1, 0]), basis)
-    assert not _vvT_in_span(Matrix.column([1, 1]), basis)
+    assert _vvT_in_span(Matrix.column([1, 0]), _span_forms(basis))
+    assert not _vvT_in_span(Matrix.column([1, 1]), _span_forms(basis))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -371,10 +372,12 @@ def test_vvT_in_span_matches_sympy(data):
     n = data.draw(st.integers(1, 3))
     v = Matrix.column(data.draw(st.lists(entry, min_size=n, max_size=n)))
     vvT = v.mul(v.transpose())
-    basis = [Matrix.from_rows(M) for M in data.draw(st.lists(square(n), min_size=1, max_size=4))]
+    # symmetric members, as rank1_symmetric_elements passes them
+    basis = [M.add(M.transpose()) for M in
+             map(Matrix.from_rows, data.draw(st.lists(square(n), min_size=1, max_size=4)))]
     if data.draw(st.booleans()):   # put v v^T in the span
         basis.append(vvT.sub(basis[0]))
     if data.draw(st.booleans()):   # make the spanning set dependent
         basis.append(basis[-1].add(basis[0]))
     flats = [flat(M) for M in basis]
-    assert _vvT_in_span(v, basis) == (rank(flats + [flat(vvT)]) == rank(flats))
+    assert _vvT_in_span(v, _span_forms(basis)) == (rank(flats + [flat(vvT)]) == rank(flats))
