@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import permutations, product
 from math import prod
 
@@ -72,21 +73,28 @@ def flip_word_traces(obj: YBObject, L: int = 4) -> dict:
     w = obj.slot_dim
     swap = YBObject(obj.N, obj.level, swap_matrix(w, w, obj.backend))
     letters = {1: obj._letters[1], 2: swap._letters[1]}
-    words = [word for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
+    plan = [(word, _cyclic_key(word), None, None)
+            for length in range(1, L + 1) for word in product((1, 2), repeat=length)]
     return {"".join("RP"[e - 1] for e in word): t
-            for word, t in _word_traces(letters, words, obj.backend, w * w)}
+            for word, t in _word_traces(letters, plan, obj.backend, w * w, {})}
 
 
-def _word_traces(letters: dict, words, backend: Backend, size: int):
-    """Yield (word, trace) for each word (a tuple) in turn, one per ``_cyclic_key``,
+def _word_traces(letters: dict, plan, backend: Backend, size: int, traces: dict,
+                 below: tuple = (1, {})):
+    """Yield (word, trace) for each word of a plan (``_trace_plan``) in turn,
     on a space of dimension size, the letters as ``core._Letters`` gives them
-    (letter e -> (letter, d)): memoised prefix rows, each with its own
-    denominator, times the last letter's diagonal (``core._product_trace``)."""
+    (letter e -> (letter, d)), each key's trace kept in traces: read from its
+    source (k, key'), w times below's (k = 1, below = (w, the traces on one
+    strand fewer)) or traces' own (k = 0), else multiplied out from memoised
+    prefix rows, each over its own denominator, times the last letter's
+    diagonal (``core._product_trace``)."""
     prefixes = {(): (_unit_rows(size, backend), 1)}
-    traces = {}
-    for word in words:
-        key = _cyclic_key(word)
-        if key not in traces:
+    w, lower = below
+    for word, key, _, source in plan:
+        if key not in traces and source:
+            k, other = source
+            traces[key] = w * lower[other] if k else traces[other]
+        elif key not in traces:
             for i in range(1, len(word)):
                 if word[:i] not in prefixes:
                     rows, D = prefixes[word[:i - 1]]
@@ -267,13 +275,37 @@ class PEquivCertificate:
     dims: dict = field(default_factory=dict)
     bases: dict = field(default_factory=dict)         # n -> intertwiner-space basis
     intertwiners: dict = field(default_factory=dict)  # n -> exact invertible sample
-    traces: dict = field(default_factory=dict)        # n -> [words compared, traces computed]
+    traces: dict = field(default_factory=dict)        # n -> [words compared, cyclic classes met]
 
 
-def _trace_words(letters, max_len: int) -> list:
-    """The freely reduced words of length 1..max_len in the letters, -e inverting e."""
-    return [word for length in range(1, max_len + 1) for word in product(letters, repeat=length)
-            if all(a != -b for a, b in zip(word, word[1:]))]
+@lru_cache(maxsize=4)   # n = 2..5: the ceilings at slot dimension 2 or more
+def _trace_plan(n: int) -> tuple:
+    """The freely reduced words of length 1..3 that p_equivalent compares on
+    n strands, -e inverting e, each as (word, its ``_cyclic_key``, the count
+    of keys so far, the key's source or None).  rho_n(u) = rho_(n-1)(u) (x) 1
+    for u in B_(n-1) and its shift is 1 (x) rho_(n-1)(u), so a key without
+    sigma_(n-1), or without sigma_1 shifted down, is w times one on n - 1
+    strands, (1, key'); the half twist conjugates sigma_i to sigma_(n-i), so
+    the image key' of an earlier key has its trace, (0, key').  Only the
+    first key of each half-twist orbit that holds both sigma_1 and
+    sigma_(n-1) is multiplied out (``_word_traces``)."""
+    letters = [e for i in range(1, n) for e in (i, -i)]
+    plan, met = [], set()
+    for word in (word for length in range(1, _TRACE_WORD_LEN + 1)
+                 for word in product(letters, repeat=length)
+                 if all(a != -b for a, b in zip(word, word[1:]))):
+        key, source = _cyclic_key(word), None
+        if key not in met:
+            image = _cyclic_key(tuple(-n - e if e < 0 else n - e for e in key))
+            if max(map(abs, key)) < n - 1:
+                source = (1, key)
+            elif min(map(abs, key)) > 1:
+                source = (1, tuple(e - 1 if e > 0 else e + 1 for e in key))
+            elif image in met:
+                source = (0, image)
+        met.add(key)
+        plan.append((word, key, len(met), source))
+    return tuple(plan)
 
 
 def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
@@ -296,17 +328,17 @@ def p_equivalent(A: YBObject, B: YBObject, p: int, seed: int = 0,
                                  witness=f"slot dimensions {A.slot_dim} vs {B.slot_dim}")
     exact = A.R.backend.is_exact and B.R.backend.is_exact
     rng = random.Random(seed)
+    scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** _TRACE_WORD_LEN
+    traces = ({}, {})
     for n in range(2, p + 1):
         size = A.slot_dim ** n
         if size > (_EXACT_CEILING if exact else _NUMERIC_CEILING):
             raise SizeCeiling(f"slot dimension {size} exceeds the solver ceiling at n={n}")
-        scale = max(1.0, A.R.inf_norm(), B.R.inf_norm()) ** _TRACE_WORD_LEN
-        words = _trace_words([e for i in range(1, n) for e in (i, -i)], _TRACE_WORD_LEN)
-        streams = [_word_traces(obj._letters, words, obj.backend, size) for obj in (A, B)]
-        classes = set()
-        for count, ((word, ta), (_, tb)) in enumerate(zip(*streams), 1):
-            classes.add(_cyclic_key(word))
-            cert.traces[n] = [count, len(classes)]
+        plan, below, traces = _trace_plan(n), traces, ({}, {})
+        streams = [_word_traces(obj._letters, plan, obj.backend, size, mine, (A.slot_dim, lower))
+                   for obj, mine, lower in zip((A, B), traces, below)]
+        for count, ((_, _, classes, _), (word, ta), (_, tb)) in enumerate(zip(plan, *streams), 1):
+            cert.traces[n] = [count, classes]
             if (ta != tb) if exact else abs(to_complex(ta) - to_complex(tb)) > tol * scale:
                 return replace(cert, verdict="not_equivalent", failed_n=n,
                                witness=f"trace of word {list(word)} differs "

@@ -83,7 +83,8 @@ def rational_factors(coeffs: list, degree: int):
     Each step runs ``np.roots`` once on what is left, and keeps the first
     reading (``_readings``) that divides exactly, no reading being tried
     twice.  False readings are harmless; a factor that needs denominators
-    beyond the ladder stays in the rest."""
+    beyond the ladder stays in the rest, unless the rest has the degree
+    itself: then it is a factor, made monic, whatever its denominators."""
     gaussian = degree == 1 and any(isinstance(c, GaussianRational) for c in coeffs)
     factors = []
     while len(coeffs) > degree:
@@ -99,6 +100,9 @@ def rational_factors(coeffs: list, degree: int):
                 coeffs = quot
                 break
         else:
+            if len(coeffs) == degree + 1:  # gcd(rest, 0) is the rest made monic
+                factors.append(tuple(poly_gcd(coeffs, [0])))
+                coeffs = coeffs[degree:]
             break
     return factors, coeffs
 

@@ -3,10 +3,10 @@
 Exact path: the characteristic polynomial is computed by Faddeev-LeVerrier
 over the matrix's exact field.  Its linear factors over Q (or Q(i)), then its
 quadratic factors over Q, are split off by ``poly.rational_factors``, which
-reads numeric roots as rationals and keeps what divides exactly; a quadratic
-left at the end is a factor too.  Quadratics are solved by radicals, giving
-quadratic surds ``a + b*sqrt(d)`` in the arithmetic that Gaussian
-rationals share (``scalars._Quadratic``).  A polynomial that resists this
+reads numeric roots as rationals and keeps what divides exactly; what is
+left with the factors' degree is a factor too.  Quadratics are solved by
+radicals, giving quadratic surds ``a + b*sqrt(d)`` in the arithmetic that
+Gaussian rationals share (``scalars._Quadratic``).  A polynomial that resists this
 is reported as :class:`UnfactoredSpectrum` so the caller may retry on the
 complex backend.  Jordan blocks come from exact ranks over the same field.
 
@@ -131,8 +131,6 @@ def exact_spectrum(M: Matrix) -> list:
     if len(rest) % 2 == 0:
         raise UnfactoredSpectrum(f"cannot factor residual of degree {len(rest) - 1}")
     quadratic, rest = rational_factors(rest, 2)
-    if len(rest) == 3:  # a last quadratic is a factor, whatever its denominators
-        quadratic, rest = quadratic + [rest], rest[2:]
     if len(rest) > 1:
         raise UnfactoredSpectrum("no rational quadratic factor found")
     roots = [-f[0] for f in linear] + [r for f in quadratic for r in _solve_quadratic(*f[:2])]

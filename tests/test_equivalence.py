@@ -724,10 +724,13 @@ def _rows_trace(obj, n, word):
 
 
 def _shared_prefix_traces(obj, n, max_len):
-    from ybx.equivalence import _trace_words, _word_traces
+    from ybx.equivalence import _cyclic_key, _word_traces
 
-    words = _trace_words([e for i in range(1, n) for e in (i, -i)], max_len)
-    return words, list(_word_traces(obj._letters, words, obj.backend, obj.slot_dim ** n))
+    letters = [e for i in range(1, n) for e in (i, -i)]
+    words = [word for length in range(1, max_len + 1) for word in product(letters, repeat=length)
+             if all(a != -b for a, b in zip(word, word[1:]))]
+    plan = [(word, _cyclic_key(word), None, None) for word in words]   # every key multiplied out
+    return words, list(_word_traces(obj._letters, plan, obj.backend, obj.slot_dim ** n, {}))
 
 
 def test_word_traces_match_word_rows_products_exact():
@@ -754,6 +757,47 @@ def test_word_traces_match_word_rows_products_complex_twin():
                 for word, trace in _shared_prefix_traces(obj, n, 3)[1]:
                     expected = _rows_trace(obj, n, word)
                     assert abs(trace - expected) <= 1e-9 * max(1.0, abs(expected)), word
+
+
+def _planned_traces(obj, p):
+    """n -> [(word, trace)] for n <= p as p_equivalent reads them: each n's
+    plan, given the traces of n - 1."""
+    from ybx.equivalence import _trace_plan, _word_traces
+
+    out, traces = {}, {}
+    for n in range(2, p + 1):
+        below, traces = traces, {}
+        out[n] = list(_word_traces(obj._letters, _trace_plan(n), obj.backend, obj.slot_dim ** n,
+                                   traces, (obj.slot_dim, below)))
+    return out
+
+
+def test_trace_plan_multiplies_out_one_key_per_half_twist_orbit():
+    from ybx.equivalence import _trace_plan
+
+    for n, multiplied, classes in ((2, 6, 6), (3, 7, 24), (4, 15, 70), (5, 23, 160)):
+        plan = _trace_plan(n)
+        first = {}
+        for word, key, count, source in plan:
+            first.setdefault(key, source)
+            assert count == len(first)
+        assert len(first) == classes
+        assert sum(source is None for source in first.values()) == multiplied
+
+
+def test_trace_plan_reads_match_word_rows_products():
+    for entry_id in catalog_ids():
+        for seed in (3, 8):
+            obj = sampled_catalog_object(entry_id, seed)
+            for n, traces in _planned_traces(obj, 5).items():
+                for word, trace in traces:
+                    assert trace == _rows_trace(obj, n, word), (entry_id, seed, n, word)
+    for entry_id, params, _ in TWIN_CASES:
+        for obj in _twinned_pair(entry_id, params, 0):
+            for n, traces in _planned_traces(obj, 3).items():
+                for word, trace in traces:
+                    expected = _rows_trace(obj, n, word)
+                    assert abs(trace - expected) <= 1e-9 * max(1.0, abs(expected)), (n, word)
 
 
 def test_flip_word_traces_match_dense_products():

@@ -136,6 +136,33 @@ def test_last_quadratic_is_solved_whatever_its_denominators():
         assert sorted(spectrum(M)) == sorted([(a, 1), (b, 1), (2, 1)])
 
 
+def test_a_leftover_of_the_factor_degree_is_a_factor_beyond_the_ladder():
+    # x - 1/BIG alone and after x - 3, x - (1/BIG + i) over Q(i), and
+    # x^2 + x/BIG - 3 (irrational roots) after x - 2: no reading divides
+    # what is left, which has the degree asked for and so is one factor
+    F, G = Fraction, GaussianRational
+    cases = [([[F(-1, BIG), 1]], QQ), ([[F(-1, BIG), 1], [F(-3), 1]], QQ),
+             ([[-G(F(1, BIG), 1), G(1)], [G(-3), G(1)]], QQ_I),
+             ([[F(-3), F(1, BIG), 1], [F(-2), 1]], QQ)]
+    for known, domain in cases:
+        coeffs = product(known)
+        linear, rest = rational_factors(coeffs, 1)
+        quadratic, rest = rational_factors(rest, 2)
+        assert rest == [1]
+        found = sorted((dense(f, domain) for f in linear + quadratic), key=str)
+        assert found == factors_of(coeffs, domain), known
+    assert rational_factors([F(-1, BIG), 1], 1) == ([(F(-1, BIG), 1)], [1])
+    assert rational_factors([F(2, BIG), F(4)], 1) == ([(F(1, 2 * BIG), 1)], [F(4)])
+
+
+def test_spectrum_beyond_the_ladder_against_sympy():
+    tiny = Fraction(1, 2 ** 40)
+    for rows in ([[tiny]], [[tiny, 0], [0, 2]], [[2, 1, 0], [0, 2, 0], [0, 0, tiny]]):
+        want = sympy.Matrix([[to_sympy(Fraction(v)) for v in row] for row in rows]).eigenvals()
+        got = spectrum(Matrix.from_rows(rows))
+        assert {to_sympy(v): m for v, m in got} == want
+
+
 def test_rational_zeros_isolated():
     # u^2 - 3u + 2 = 0 and v = 2u - 1: the points (1, 1) and (2, 3)
     polys = [{(2, 0): 1, (1, 0): -3, (0, 0): 2}, {(0, 1): 1, (1, 0): -2, (0, 0): 1}]
@@ -148,6 +175,13 @@ def test_rational_zeros_irrational_zero_is_incomplete():
     polys = [{(3, 0): 1, (2, 0): -1, (1, 0): -2, (0, 0): 2}, {(0, 1): 1, (1, 0): -1}]
     points, complete = _rational_zeros([{e: Fraction(c) for e, c in p.items()} for p in polys], 2)
     assert points == [(1, 1)] and not complete
+
+
+def test_rational_zeros_beyond_the_ladder_are_complete():
+    # u - 1/BIG = 0 and v = u: the gcd left is linear, so its zero is read whole
+    u = Fraction(1, BIG)
+    polys = [{(1, 0): Fraction(1), (0, 0): -u}, {(0, 1): Fraction(1), (1, 0): Fraction(-1)}]
+    assert _rational_zeros(polys, 2) == ([(u, u)], True)
 
 
 def test_rational_zeros_line_is_sampled():
